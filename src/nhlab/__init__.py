@@ -19,8 +19,9 @@ from .harness import (DEFAULT_L_GRID, OBSERVABLES, PRESET_NAMES, PeakResult,
                       size_scaling)
 from .metrology import (DEFAULT_STEP, PARAM_LABELS, FisherMatrix, ParamSpec,
                         Povm, apply_params, cfi, cfim, current_basis,
-                        family_state_derivative, position_basis, probe_state,
-                        qfi, qfim, state_derivative, total_variance_bound)
+                        family_state_derivative, model_spectrum,
+                        position_basis, probe_state, qfi, qfim,
+                        state_derivative, total_variance_bound)
 from .model import (CONFIG_KEYS, NON_MODULAR, OBC, PBC, RECIPROCAL_MODULAR,
                     SHIFTED, CouplingPreset, ModelParams, build_bloch,
                     build_current_operator, build_generalized_bloch,

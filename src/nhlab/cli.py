@@ -19,11 +19,10 @@ from . import harness
 from .errors import NumericalError, ValidationError
 from .gbz import gbz_contour, point_gap_residual
 from .metrology import (DEFAULT_STEP, ParamSpec, cfi, cfim, current_basis,
-                        position_basis, probe_state, qfi, qfim,
+                        model_spectrum, position_basis, probe_state, qfi, qfim,
                         state_derivative, total_variance_bound)
-from .model import (build_bloch, build_hamiltonian, params_from_config,
-                    params_to_config)
-from .spectral import DEFAULT_TOL_EIG, cumulative_population, full_spectrum
+from .model import build_bloch, params_from_config, params_to_config
+from .spectral import DEFAULT_TOL_EIG, cumulative_population
 from .topology import band_winding, count_spectral_loops, line_gap_minima, spectral_winding
 
 CSV_SCHEMA = "nhlab-csv-1"
@@ -175,7 +174,7 @@ def _out_settings(args, cfg):
 
 def cmd_spectrum(args, cfg):
     p = _model_params(cfg, _parse_overrides(args.set))
-    dec = full_spectrum(build_hamiltonian(p), tol_eig=args.tol_eig)
+    dec = model_spectrum(p, args.tol_eig)
     header = ("index", "value_re", "value_im", "residual")
     rows = [(i, float(v.real), float(v.imag), float(res))
             for i, (v, res) in enumerate(zip(dec.values, dec.residuals))]
@@ -188,7 +187,7 @@ def cmd_spectrum(args, cfg):
 
 def cmd_skin(args, cfg):
     p = _model_params(cfg, _parse_overrides(args.set))
-    dec = full_spectrum(build_hamiltonian(p), tol_eig=args.tol_eig)
+    dec = model_spectrum(p, args.tol_eig)
     prof = cumulative_population(dec, p)
     header = ("site", "population")
     rows = [(j, float(v)) for j, v in enumerate(prof.P)]
@@ -388,14 +387,12 @@ def cmd_preset(args, cfg):
     model_cfg.update(_parse_overrides(args.set))
     p = params_from_config({str(k): str(v) for k, v in model_cfg.items()})
     loops = count_spectral_loops(p)
-    n_k = 512
+    ks = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+    vals = np.linalg.eigvals(build_bloch(p, ks))
+    vals = np.take_along_axis(vals, np.lexsort((vals.imag, vals.real)), axis=-1)
     header = ("k", "band", "value_re", "value_im")
-    rows = []
-    for k in np.linspace(-np.pi, np.pi, n_k, endpoint=False):
-        vals = np.linalg.eigvals(build_bloch(p, k))
-        vals = vals[np.lexsort((vals.imag, vals.real))]
-        for b, v in enumerate(vals):
-            rows.append((float(k), b, float(v.real), float(v.imag)))
+    rows = [(float(k), b, float(v.real), float(v.imag))
+            for k, row in zip(ks, vals) for b, v in enumerate(row)]
     out, fmt = _out_settings(args, cfg)
     emit(out, fmt, header, rows, extra={"preset": args.name, "loops": loops})
     print("preset=%s loops=%d" % (args.name, loops))

@@ -57,12 +57,9 @@ def beta_quadratic_coeffs(p):
 
 
 def bulk_determinant(p, E, beta):
-    """det(H_beta - E * Id), evaluated numerically."""
-    beta = complex(beta)
-    if beta == 0:
-        raise ValidationError("beta must be nonzero")
+    """det(H_beta - E * Id) at a scalar or an array of beta, evaluated numerically."""
     H = build_generalized_bloch(p, beta)
-    return complex(np.linalg.det(H - complex(E) * np.eye(H.shape[0])))
+    return np.linalg.det(H - complex(E) * np.eye(H.shape[-1]))
 
 
 _INTERP_BETAS = (1.0 + 0j, -1.0 + 0j, 2.0 + 0j)
@@ -75,7 +72,7 @@ def beta_polynomial(p, E):
     avoiding any symbolic expansion of the bulk determinant.
     """
     xs = np.array(_INTERP_BETAS)
-    ys = np.array([b * bulk_determinant(p, E, b) for b in xs])
+    ys = xs * bulk_determinant(p, E, xs)
     # Vandermonde solve is exact for a degree-2 polynomial
     V = np.vander(xs, 3)
     return tuple(np.linalg.solve(V, ys))
@@ -132,16 +129,19 @@ def gbz_contour(p, n_points=DEFAULT_CONTOUR_POINTS, min_radius=MIN_CONTOUR_RADIU
 
 
 def skin_frame(p):
-    """Per-component gauge that balances the skin accumulation, or None.
+    """Logarithm of the per-component gauge that balances the skin
+    accumulation, or None.
 
     Conjugating the OBC Hamiltonian by diag(rho^n), with n the module
     index and rho the GBZ radius, rescales every inter-module bond so
     the left/right hopping product becomes unimodular.  The similarity
     is exact, so eigenvalues and (back-transformed) eigenvectors are
     unchanged; what changes is conditioning, which stops growing
-    exponentially with L.  Returns None when no balancing is needed or
-    possible: PBC rings (the gauge would break periodicity), rho = 1,
-    or couplings without a finite positive radius.
+    exponentially with L.  The frame is returned as ln s = n ln(rho),
+    since rho^n itself overflows on long or strongly nonreciprocal
+    chains.  Returns None when no balancing is needed or possible: PBC
+    rings (the gauge would break periodicity), rho = 1, or couplings
+    without a finite positive radius.
     """
     if p.boundary != OBC:
         return None
@@ -152,4 +152,4 @@ def skin_frame(p):
     if not np.isfinite(rho) or rho <= 0 or rho == 1.0:
         return None
     n = np.repeat(np.arange(p.L, dtype=float) - 0.5 * (p.L - 1), p.r * p.d)
-    return rho ** n
+    return n * np.log(rho)

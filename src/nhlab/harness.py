@@ -17,10 +17,12 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gbz import gbz_contour, point_gap_residual
 from .metrology import (DEFAULT_STEP, PARAM_LABELS, ParamSpec, apply_params,
-                        cfi, current_basis, position_basis, probe_state, qfi,
-                        qfim, state_derivative, total_variance_bound)
+                        cfi, current_basis, model_spectrum, position_basis,
+                        probe_state, qfi, qfim, state_derivative,
+                        total_variance_bound)
 from .model import (NON_MODULAR, RECIPROCAL_MODULAR, SHIFTED, CouplingPreset,
-                    build_hamiltonian, make_params, params_to_config)
+                    make_params, params_to_config)
+# full_spectrum is unused here; bench/selftest.py reads this module's binding
 from .spectral import cumulative_population, full_spectrum, participation_ratio, steady_state
 from .topology import band_winding, spectral_winding
 
@@ -121,7 +123,7 @@ def _point_values(spec, x, names):
 
     def decomposition():
         if "dec" not in cache:
-            cache["dec"] = full_spectrum(build_hamiltonian(q))
+            cache["dec"] = model_spectrum(q)
         return cache["dec"]
 
     def probe():

@@ -137,43 +137,50 @@ def apply_params(p, ps, shift=None):
     return p.with_updates(**updates)
 
 
-def _balanced_spectrum(H, frame):
+def _balanced_spectrum(H, frame, tol_eig=DEFAULT_TOL_EIG):
     """Eigendecomposition of H computed in a diagonal similarity frame.
 
-    frame is a positive vector s; the solver sees S^-1 H S (S = diag(s)),
-    which tames the exponential ill-conditioning skin modes inflict on
-    the raw matrix, and the right vectors are mapped back and
-    renormalized.  The mapping is an exact similarity, so this changes
-    rounding behavior only.
+    frame is ln s for a positive vector s; the solver sees S^-1 H S
+    (S = diag(s)), which tames the exponential ill-conditioning skin
+    modes inflict on the raw matrix.  The right vectors are mapped back
+    through their logarithm, shifted so each column peaks at 1, so no
+    component overflows however large s grows.  The mapping is
+    an exact similarity, so this changes rounding behavior only.
     """
     if frame is None:
-        return full_spectrum(H)
-    s = np.asarray(frame, dtype=float)
-    ln_s = np.log(s)
-    # only realized bonds are scaled; far-off-diagonal exponents (where H
-    # is zero anyway) would overflow, and skipping them keeps the frame
+        return full_spectrum(H, tol_eig)
+    ln_s = np.asarray(frame, dtype=float)
+    # only realized bonds are scaled; skipping the zeros keeps the frame
     # from costing a dense D x D exponent table
     rows, cols = np.nonzero(H)
     Hb = np.zeros_like(H)
-    Hb[rows, cols] = H[rows, cols] * np.exp(
-        np.clip(ln_s[cols] - ln_s[rows], -700.0, 700.0))
-    dec = full_spectrum(Hb)
+    Hb[rows, cols] = H[rows, cols] * np.exp(ln_s[cols] - ln_s[rows])
+    dec = full_spectrum(Hb, tol_eig)
     del Hb  # keeps the back-mapping below the solve's own peak memory
-    vecs = dec.right_vectors * s[:, None]
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    res = np.linalg.norm(H @ vecs - vecs * dec.values[None, :], axis=0)
-    return SpectralDecomposition(values=dec.values, right_vectors=vecs,
+    values = dec.values
+    # ln v = ln|v| + i arg v, mapped back in place; components far below
+    # their column's peak underflow to zero, as they must
+    with np.errstate(divide="ignore", under="ignore"):
+        vecs = np.log(dec.right_vectors)
+        del dec
+        vecs += ln_s[:, None]
+        vecs -= vecs.real.max(axis=0)
+        np.exp(vecs, out=vecs)
+        vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
+        res = np.linalg.norm(H @ vecs - vecs * values[None, :], axis=0)
+    return SpectralDecomposition(values=values, right_vectors=vecs,
                                  residuals=res)
 
 
-def _frame_steady(H, frame):
-    return steady_state(_balanced_spectrum(H, frame))
+def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
+    """Spectrum of the model's Hamiltonian, solved in its skin-balancing
+    frame (the one spectral path every consumer of a model shares)."""
+    return _balanced_spectrum(build_hamiltonian(p), skin_frame(p), tol_eig)
 
 
 def probe_state(p, ps, shift=None):
     """Steady state of the Hamiltonian at the shifted parameter point."""
-    q = apply_params(p, ps, shift)
-    return _frame_steady(build_hamiltonian(q), skin_frame(q))
+    return steady_state(model_spectrum(apply_params(p, ps, shift)))
 
 
 def _aligned_probe(build, psi0, delta, frame=None):
@@ -184,7 +191,7 @@ def _aligned_probe(build, psi0, delta, frame=None):
     overlap means the largest-imaginary-part branch changed inside the
     stencil, which makes the difference quotient meaningless.
     """
-    psi = _frame_steady(build(delta), frame)
+    psi = steady_state(_balanced_spectrum(build(delta), frame))
     ov = np.vdot(psi0, psi)
     if abs(ov) < 0.5:
         raise DerivativeIllDefinedError(
@@ -202,8 +209,8 @@ def family_state_derivative(build, h, richardson=False, rel_tol=2e-3,
     until they agree to rel_tol (or fixed_step skips that loop), which
     also walks the step below the isolation scale near criticality.
     Richardson extrapolation combines the two stencils when requested.
-    frame, when given, is a diagonal similarity (see _balanced_spectrum)
-    held fixed across the whole family.
+    frame, when given, is the logarithm of a diagonal similarity (see
+    _balanced_spectrum) held fixed across the whole family.
 
     Returns (derivative vector, step actually used).
     """

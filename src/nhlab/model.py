@@ -167,32 +167,32 @@ def make_params(d, r, L, J0=0.0, JL=0j, JR=0j, Jm=None, JmP=None,
                        boundary=boundary, preset=preset)
 
 
-def _hop_list(p):
-    """All directed hops as (row, col, amplitude) triples.
+def _bond_table(p):
+    """The chain's bonds: (upper, lower, Jm, JmP).
 
-    Covers the J0 sublevel pairs, the intra-module JL/JR pairs and the
-    inter-module Jm/JmP pairs; for PBC the module index wraps L+1 -> 1.
+    Every lattice here is a nearest-neighbour chain in the flat basis.
+    upper[j] = H[i, i+1] and lower[j] = H[i+1, i] for the m-1 bonds inside
+    a module (i = module offset + j, m = r*d): J0 both ways between the
+    sublevels of a site, JL / JR between adjacent sites.  The bond from the
+    last state of a module to the first of the next carries Jm (upper) and
+    JmP (lower).
     """
-    d, r, L = p.d, p.r, p.L
-    idx = p.index
-    hops = []
-    for n in range(1, L + 1):
-        for mu in range(1, r + 1):
-            for nu in range(1, d):
-                a, b = idx(n, mu, nu), idx(n, mu, nu + 1)
-                hops.append((a, b, complex(p.J0)))
-                hops.append((b, a, complex(p.J0)))
-        for mu in range(1, r):
-            a, b = idx(n, mu, d), idx(n, mu + 1, 1)
-            hops.append((a, b, p.JL))
-            hops.append((b, a, p.JR))
-    last = L if p.boundary == PBC else L - 1
-    for n in range(1, last + 1):
-        n2 = n % L + 1
-        a, b = idx(n, r, d), idx(n2, 1, 1)
-        hops.append((a, b, p.Jm))
-        hops.append((b, a, p.JmP))
-    return hops
+    intra_site = np.arange(1, p.r * p.d) % p.d != 0
+    upper = np.where(intra_site, complex(p.J0), p.JL)
+    lower = np.where(intra_site, complex(p.J0), p.JR)
+    return upper, lower, p.Jm, p.JmP
+
+
+def _chain(p, upper, lower, Jm, JmP):
+    """Dense D x D chain repeating the module bond table; PBC adds two corners."""
+    i = np.arange(p.D - 1)
+    H = np.zeros((p.D, p.D), dtype=complex)
+    H[i, i + 1] += np.tile(np.append(upper, Jm), p.L)[:-1]
+    H[i + 1, i] += np.tile(np.append(lower, JmP), p.L)[:-1]
+    if p.boundary == PBC:
+        H[-1, 0] += Jm
+        H[0, -1] += JmP
+    return H
 
 
 def build_hamiltonian(p, dim_cap=DEFAULT_DIM_CAP):
@@ -211,10 +211,7 @@ def build_hamiltonian(p, dim_cap=DEFAULT_DIM_CAP):
     if p.D > dim_cap:
         raise DimensionCapError(
             "dimension D=%d exceeds cap %d" % (p.D, dim_cap))
-    H = np.zeros((p.D, p.D), dtype=complex)
-    for a, b, amp in _hop_list(p):
-        H[a, b] += amp
-    return H
+    return _chain(p, *_bond_table(p))
 
 
 def build_bloch(p, k):
@@ -224,14 +221,14 @@ def build_bloch(p, k):
     Parameters
     ----------
     p : ModelParams
-    k : float
+    k : float or array of float
         Bloch phase in [0, 2*pi).
 
     Returns
     -------
-    ndarray of shape (r*d, r*d), complex
+    ndarray of shape k.shape + (r*d, r*d), complex
     """
-    return build_generalized_bloch(p, np.exp(1j * float(k)))
+    return build_generalized_bloch(p, np.exp(1j * np.asarray(k, dtype=float)))
 
 
 def build_generalized_bloch(p, beta):
@@ -240,79 +237,49 @@ def build_generalized_bloch(p, beta):
     Parameters
     ----------
     p : ModelParams
-    beta : complex
+    beta : complex or array of complex
         Non-Bloch factor; must be nonzero.
 
     Returns
     -------
-    ndarray of shape (r*d, r*d), complex
+    ndarray of shape beta.shape + (r*d, r*d), complex
     """
-    beta = complex(beta)
-    if beta == 0:
+    beta = np.asarray(beta, dtype=complex)
+    if np.any(beta == 0):
         raise ValidationError("beta must be nonzero")
-    m = p.r * p.d
-    H = np.zeros((m, m), dtype=complex)
-    idx = p.index
-    for mu in range(1, p.r + 1):
-        for nu in range(1, p.d):
-            a, b = idx(1, mu, nu), idx(1, mu, nu + 1)
-            H[a, b] += p.J0
-            H[b, a] += p.J0
-    for mu in range(1, p.r):
-        a, b = idx(1, mu, p.d), idx(1, mu + 1, 1)
-        H[a, b] += p.JL
-        H[b, a] += p.JR
-    H[0, m - 1] += p.JmP / beta
-    H[m - 1, 0] += p.Jm * beta
+    upper, lower, Jm, JmP = _bond_table(p)
+    m = len(upper) + 1
+    j = np.arange(m - 1)
+    H = np.zeros(beta.shape + (m, m), dtype=complex)
+    H[..., j, j + 1] += upper
+    H[..., j + 1, j] += lower
+    H[..., 0, m - 1] += JmP / beta
+    H[..., m - 1, 0] += Jm * beta
     return H
-
-
-def _bipartite_signs(p):
-    """Sublattice sign of each position in the module chain, or None.
-
-    The rd internal states form a nearest-neighbour chain closed by the
-    inter-module bond; alternating labels work iff rd is even.
-    """
-    m = p.r * p.d
-    if m % 2 != 0:
-        return None
-    return np.array([1 if i % 2 == 0 else -1 for i in range(m)])
 
 
 def chiral_blocks(p, beta):
     """Off-diagonal blocks of the sublattice-sorted generalized Bloch matrix.
 
-    Sorting even chain positions before odd ones brings H_beta to
+    Every bond links an even to an odd chain position when r*d is even, so
+    sorting even positions before odd ones brings H_beta to
     [[0, hPlus], [hMinus, 0]]; the permuted matrix anticommutes with
     S = diag(+1,...,+1,-1,...,-1).
 
     Returns
     -------
-    (hPlus, hMinus) : pair of ndarrays, each (r*d/2, r*d/2)
+    (hPlus, hMinus) : pair of ndarrays, each beta.shape + (r*d/2, r*d/2)
 
     Raises
     ------
     UnsupportedStructureError
         If r*d is odd (no alternating sublattice labeling exists).
     """
-    signs = _bipartite_signs(p)
-    if signs is None:
+    if p.r * p.d % 2:
         raise UnsupportedStructureError(
             "model with r*d = %d is not bipartite; winding undefined" % (p.r * p.d))
     H = build_generalized_bloch(p, beta)
-    m = H.shape[0]
-    perm = np.concatenate([np.arange(0, m, 2), np.arange(1, m, 2)])
-    Ht = H[np.ix_(perm, perm)]
-    h = m // 2
-    if np.max(np.abs(Ht[:h, :h])) > 0 or np.max(np.abs(Ht[h:, h:])) > 0:
-        raise UnsupportedStructureError("diagonal blocks nonzero; model not chiral")
-    return Ht[:h, h:].copy(), Ht[h:, :h].copy()
-
-
-def chiral_permutation(p):
-    """Permutation array sorting even chain positions first (see chiral_blocks)."""
-    m = p.r * p.d
-    return np.concatenate([np.arange(0, m, 2), np.arange(1, m, 2)])
+    return H[..., 0::2, 1::2], H[..., 1::2, 0::2]
 
 
 def build_current_operator(p):
@@ -326,17 +293,8 @@ def build_current_operator(p):
     -------
     ndarray of shape (D, D), complex Hermitian
     """
-    idx = p.index
-    T = np.zeros((p.D, p.D), dtype=complex)
-    for n in range(1, p.L + 1):
-        for mu in range(1, p.r + 1):
-            for nu in range(1, p.d):
-                T[idx(n, mu, nu), idx(n, mu, nu + 1)] += 1.0
-        for mu in range(1, p.r):
-            T[idx(n, mu, p.d), idx(n, mu + 1, 1)] += 1.0
-    last = p.L if p.boundary == PBC else p.L - 1
-    for n in range(1, last + 1):
-        T[idx(n, p.r, p.d), idx(n % p.L + 1, 1, 1)] += 1.0
+    m = p.r * p.d
+    T = _chain(p, np.ones(m - 1), np.zeros(m - 1), 1.0, 0.0)
     return 1j * (T - T.conj().T)
 
 

@@ -2,7 +2,10 @@
 
 Decompositions carry right eigenvectors only; every formula implemented
 downstream (steady-state selection, populations, Fisher information) is
-expressed in terms of right eigenpairs of the dense matrix.
+expressed in terms of right eigenpairs of the dense matrix.  Model
+spectra are solved in the skin-balancing frame (metrology.model_spectrum
+over full_spectrum); a raw solve of a skin-amplified chain loses
+eigenvalues to pseudospectral error that the residual gate does not see.
 """
 
 from dataclasses import dataclass, field
@@ -125,6 +128,9 @@ def cumulative_population(dec, p):
     per_module = per_site.reshape(p.L, p.r).sum(axis=1)
     n_edge = max(1, int(round(EDGE_EXCLUSION_FRACTION * p.L)))
     bulk = np.arange(n_edge, p.L - n_edge)
+    # on a strongly amplified chain the far end holds less than the
+    # smallest normal double of the peak; only modules above it are fitted
+    bulk = bulk[per_module[bulk] >= np.finfo(float).tiny]
     if len(bulk) < 2:
         raise ValidationError("chain too short for a bulk slope fit")
     x = bulk.astype(float)

@@ -18,10 +18,9 @@ from scipy.spatial import cKDTree
 
 from .errors import (AtTransitionError, NumericalError, UnsupportedStructureError,
                      ValidationError)
-from .gbz import GbzContour, gbz_contour, gbz_radius, skin_frame
-from .metrology import _balanced_spectrum
-from .model import PBC, SHIFTED, build_bloch, build_hamiltonian, chiral_blocks
-from .spectral import full_spectrum
+from .gbz import gbz_contour
+from .metrology import model_spectrum
+from .model import SHIFTED, build_bloch, build_generalized_bloch, chiral_blocks
 
 POINT_GAP = "POINT_GAP"
 LINE_GAP_CENTRAL = "LINE_GAP_CENTRAL"
@@ -88,17 +87,12 @@ def spectral_winding(p, Eref, nK=1024, tol_gap=DEFAULT_TOL_GAP):
     WindingResult with a signed integer value.
     """
     Eref = complex(Eref)
-    m = p.r * p.d
-    eye = np.eye(m)
+    eye = np.eye(p.r * p.d)
     n = int(nK)
     for _ in range(8):
-        ks = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        dets = np.empty(n, dtype=complex)
-        dist = np.inf
-        for i, k in enumerate(ks):
-            Hk = build_bloch(p, k)
-            dets[i] = np.linalg.det(Hk - Eref * eye)
-            dist = min(dist, np.min(np.abs(np.linalg.eigvals(Hk) - Eref)))
+        Hk = _contour_blochs(p, False, n)
+        dets = np.linalg.det(Hk - Eref * eye)
+        dist = np.min(np.abs(np.linalg.eigvals(Hk) - Eref))
         if dist <= tol_gap:
             raise IllConditionedContourError(
                 "Eref within %.2e of the PBC spectrum" % dist)
@@ -127,7 +121,7 @@ def band_winding(p, contour):
     """
     cont = contour
     for _ in range(6):
-        dets = np.array([np.linalg.det(chiral_blocks(p, b)[0]) for b in cont.points])
+        dets = np.linalg.det(chiral_blocks(p, cont.points)[0])
         mags = np.abs(dets)
         if np.min(mags) <= 1e-12 * max(np.max(mags), 1e-300):
             raise AtTransitionError(
@@ -263,23 +257,30 @@ def _dedupe_sorted(values, tol=1e-9):
 # -- band tracking and line gaps --------------------------------------------
 
 
-def _track_bands(matrices):
+def _contour_blochs(p, use_gbz, n):
+    """Stack of n Bloch matrices over the k-grid, or of generalized-Bloch
+    matrices over the GBZ circle (use_gbz True)."""
+    if use_gbz:
+        return build_generalized_bloch(p, gbz_contour(p, n_points=n).points)
+    return build_bloch(p, np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+
+
+def _track_bands(evs):
     """Follow eigenvalue bands along an ordered matrix family.
 
-    Bands start in (Re, Im)-sorted order at the first sample and are
-    continued by optimal assignment against a linear extrapolation of
-    each band (velocity continuation carries bands through transversal
-    crossings).  A tie between two distinct candidates is harmless when
-    the competing bands are themselves degenerate at the previous sample,
-    since swapping them relabels identical histories; any other tie
-    raises.
+    evs[j] holds the eigenvalues of the family's j-th matrix.  Bands
+    start in (Re, Im)-sorted order at the first sample and are continued
+    by optimal assignment against a linear extrapolation of each band
+    (velocity continuation carries bands through transversal crossings).
+    A tie between two distinct candidates is harmless when the competing
+    bands are themselves degenerate at the previous sample, since
+    swapping them relabels identical histories; any other tie raises.
     """
-    first = np.linalg.eigvals(matrices[0])
+    first = evs[0]
     order = np.lexsort((first.imag, first.real))
     bands = [first[order]]
     prev2 = bands[0]
-    for M in matrices[1:]:
-        ev = np.linalg.eigvals(M)
+    for ev in evs[1:]:
         prev = bands[-1]
         pred = 2.0 * prev - prev2
         cost = np.abs(pred[:, None] - ev[None, :])
@@ -316,14 +317,8 @@ def line_gap_minima(p, use_gbz=False, grid_size=512, tol_gap=DEFAULT_TOL_GAP):
     n = int(grid_size)
     last_err = None
     for _ in range(4):
-        if use_gbz:
-            cont = gbz_contour(p, n_points=max(n, 64))
-            mats = [_gen_bloch(p, b) for b in cont.points]
-        else:
-            ks = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-            mats = [build_bloch(p, k) for k in ks]
         try:
-            bands = _track_bands(mats)
+            bands = _track_bands(np.linalg.eigvals(_contour_blochs(p, use_gbz, n)))
         except NumericalError as err:
             last_err = err
             n *= 2
@@ -331,11 +326,6 @@ def line_gap_minima(p, use_gbz=False, grid_size=512, tol_gap=DEFAULT_TOL_GAP):
         return _gap_reports(p, bands, tol_gap)
     raise NumericalError("band tracking stayed ambiguous after refinement: %s"
                          % last_err)
-
-
-def _gen_bloch(p, beta):
-    from .model import build_generalized_bloch
-    return build_generalized_bloch(p, beta)
 
 
 def direct_band_minimum(p, use_gbz=False, grid_size=512):
@@ -348,19 +338,11 @@ def direct_band_minimum(p, use_gbz=False, grid_size=512):
     """
     if grid_size < 128:
         raise ValidationError("grid_size must be >= 128")
-    if use_gbz:
-        cont = gbz_contour(p, n_points=int(grid_size))
-        mats = (_gen_bloch(p, b) for b in cont.points)
-    else:
-        ks = np.linspace(0.0, 2.0 * np.pi, int(grid_size), endpoint=False)
-        mats = (build_bloch(p, k) for k in ks)
-    best = np.inf
-    for M in mats:
-        ev = np.linalg.eigvals(M)
-        d = np.abs(ev[:, None] - ev[None, :])
-        d[np.diag_indices_from(d)] = np.inf
-        best = min(best, float(d.min()))
-    return best
+    ev = np.linalg.eigvals(_contour_blochs(p, use_gbz, int(grid_size)))
+    d = np.abs(ev[:, :, None] - ev[:, None, :])
+    i = np.arange(ev.shape[1])
+    d[:, i, i] = np.inf
+    return float(d.min())
 
 
 def _gap_reports(p, bands, tol_gap):
@@ -402,7 +384,7 @@ def edge_states(p, energy_window):
     """
     if p.boundary != "OBC":
         raise ValidationError("edge_states requires OBC")
-    dec = full_spectrum(build_hamiltonian(p))
+    dec = model_spectrum(p)
     inside = np.abs(dec.values) < energy_window
     if not np.any(inside):
         return []
@@ -417,11 +399,11 @@ def edge_states(p, energy_window):
 def obc_central_gap(p, exclude_edge_modes=True):
     """Width of the central line gap of the OBC spectrum, 2*min|E|.
 
-    The spectrum is solved in the skin-balancing frame (skin_frame).  On
-    a skin-amplified chain the raw matrix gives eigenvalue errors larger
-    than the gap itself, which the residual gate does not catch: FIG3 at
-    L=200 reads two to three times the true 0.00758 at the 0.3468
-    closing.
+    The spectrum is solved in the skin-balancing frame (model_spectrum).
+    On a skin-amplified chain the raw matrix gives eigenvalue errors
+    larger than the gap itself, which the residual gate does not catch:
+    FIG3 at L=200 reads two to three times the true 0.00758 at the
+    0.3468 closing.
 
     A pair of mid-gap edge modes sits exponentially close to E = 0 deep
     in the topological phase and would fake a closure; when the two
@@ -431,7 +413,7 @@ def obc_central_gap(p, exclude_edge_modes=True):
     reached, and the value returned is the edge pair's splitting, which
     lies below the bulk gap.
     """
-    dec = _balanced_spectrum(build_hamiltonian(p), skin_frame(p))
+    dec = model_spectrum(p)
     mags = np.sort(np.abs(dec.values))
     if exclude_edge_modes and len(mags) > 2 and mags[2] > 20.0 * max(mags[1], 1e-300):
         return float(2.0 * mags[2])
@@ -445,8 +427,7 @@ def obc_side_gap(p):
     magnitudes (excluding the lowest quarter, so mid-gap modes and the
     central closing itself do not capture the split).
     """
-    dec = full_spectrum(build_hamiltonian(p))
-    E = dec.values
+    E = model_spectrum(p).values
     mags = np.sort(np.abs(E))
     nlo = len(mags) // 4
     ratios = mags[nlo + 1:] / np.maximum(mags[nlo:-1], 1e-300)
@@ -471,9 +452,8 @@ def count_spectral_loops(p, resolution=1e-2, n_k=2048):
     exceeds the resolution; loops closer than the resolution merge into
     one component.
     """
-    ks = np.linspace(0.0, 2.0 * np.pi, int(n_k), endpoint=False)
-    mats = [build_bloch(p, k) for k in ks]
-    bands = _track_bands(mats + [mats[0]])
+    ev = np.linalg.eigvals(_contour_blochs(p, False, int(n_k)))
+    bands = _track_bands(np.concatenate([ev, ev[:1]]))
     start = bands[:, 0]
     end = bands[:, -1]
     # permutation: band i continues as band perm[i] after the traversal

@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, emitted files, determinism."""
 
 import json
+import math
 
 import pytest
 
-from nhlab import build_hamiltonian, full_spectrum, params_from_config
+from nhlab import gbz_radius, model_spectrum, params_from_config
 from nhlab.cli import main
 
 HN = """\
@@ -78,7 +79,7 @@ def test_spectrum_csv_floats_roundtrip(tmp_path):
     assert extras["D"] == "24" and extras["boundary"] == "OBC"
     cfg = {"d": "1", "r": "3", "L": "8", "JL_re": "1.0", "JR_re": "-2.5",
            "preset": "RECIPROCAL_MODULAR", "J_re": "2.0"}
-    dec = full_spectrum(build_hamiltonian(params_from_config(cfg)))
+    dec = model_spectrum(params_from_config(cfg))
     assert len(rows) == 24
     for row, v in zip(rows, dec.values):
         # repr() emission must reparse to the exact double
@@ -106,6 +107,21 @@ def test_skin_reports_slope(tmp_path, capsys):
     _, header, rows = read_table(out)
     assert header == ["site", "population"]
     assert len(rows) == 24
+
+
+@pytest.mark.parametrize("jr, L", [(-2.5, 200), (-1e4, 100)])
+def test_skin_slope_is_twice_the_log_gbz_radius(tmp_path, capsys, jr, L):
+    # rho^L reaches 1e19 and 1e184 here: the raw dense solve gave 0.318
+    # and 1.046 instead of 0.446 and 17.03
+    ini = write(tmp_path, HN.replace("L = 8", "L = %d" % L)
+                .replace("JR_re = -2.5", "JR_re = %r" % jr))
+    assert main(["skin", "--config", ini]) == 0
+    line = capsys.readouterr().out
+    slope = float(line.split("slope_per_module=")[1].split()[0])
+    cfg = {"d": "1", "r": "3", "L": str(L), "JL_re": "1.0", "JR_re": repr(jr),
+           "preset": "RECIPROCAL_MODULAR", "J_re": "2.0"}
+    ref = 2.0 * math.log(gbz_radius(params_from_config(cfg)))
+    assert abs(slope - ref) <= 0.01 * ref
 
 
 def test_winding_band(tmp_path, capsys):

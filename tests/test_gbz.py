@@ -108,7 +108,7 @@ def test_vanishing_inter_module_coupling_is_singular():
 
 def test_skin_frame_balances_without_moving_eigenvalues():
     p = hn(-2.5, L=8)
-    s = skin_frame(p)
+    s = np.exp(skin_frame(p))
     assert s is not None and len(s) == p.D
     H = build_hamiltonian(p)
     Hb = H * (s[None, :] / s[:, None])      # diag(s)^-1 H diag(s)
@@ -117,7 +117,7 @@ def test_skin_frame_balances_without_moving_eigenvalues():
 
 def test_skin_frame_improves_eigenvector_conditioning():
     p = hn(-2.5, L=20)
-    s = skin_frame(p)
+    s = np.exp(skin_frame(p))
     H = build_hamiltonian(p)
     Hb = H * (s[None, :] / s[:, None])
     cond_raw = np.linalg.cond(np.linalg.eig(H)[1])

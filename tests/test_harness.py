@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from nhlab import (NumericalError, ParamSpec, SweepSpec, ValidationError,
                    apply_params, coupling_scaling, exponent_vs_delta,
                    find_peak, fit_power_law, matrix_size_scaling,
-                   point_gap_residual, preset, preset_manifest, run_sweep,
-                   size_scaling)
+                   point_gap_residual, preset, preset_manifest, probe_state,
+                   qfi, run_sweep, size_scaling, state_derivative)
 from nhlab.harness import PRESET_NAMES
 
 
@@ -65,6 +65,18 @@ def test_parallel_sweep_matches_serial():
     parallel = run_sweep(spec, workers=2)
     for c in spec.columns[:-1]:
         assert np.array_equal(serial.column(c), parallel.column(c))
+
+
+def test_sweep_qfi_is_the_probe_state_qfi():
+    # at L=100 the raw dense solve picks a different steady state (overlap
+    # 0.04 with the balanced one); the sweep must use the same state as
+    # probe_state, so the two QFIs agree exactly
+    base = hn_base(L=100)
+    spec = SweepSpec(base=base, axis="JR", grid=(-3.0,),
+                     observables=frozenset(["QFI"]))
+    ps = ParamSpec(("JR",), (-3.0,), (1e-5,))
+    direct = qfi(probe_state(base, ps), state_derivative(base, ps, 0))
+    assert run_sweep(spec).column("QFI")[0] == direct
 
 
 def test_sweep_tags_failing_points():

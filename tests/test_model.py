@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import assert_multiset_close
 from nhlab import (NON_MODULAR, OBC, PBC, RECIPROCAL_MODULAR, SHIFTED,
                    CouplingPreset, DimensionCapError, ValidationError,
-                   build_bloch, build_generalized_bloch, build_hamiltonian,
-                   make_params, params_from_config, params_to_config)
+                   build_bloch, build_current_operator, build_generalized_bloch,
+                   build_hamiltonian, make_params, params_from_config,
+                   params_to_config)
 
 
 def reference_hamiltonian(d, r, L, J0, JL, JR, Jm, JmP, pbc=False):
@@ -195,3 +196,25 @@ def test_builder_matches_reference(d, r, L, pbc, re, im):
     H = build_hamiltonian(p)
     want = reference_hamiltonian(d, r, L, J0, JL, JR, Jm, JmP, pbc)
     assert np.array_equal(H, want)
+    # current operator: unit amplitude on every rightward hop
+    T = np.eye(p.D, k=1, dtype=complex)
+    if pbc:
+        T[-1, 0] += 1.0
+    assert np.array_equal(build_current_operator(p), 1j * (T - T.conj().T))
+    # stacked Bloch builders: each slice is the scalar call, bit for bit,
+    # and matches the single-module block with the beta corners
+    m = r * d
+    block = reference_hamiltonian(d, r, 1, J0, JL, JR, 0, 0)
+    ks = np.linspace(0.0, 2.0 * np.pi, 7)
+    betas = np.array([0.6, 1.7]) * np.exp(1j * ks[:, None])
+    for build, args, factors in ((build_bloch, ks, np.exp(1j * ks)),
+                                 (build_generalized_bloch, betas, betas)):
+        stack = build(p, args)
+        assert stack.shape == args.shape + (m, m)
+        for a, beta, M in zip(args.ravel(), factors.ravel(),
+                              stack.reshape(-1, m, m)):
+            assert M.tobytes() == build(p, a).tobytes()
+            want = block.copy()
+            want[0, m - 1] += JmP / complex(beta)
+            want[m - 1, 0] += Jm * complex(beta)
+            assert np.max(np.abs(M - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))

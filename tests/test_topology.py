@@ -9,7 +9,7 @@ from nhlab import (PBC, RECIPROCAL_MODULAR, SHIFTED, CouplingPreset,
                    build_hamiltonian, count_spectral_loops,
                    direct_band_minimum, edge_states, gbz_contour, gbz_radius,
                    gbz_zero_gap_solutions, line_gap_minima, make_params,
-                   obc_central_gap, pbc_zero_gap_solutions,
+                   obc_central_gap, obc_side_gap, pbc_zero_gap_solutions,
                    point_gap_residual, spectral_winding)
 from nhlab.topology import IllConditionedContourError
 
@@ -86,6 +86,23 @@ def test_band_winding_flip_marker():
         assert excess(v - 1e-3) * excess(v + 1e-3) < 0
 
 
+def tridiagonal_chain(p):
+    """Diagonal and bond products dl_i du_i of the exactly tridiagonal OBC chain."""
+    H = build_hamiltonian(p)
+    dl, d, du = np.diag(H, -1), np.diag(H), np.diag(H, 1)
+    assert np.array_equal(H, np.diag(dl, -1) + np.diag(d) + np.diag(du, 1))
+    return d, dl * du
+
+
+def symmetrized_chain_eigvals(p):
+    # the similarity s_{i+1}/s_i = sqrt|dl_i/du_i| leaves a complex
+    # symmetric chain with off-diagonal sqrt(dl_i du_i): a reference free
+    # of skin amplification, solved here by a general eigensolve
+    d, prod = tridiagonal_chain(p)
+    e = np.sqrt(prod)
+    return scipy.linalg.eigvals(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
 def test_obc_central_gap_resolves_long_skin_amplified_chains():
     roots = gbz_zero_gap_solutions(shifted(0.5))
     # at the 0.3468 closing every bond product of the OBC tridiagonal is
@@ -93,10 +110,7 @@ def test_obc_central_gap_resolves_long_skin_amplified_chains():
     # sqrt|dl_i/du_i| makes it real symmetric with off-diagonal
     # sqrt(dl_i du_i): an exact reference free of skin amplification
     p = shifted(nearest(roots, 0.3468), L=200)
-    H = build_hamiltonian(p)
-    dl, d, du = np.diag(H, -1), np.diag(H), np.diag(H, 1)
-    assert np.array_equal(H, np.diag(dl, -1) + np.diag(d) + np.diag(du, 1))
-    prod = dl * du
+    d, prod = tridiagonal_chain(p)
     assert np.all(prod.imag == 0) and np.all(prod.real > 0)
     assert np.all(d.imag == 0)
     ref = scipy.linalg.eigvalsh_tridiagonal(d.real, np.sqrt(prod.real))
@@ -105,6 +119,35 @@ def test_obc_central_gap_resolves_long_skin_amplified_chains():
     # complex-symmetric chain; its eigensolve gives 0.21121 here
     q = shifted(nearest(roots, -0.5685), L=200)
     assert abs(obc_central_gap(q) - 0.2112) <= 1e-4
+
+
+def test_obc_central_gap_does_not_overflow_on_extreme_amplification():
+    # FIG2_HN at JR=-1e4: rho = 5000, so rho^n overflows a double long
+    # before L=200; the frame is carried as ln s and nothing may overflow
+    p = hn(-1e4, L=200)
+    ref = 2.0 * np.min(np.abs(symmetrized_chain_eigvals(p)))
+    with np.errstate(all="raise"):
+        assert abs(obc_central_gap(p) - ref) <= 1e-8
+
+
+def side_gap_of(E):
+    # obc_side_gap's cluster split, applied to reference eigenvalues
+    mags = np.sort(np.abs(E))
+    nlo = len(mags) // 4
+    cut = nlo + int(np.argmax(mags[nlo + 1:] / mags[nlo:-1]))
+    thresh = 0.5 * (mags[cut] + mags[cut + 1])
+    central, side = E[np.abs(E) <= thresh], E[np.abs(E) > thresh]
+    return float(np.min(np.abs(central[:, None] - side[None, :])))
+
+
+def test_obc_side_gap_and_edge_pair_on_long_skin_amplified_chains():
+    # the raw dense solve gave a side gap of 1.53046 and an edge pair
+    # +6.3120e-9 / -6.2756e-9 here, and its residual gate passed
+    p = shifted(-1.0, L=200)
+    assert abs(obc_side_gap(p) - side_gap_of(symmetrized_chain_eigvals(p))) <= 1e-9
+    pair = [E for E, _ in edge_states(p, 0.2)]
+    assert len(pair) == 2
+    assert abs(pair[0] + pair[1]) <= 1e-12
 
 
 def test_band_winding_needs_bipartite_structure():
