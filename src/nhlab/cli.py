@@ -271,8 +271,7 @@ def cmd_qfi(args, cfg):
     if ps.l != 1:
         raise ValidationError("qfi needs exactly one parameter label; "
                               "use qfim for %d" % ps.l)
-    psi = probe_state(p, ps)
-    dpsi = state_derivative(p, ps, 0)
+    psi, dpsi = state_derivative(p, ps, 0, with_state=True)
     val = qfi(psi, dpsi)
     header = ["label", "value", "qfi"]
     row = [ps.labels[0], float(ps.values[0]), float(val)]

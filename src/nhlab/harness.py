@@ -127,10 +127,9 @@ def _point_values(spec, x, names):
         return cache["dec"]
 
     def probe():
-        if "dpsi" not in cache:
-            cache["psi"] = steady_state(decomposition())
-            cache["dpsi"] = state_derivative(spec.base, ps, 0)
-        return cache["psi"], cache["dpsi"]
+        if "probe" not in cache:
+            cache["probe"] = state_derivative(spec.base, ps, 0, with_state=True)
+        return cache["probe"]
 
     values, errors = {}, []
     for name in [n for n in OBSERVABLE_ORDER if n in names]:
@@ -480,8 +479,7 @@ def size_scaling(bundle_or_name, Lgrid=None, delta=0.0, at_peak=None):
             loc, val = peak.location, peak.value
         else:
             ps = ParamSpec((b.axis,), (center,), (DEFAULT_STEP,))
-            psi = probe_state(base, ps)
-            dpsi = state_derivative(base, ps, 0)
+            psi, dpsi = state_derivative(base, ps, 0, with_state=True)
             loc, val = center, qfi(psi, dpsi)
         rows.append({"L": int(L), "N": int(base.r * L),
                      "location": float(loc), "value": float(val)})

@@ -2,12 +2,17 @@
 
 The probe is the steady state of the lattice Hamiltonian (right
 eigenvector with the largest imaginary eigenvalue).  Its parameter
-derivatives are formed by gauge-aligned central differences, from which
-quantum and classical Fisher informations (scalar and matrix) follow.
+derivatives are analytic by default: one left/right eigensolve in the
+skin-balancing frame gives the steady eigenvalue's derivative
+l^+ H' r / l^+ r and, through a bordered linear system, the right
+vector's (Nelson's method).  Gauge-aligned central differences of the
+steady state remain available as an oracle.  Quantum and classical
+Fisher informations (scalar and matrix) follow from the derivatives.
 All bounds are per measurement shot.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +30,12 @@ PARAM_LABELS = ("JR_re", "JR_im", "JR", "Jm", "JmP", "J")
 
 DEFAULT_STEP = 1e-5
 PROB_FLOOR = 1e-14
+MAX_HALVINGS = 12
+# a steady eigenvalue whose rounding uncertainty eps ||H|| / |l^+ r| reaches
+# this fraction of its distance to the nearest other eigenvalue is not
+# resolved; rounding-split defective eigenvalues sit at 0.1 to 1e17, the
+# presets' steady eigenvalues below 1e-9
+UNRESOLVED_FRACTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -32,7 +43,8 @@ class ParamSpec:
     """Ordered set of estimated parameters with base values and steps.
 
     labels come from PARAM_LABELS; values give the base point theta and
-    steps the finite-difference step per parameter.
+    steps the step per parameter of the central difference that gives
+    dH/dtheta (and of the finite-difference oracle's stencil).
     """
 
     labels: tuple
@@ -137,6 +149,18 @@ def apply_params(p, ps, shift=None):
     return p.with_updates(**updates)
 
 
+def _balance(H, ln_s):
+    """S^-1 H S for S = diag(exp(ln_s)).
+
+    Only realized bonds are scaled; skipping the zeros keeps the frame
+    from costing a dense D x D exponent table.
+    """
+    rows, cols = np.nonzero(H)
+    Hb = np.zeros_like(H)
+    Hb[rows, cols] = H[rows, cols] * np.exp(ln_s[cols] - ln_s[rows])
+    return Hb
+
+
 def _balanced_spectrum(H, frame, tol_eig=DEFAULT_TOL_EIG):
     """Eigendecomposition of H computed in a diagonal similarity frame.
 
@@ -150,11 +174,7 @@ def _balanced_spectrum(H, frame, tol_eig=DEFAULT_TOL_EIG):
     if frame is None:
         return full_spectrum(H, tol_eig)
     ln_s = np.asarray(frame, dtype=float)
-    # only realized bonds are scaled; skipping the zeros keeps the frame
-    # from costing a dense D x D exponent table
-    rows, cols = np.nonzero(H)
-    Hb = np.zeros_like(H)
-    Hb[rows, cols] = H[rows, cols] * np.exp(ln_s[cols] - ln_s[rows])
+    Hb = _balance(H, ln_s)
     dec = full_spectrum(Hb, tol_eig)
     del Hb  # keeps the back-mapping below the solve's own peak memory
     values = dec.values
@@ -178,9 +198,76 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
     return _balanced_spectrum(build_hamiltonian(p), skin_frame(p), tol_eig)
 
 
+class _SteadySolve(NamedTuple):
+    """The steady pair of a model, all in its skin-balancing frame.
+
+    H is the balanced Hamiltonian, frame its ln s (None on PBC rings and
+    unbalanced chains), values the sorted spectrum, and right / left the
+    right and left eigenvectors of the steady eigenvalue values[0].
+    """
+
+    H: np.ndarray
+    frame: np.ndarray
+    values: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+
+
+def _steady_solve(q, tol_eig=DEFAULT_TOL_EIG):
+    """One left/right eigensolve of model q in its skin-balancing frame."""
+    H = build_hamiltonian(q)
+    frame = skin_frame(q)
+    if frame is not None:
+        H = _balance(H, frame)
+    dec = full_spectrum(H, tol_eig, left=True)
+    return _SteadySolve(H=H, frame=frame, values=dec.values,
+                        right=dec.right_vectors[:, 0],
+                        left=dec.left_vectors[:, 0])
+
+
+def _unbalance(frame, r, *more):
+    """Balanced-frame vectors mapped back through S.
+
+    Every vector gets the scale that brings r's largest component to
+    modulus 1, as in _balanced_spectrum; the mapping runs through the
+    logarithm, so no component overflows however large s grows.
+    """
+    vecs = (r,) + more
+    if frame is None:
+        return vecs
+    with np.errstate(divide="ignore", under="ignore"):
+        logs = [np.log(v) + frame for v in vecs]
+        shift = logs[0].real.max()
+        return tuple(np.exp(lv - shift) for lv in logs)
+
+
+def _phase_fixed(r, dr=None):
+    """Steady state from its right vector r, gauged as steady_state does.
+
+    The state is r normalized, with its largest component real positive.
+    With dr, the derivative of r, also returns the state derivative
+    (1 - psi psi^+) dr / ||r|| in the same gauge; the component along
+    psi it drops is normalization and phase, invisible to every Fisher
+    information.
+    """
+    k = int(np.argmax(np.abs(r)))
+    c = r[k] / abs(r[k]) * np.linalg.norm(r)
+    psi = r / c
+    psi /= np.linalg.norm(psi)
+    if dr is None:
+        return psi
+    d = dr / c
+    return psi, d - psi * np.vdot(psi, d)
+
+
 def probe_state(p, ps, shift=None):
-    """Steady state of the Hamiltonian at the shifted parameter point."""
-    return steady_state(model_spectrum(apply_params(p, ps, shift)))
+    """Steady state of the Hamiltonian at the shifted parameter point.
+
+    It comes from the same left/right solve as state_derivative, so the
+    two agree bit for bit on the state.
+    """
+    st = _steady_solve(apply_params(p, ps, shift))
+    return _phase_fixed(*_unbalance(st.frame, st.right))
 
 
 def _aligned_probe(build, psi0, delta, frame=None):
@@ -200,8 +287,57 @@ def _aligned_probe(build, psi0, delta, frame=None):
     return psi * (np.conj(ov) / abs(ov))
 
 
+def _check_nondegenerate(lam):
+    scale = max(float(np.max(np.abs(lam))), 1.0)
+    if len(lam) > 1 and abs(lam[0] - lam[1]) <= 1e-12 * scale:
+        raise DerivativeIllDefinedError("steady-state eigenvalue is degenerate")
+
+
+def _check_isolated(lam, motion, step):
+    """Raise unless the steady eigenvalue lam[0] outruns a spectral motion.
+
+    The max-Im selection cannot flip within a parameter offset of step
+    if the next eigenvalue trails by more than the motion of the
+    spectrum over it.  Two imaginary parts in the same bucket of the
+    sort's resolution (mirror pairs of real Hamiltonians sit there) are
+    a tie that the real part resolves, exactly as the steady-state
+    ordering does; in neighbouring buckets rounding picks the state.
+    """
+    if len(lam) == 1:
+        return
+    im_gap = lam[0].imag - lam[1].imag
+    if im_gap > motion:
+        return
+    im_res = DEFAULT_TOL_EIG * max(float(np.max(np.abs(lam))), 1.0)
+    tie = np.round(lam[0].imag / im_res) == np.round(lam[1].imag / im_res)
+    if tie and abs(lam[0] - lam[1]) > motion:
+        return
+    raise DerivativeIllDefinedError(
+        "steady eigenvalue not isolated at step %.3e" % step)
+
+
+def _check_resolved(st):
+    """Raise unless the steady eigenvalue of st is resolved by the solve.
+
+    A defective eigenvalue comes out of the solver as a cluster split by
+    rounding, with nearly parallel left and right vectors; its state has
+    no derivative, yet the bordered solve would return one.
+    """
+    lam = st.values
+    if len(lam) == 1:
+        return
+    dist = float(np.min(np.abs(lam[1:] - lam[0])))
+    uncertainty = np.finfo(float).eps * float(np.linalg.norm(st.H))
+    overlap = abs(np.vdot(st.left, st.right))
+    if not uncertainty < UNRESOLVED_FRACTION * dist * overlap:
+        raise DerivativeIllDefinedError(
+            "steady eigenvalue not resolved: |l^+ r| = %.3e, distance %.3e "
+            "to the nearest eigenvalue" % (overlap, dist))
+
+
 def family_state_derivative(build, h, richardson=False, rel_tol=2e-3,
-                            max_halvings=12, fixed_step=False, frame=None):
+                            max_halvings=MAX_HALVINGS, fixed_step=False,
+                            frame=None):
     """Derivative of the steady state of a one-parameter matrix family.
 
     build(delta) must return the Hamiltonian at parameter offset delta.
@@ -217,26 +353,7 @@ def family_state_derivative(build, h, richardson=False, rel_tol=2e-3,
     dec0 = _balanced_spectrum(build(0.0), frame)
     psi0 = steady_state(dec0)
     lam = dec0.values
-    scale = max(float(np.max(np.abs(lam))), 1.0)
-    if len(lam) > 1 and abs(lam[0] - lam[1]) <= 1e-12 * scale:
-        raise DerivativeIllDefinedError("steady-state eigenvalue is degenerate")
-
-    def im_isolated(step):
-        # the max-Im selection cannot flip inside the stencil if the
-        # next eigenvalue trails by more than the spectral motion; an
-        # imaginary tie below the sort's own bucket resolution (mirror
-        # pairs of real Hamiltonians sit there) is resolved by the real
-        # part instead, exactly as the steady-state ordering does
-        Hp, Hm = build(step), build(-step)
-        motion = 10.0 * float(np.linalg.norm(Hp - Hm)) / 2.0
-        if len(lam) == 1:
-            return True
-        im_gap = lam[0].imag - lam[1].imag
-        if im_gap > motion:
-            return True
-        if im_gap <= DEFAULT_TOL_EIG * scale and abs(lam[0] - lam[1]) > motion:
-            return True
-        return False
+    _check_nondegenerate(lam)
 
     def central(step):
         plus = _aligned_probe(build, psi0, step, frame)
@@ -247,9 +364,8 @@ def family_state_derivative(build, h, richardson=False, rel_tol=2e-3,
     last_err = None
     for _ in range(max_halvings):
         try:
-            if not im_isolated(step):
-                raise DerivativeIllDefinedError(
-                    "steady eigenvalue not isolated at step %.3e" % step)
+            motion = 10.0 * float(np.linalg.norm(build(step) - build(-step))) / 2.0
+            _check_isolated(lam, motion, step)
             D1 = central(step)
             if fixed_step:
                 return D1, step
@@ -272,30 +388,72 @@ def family_state_derivative(build, h, richardson=False, rel_tol=2e-3,
         % (step, ": %s" % last_err if last_err else ""))
 
 
-def state_derivative(p, ps, i, richardson=False, fixed_step=None):
-    """Gauge-aligned derivative of the probe state along parameter i.
+def state_derivative(p, ps, i, richardson=False, fixed_step=None,
+                     with_state=False):
+    """Derivative of the probe state along parameter i.
 
-    The whole stencil is diagonalized in the skin-balancing frame of
-    the base point; the frame is a similarity, so it is allowed to lag
-    the parameter by the (tiny) stencil offsets.
+    By default it is analytic and costs one eigensolve: the left/right
+    solve that probe_state makes, in the skin-balancing frame.  With
+    H' the central difference of the Hamiltonian at ps.steps[i] (exact
+    for the labels H is linear in, O(step^2) for J, whose JmP is 1/J),
+    the steady eigenvalue moves by l^+ H' r / l^+ r and the bordered
+    system [[H - lambda, r], [l^+, 0]] gives r's derivative.  Both
+    vectors are mapped back with one scale, and the state derivative is
+    (1 - psi psi^+) dr / ||r||.  A degenerate steady eigenvalue, or one
+    not isolated against the spectral motion over the smallest step the
+    finite-difference oracle would reach, raises
+    DerivativeIllDefinedError, as the oracle does; so does one the solve
+    does not resolve (see _check_resolved), where the oracle's stencil
+    fails to converge.
+
+    fixed_step (one central difference at that step) or richardson
+    selects the oracle instead: family_state_derivative, with the whole
+    stencil diagonalized in the base point's frame.
+
+    with_state=True returns (probe_state(p, ps), derivative), the state
+    from the same solve.
     """
     if not 0 <= i < ps.l:
         raise ValidationError("parameter index out of range")
-
-    frame = skin_frame(apply_params(p, ps))
 
     def build(delta):
         shift = np.zeros(ps.l)
         shift[i] = delta
         return build_hamiltonian(apply_params(p, ps, shift))
 
-    if fixed_step is not None:
-        d, _ = family_state_derivative(build, fixed_step, fixed_step=True,
-                                       frame=frame)
-        return d
-    d, _ = family_state_derivative(build, ps.steps[i], richardson=richardson,
-                                   frame=frame)
-    return d
+    if fixed_step is not None or richardson:
+        h = ps.steps[i] if fixed_step is None else fixed_step
+        d, _ = family_state_derivative(
+            build, h, richardson=richardson, fixed_step=fixed_step is not None,
+            frame=skin_frame(apply_params(p, ps)))
+        return (probe_state(p, ps), d) if with_state else d
+
+    st = _steady_solve(apply_params(p, ps))
+    h = ps.steps[i]
+    dH = (build(h) - build(-h)) / (2.0 * h)
+    _check_nondegenerate(st.values)
+    if dH.any():  # a parameter H does not depend on has derivative 0
+        _check_resolved(st)
+    smallest = h * 0.5 ** (MAX_HALVINGS - 1)
+    _check_isolated(st.values, 10.0 * smallest * float(np.linalg.norm(dH)),
+                    smallest)
+    if st.frame is not None:
+        dH = _balance(dH, st.frame)
+    r, l, lam = st.right, st.left, st.values[0]
+    dHr = dH @ r
+    dlam = np.vdot(l, dHr) / np.vdot(l, r)
+    D = len(r)
+    border = np.zeros((D + 1, D + 1), dtype=complex)
+    border[:D, :D] = st.H
+    border[np.arange(D), np.arange(D)] -= lam
+    border[:D, D] = r
+    border[D, :D] = l.conj()
+    try:
+        dr = np.linalg.solve(border, np.append(dlam * r - dHr, 0.0))[:D]
+    except np.linalg.LinAlgError as exc:
+        raise DerivativeIllDefinedError("bordered system is singular: %s" % exc)
+    psi, dpsi = _phase_fixed(*_unbalance(st.frame, r, dr))
+    return (psi, dpsi) if with_state else dpsi
 
 
 def _check_unit(psi):

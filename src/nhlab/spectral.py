@@ -1,8 +1,9 @@
 """Dense non-normal eigenproblems and skin-effect diagnostics.
 
-Decompositions carry right eigenvectors only; every formula implemented
-downstream (steady-state selection, populations, Fisher information) is
-expressed in terms of right eigenpairs of the dense matrix.  Model
+Decompositions carry right eigenvectors, and left ones on request:
+steady-state selection and populations use right eigenpairs only, and
+the analytic steady-state derivative (metrology.state_derivative) adds
+the left vector of the steady eigenvalue.  Model
 spectra are solved in the skin-balancing frame (metrology.model_spectrum
 over full_spectrum); a raw solve of a skin-amplified chain loses
 eigenvalues to pseudospectral error that the residual gate does not see.
@@ -20,7 +21,7 @@ DEFAULT_TOL_EIG = 1e-9
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues and unit-norm right eigenvectors of a complex matrix.
+    """Eigenvalues and unit-norm eigenvectors of a complex matrix.
 
     Attributes
     ----------
@@ -30,18 +31,22 @@ class SpectralDecomposition:
         Column j is the unit-2-norm right eigenvector of values[j].
     residuals : ndarray, real
         Per-pair ||H v - lambda v||_2.
+    left_vectors : ndarray (D, D), complex, or None
+        Column j is a unit-2-norm left eigenvector (l^H H = lambda l^H)
+        of values[j]; None unless requested.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
     residuals: np.ndarray
+    left_vectors: np.ndarray = None
 
     @property
     def dim(self):
         return len(self.values)
 
 
-def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG):
+def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, left=False):
     """Diagonalize a dense complex matrix with a residual guarantee.
 
     Eigenpairs are sorted by decreasing imaginary part, ties broken by
@@ -62,7 +67,10 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG):
     if not np.all(np.isfinite(H)):
         raise ValidationError("matrix entries must be finite")
     try:
-        values, vectors = scipy.linalg.eig(H)
+        if left:
+            values, lefts, vectors = scipy.linalg.eig(H, left=True)
+        else:
+            values, vectors = scipy.linalg.eig(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError("eigensolver failed: %s" % exc)
     im_res = tol_eig * max(float(np.max(np.abs(values), initial=0.0)), 1.0)
@@ -79,7 +87,8 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG):
             "eigensolver residual %.3e exceeds %.3e (dim %d)"
             % (residuals.max(), bound, H.shape[0]))
     return SpectralDecomposition(values=values, right_vectors=vectors,
-                                 residuals=residuals)
+                                 residuals=residuals,
+                                 left_vectors=lefts[:, order] if left else None)
 
 
 def steady_state(dec):

@@ -21,6 +21,7 @@ from .errors import (AtTransitionError, NumericalError, UnsupportedStructureErro
 from .gbz import gbz_contour
 from .metrology import model_spectrum
 from .model import SHIFTED, build_bloch, build_generalized_bloch, chiral_blocks
+from .spectral import DEFAULT_TOL_EIG
 
 POINT_GAP = "POINT_GAP"
 LINE_GAP_CENTRAL = "LINE_GAP_CENTRAL"
@@ -306,7 +307,8 @@ def line_gap_minima(p, use_gbz=False, grid_size=512, tol_gap=DEFAULT_TOL_GAP):
     """Minimum complex distance between adjacent tracked bands.
 
     Bands are followed over the Bloch k-grid (use_gbz False) or over the
-    GBZ circle (use_gbz True) and ordered by mean real part; the minimum
+    GBZ circle (use_gbz True) and ordered by mean real part (ties, at
+    the eigenvalue sort's resolution, by mean imaginary part); the minimum
     distance between the point sets of each adjacent pair is reported.
     The pair between the two middle bands (r*d even) is labelled central.
 
@@ -346,8 +348,13 @@ def direct_band_minimum(p, use_gbz=False, grid_size=512):
 
 
 def _gap_reports(p, bands, tol_gap):
-    order = np.argsort(bands.real.mean(axis=1))
-    bands = bands[order]
+    # bands are ordered by mean real part at the resolution full_spectrum
+    # sorts imaginary parts with, then by mean imaginary part: bands whose
+    # mean real parts differ only by rounding (all three of FIG2_HN's sit
+    # at 0) would otherwise be paired by that rounding
+    mean = bands.mean(axis=1)
+    res = DEFAULT_TOL_EIG * max(float(np.max(np.abs(bands), initial=0.0)), 1.0)
+    bands = bands[np.lexsort((mean.imag, np.round(mean.real / res)))]
     m = bands.shape[0]
     reports = []
     for i in range(m - 1):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from nhlab import (NON_MODULAR, RECIPROCAL_MODULAR, BoundUndefinedError,
-                   CouplingPreset, FisherMatrix, NumericalError, ParamSpec,
-                   ValidationError, apply_params, build_hamiltonian, cfi,
-                   cfim, current_basis, make_params, position_basis,
-                   probe_state, qfi, qfim, state_derivative,
-                   total_variance_bound)
+from nhlab import (DEFAULT_STEP, NON_MODULAR, RECIPROCAL_MODULAR,
+                   BoundUndefinedError, CouplingPreset,
+                   DerivativeIllDefinedError, FisherMatrix,
+                   NumericalError, ParamSpec, ValidationError, apply_params,
+                   build_hamiltonian, cfi, cfim, current_basis, find_peak,
+                   make_params, metrology, position_basis, preset,
+                   probe_state, qfi, qfim, run_sweep, skin_frame,
+                   state_derivative, total_variance_bound)
 from nhlab.metrology import QUANTUM
 
 
@@ -97,9 +99,9 @@ def test_degenerate_steady_state_is_reported():
         state_derivative(p, ps, 0)
 
 
-def test_classical_never_beats_quantum():
+def random_complex_models():
+    """Small chains with random complex couplings, estimating JR_re, JR_im."""
     rng = np.random.default_rng(17)
-    done = 0
     for _ in range(20):
         d = int(rng.integers(1, 3))
         r = int(rng.integers(1, 4))
@@ -111,8 +113,41 @@ def test_classical_never_beats_quantum():
                         JR=complex(rng.normal(), 0.3 * rng.normal()),
                         Jm=complex(rng.normal(), 0.3 * rng.normal()),
                         JmP=complex(rng.normal(), 0.3 * rng.normal()))
-        ps = ParamSpec(("JR_re", "JR_im"), (p.JR.real, p.JR.imag),
-                       (1e-5, 1e-5))
+        yield p, ParamSpec(("JR_re", "JR_im"), (p.JR.real, p.JR.imag),
+                           (1e-5, 1e-5))
+
+
+@pytest.mark.parametrize("jr_im", [1e-8, 1e-6])
+def test_non_isolated_steady_state_is_reported(jr_im):
+    # every imaginary part of this spectrum scales with JR_im, and at 0 the
+    # steady eigenvalue jumps from Re 0.88 to -0.88; this close to it the
+    # runner-up trails by less than the spectral motion over the smallest
+    # step the finite-difference oracle tries
+    p = make_params(1, 3, 2, JL=1.0, JR=0.5, Jm=1.0, JmP=0.5)
+    ps = ParamSpec(("JR_im",), (jr_im,), (1e-5,))
+    for kwargs in ({}, {"richardson": True}):
+        with pytest.raises(DerivativeIllDefinedError):
+            state_derivative(p, ps, 0, **kwargs)
+
+
+@pytest.mark.parametrize("d, r, L, J0, JR, Jm, JmP", [
+    (1, 2, 4, 0.0, 1.0, 1.0 + 0.3j, -0.8 + 0.3j),
+    (2, 2, 5, 1.0, 1.0 + 0.1j, 1.3 + 0.2j, -0.5 - 0.3j),
+], ids=["d1r2", "d2r2"])
+def test_unresolved_steady_state_is_reported(d, r, L, J0, JR, Jm, JmP):
+    # with one-way bonds inside each module (JL = 0) the steady eigenvalue
+    # is defective, and rounding splits it into a cluster about 1e-4 wide;
+    # the oracle's stencil never converges there
+    p = make_params(d, r, L, J0=J0, JL=0.0, JR=JR, Jm=Jm, JmP=JmP)
+    ps = ParamSpec(("JR_re",), (complex(JR).real,), (1e-5,))
+    for kwargs in ({}, {"richardson": True}):
+        with pytest.raises(DerivativeIllDefinedError):
+            state_derivative(p, ps, 0, **kwargs)
+
+
+def test_classical_never_beats_quantum():
+    done = 0
+    for p, ps in random_complex_models():
         try:
             psi = probe_state(p, ps)
             dlist = [state_derivative(p, ps, i) for i in range(2)]
@@ -170,3 +205,105 @@ def test_measurement_bases_are_valid_povms():
         U = povm.projectors
         assert np.max(np.abs(U.conj().T @ U - np.eye(p.D))) < 1e-10
     assert pos.label != cur.label
+
+
+def preset_point(name, L):
+    b = preset(name)
+    ps = ParamSpec(b.param_labels, b.critical,
+                   (DEFAULT_STEP,) * len(b.param_labels))
+    return b.resized(L), ps
+
+
+def analytic_and_oracle_qfim(p, ps):
+    psi = probe_state(p, ps)
+    analytic = [state_derivative(p, ps, i) for i in range(ps.l)]
+    oracle = [state_derivative(p, ps, i, fixed_step=1e-5) for i in range(ps.l)]
+    return qfim(psi, analytic).entries, qfim(psi, oracle).entries
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """Count the eigensolves behind every model spectrum and steady state."""
+    counter = {"solves": 0}
+    solve = metrology.full_spectrum
+
+    def counted(*args, **kwargs):
+        counter["solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(metrology, "full_spectrum", counted)
+    return counter
+
+
+def test_qfi_work_counts(count_solves):
+    # a QFI+CFI sweep point takes its state and derivative from one solve
+    spec = preset("FIG4_HN").sweep(("QFI", "CFI_POSITION", "CFI_CURRENT"),
+                                   grid=(-0.41, -0.4))
+    table = run_sweep(spec, workers=1)
+    assert count_solves["solves"] == 2
+    # a peak refinement is 24 evaluations of one solve each
+    count_solves["solves"] = 0
+    spec = preset("FIG4_HN").sweep(("QFI",), grid=(-0.41, -0.4, -0.39))
+    table = run_sweep(spec, workers=1)
+    count_solves["solves"] = 0
+    find_peak(table, "QFI")
+    assert count_solves["solves"] == 24
+    # a QFIM point through the public calls is 1 + l solves
+    for name, l in (("FIG5_TOP", 2), ("FIG5_BOTTOM", 3)):
+        p, ps = preset_point(name, 34)
+        count_solves["solves"] = 0
+        psi = probe_state(p, ps)
+        qfim(psi, [state_derivative(p, ps, i) for i in range(ps.l)], ps)
+        assert count_solves["solves"] == 1 + l, name
+    # the finite-difference oracle is reached only on request: the base
+    # solve plus a two-point stencil, or two stencils for Richardson
+    p, ps = preset_point("FIG4_HN", 34)
+    count_solves["solves"] = 0
+    state_derivative(p, ps, 0, fixed_step=1e-5)
+    assert count_solves["solves"] == 3
+    count_solves["solves"] = 0
+    state_derivative(p, ps, 0, richardson=True)
+    assert count_solves["solves"] == 5
+
+
+ORACLE_CASES = [
+    preset_point("FIG4_HN", 34),
+    preset_point("FIG4_HN", 100),
+    preset_point("FIG5_TOP", 34),
+    preset_point("FIG5_BOTTOM", 34),
+    # J is the one label H is not linear in (JmP = 1/J)
+    (preset("FIG4_HN").resized(34), ParamSpec(("J",), (0.4,), (DEFAULT_STEP,))),
+]
+
+
+@pytest.mark.parametrize("p, ps", ORACLE_CASES,
+                         ids=["FIG4_HN-34", "FIG4_HN-100", "FIG5_TOP-34",
+                              "FIG5_BOTTOM-34", "FIG4_HN-J"])
+def test_analytic_derivative_matches_the_oracle(p, ps):
+    A, F = analytic_and_oracle_qfim(p, ps)
+    assert np.max(np.abs(A - F)) <= 1e-4 * np.max(np.abs(F))
+
+
+def test_analytic_derivative_matches_the_oracle_on_random_models():
+    done = 0
+    for p, ps in random_complex_models():
+        try:
+            A, F = analytic_and_oracle_qfim(p, ps)
+        except NumericalError:
+            continue
+        # r = 1 chains have no JR bond, so both informations vanish
+        assert np.max(np.abs(A - F)) <= 1e-4 * np.max(np.abs(F))
+        done += 1
+    assert done >= 8
+
+
+def test_analytic_derivative_maps_back_from_the_skin_frame():
+    p = preset("FIG2_HN").resized(100)
+    ps = ParamSpec(("JR",), (-3.0,), (DEFAULT_STEP,))
+    # the frame spans more than e^30: a raw solve loses this chain's spectrum
+    assert np.ptp(skin_frame(apply_params(p, ps))) > 30.0
+    A, F = analytic_and_oracle_qfim(p, ps)
+    assert abs(A[0, 0] - F[0, 0]) <= 1e-4 * F[0, 0]
+    psi, dpsi = state_derivative(p, ps, 0, with_state=True)
+    assert np.array_equal(psi, probe_state(p, ps))
+    assert abs(np.vdot(psi, dpsi)) <= 1e-12 * np.linalg.norm(dpsi)

@@ -1,5 +1,7 @@
 """Winding numbers, gap-closing solvers, edge counting, loop detection."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +13,8 @@ from nhlab import (PBC, RECIPROCAL_MODULAR, SHIFTED, CouplingPreset,
                    gbz_zero_gap_solutions, line_gap_minima, make_params,
                    obc_central_gap, obc_side_gap, pbc_zero_gap_solutions,
                    point_gap_residual, spectral_winding)
-from nhlab.topology import IllConditionedContourError
+from nhlab.topology import (IllConditionedContourError, _contour_blochs,
+                            _gap_reports, _track_bands)
 
 
 def shifted(jr, L=50, J=2.0, J0=1.25):
@@ -187,6 +190,24 @@ def test_line_gap_reports():
     for rep in reports:
         assert rep.min_gap >= 0
         assert rep.closed == (rep.min_gap < 1e-6)
+
+
+@pytest.mark.parametrize("jr", [-2.8, -2.3, -1.5])
+@pytest.mark.parametrize("use_gbz", [False, True])
+def test_line_gap_pairs_do_not_depend_on_band_order(jr, use_gbz):
+    # all three FIG2_HN bands have mean real part 0 up to rounding; which
+    # bands count as adjacent must not follow the stack order or a
+    # rounding-level shift of the bands
+    p = hn(jr)
+    bands = _track_bands(np.linalg.eigvals(_contour_blochs(p, use_gbz, 512)))
+    want = [rep.min_gap for rep in line_gap_minima(p, use_gbz=use_gbz)]
+    # the imaginary-axis mirror pair keeps the two side gaps equal
+    assert want[0] == pytest.approx(want[1], rel=1e-9)
+    for perm in itertools.permutations(range(3)):
+        for nudge in ((0.0, 1e-15, 2e-15), (2e-15, 1e-15, 0.0)):
+            stack = bands[list(perm)] + np.array(nudge)[:, None]
+            got = [rep.min_gap for rep in _gap_reports(p, stack, 1e-6)]
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_loop_count_collapses_at_criticality():
