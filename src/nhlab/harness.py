@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import DerivativeIllDefinedError, NumericalError, ValidationError
 from .gbz import gbz_contour, point_gap_residual
 from .metrology import (DEFAULT_STEP, PARAM_LABELS, ParamSpec, apply_params,
                         cfi, current_basis, model_spectrum, position_basis,
@@ -23,7 +23,7 @@ from .metrology import (DEFAULT_STEP, PARAM_LABELS, ParamSpec, apply_params,
 from .model import (NON_MODULAR, RECIPROCAL_MODULAR, SHIFTED, CouplingPreset,
                     make_params, params_to_config)
 # full_spectrum is unused here; bench/selftest.py reads this module's binding
-from .spectral import cumulative_population, full_spectrum, participation_ratio, steady_state
+from .spectral import cumulative_population, full_spectrum, participation_ratio
 from .topology import band_winding, spectral_winding
 
 QFI = "QFI"
@@ -39,6 +39,7 @@ PR = "PR"
 OBSERVABLE_ORDER = (QFI, CFI_POSITION, CFI_CURRENT, WINDING_BAND,
                     WINDING_SPECTRAL, GAP_RESIDUAL, SLOPE, PR)
 OBSERVABLES = frozenset(OBSERVABLE_ORDER)
+FISHER_COLUMNS = frozenset((QFI, CFI_POSITION, CFI_CURRENT))
 
 DEFAULT_L_GRID = (10, 20, 34, 50, 70, 100)
 PEAK_TOL = 1e-6
@@ -117,7 +118,11 @@ def _param_point(spec, x):
 
 
 def _point_values(spec, x, names):
-    """Requested observables at one grid point, sharing intermediates."""
+    """Requested observables at one grid point, sharing intermediates.
+
+    The Fisher columns and PR share one steady solve; SLOPE reads every
+    eigenvector and makes its own.
+    """
     ps, q = _param_point(spec, x)
     cache = {}
 
@@ -131,6 +136,14 @@ def _point_values(spec, x, names):
             cache["probe"] = state_derivative(spec.base, ps, 0, with_state=True)
         return cache["probe"]
 
+    def state():
+        if not FISHER_COLUMNS.isdisjoint(names):
+            try:
+                return probe()[0]
+            except DerivativeIllDefinedError:
+                pass  # the state exists where its derivative does not
+        return probe_state(spec.base, ps)
+
     values, errors = {}, []
     for name in [n for n in OBSERVABLE_ORDER if n in names]:
         try:
@@ -143,7 +156,7 @@ def _point_values(spec, x, names):
             elif name == SLOPE:
                 values[name] = cumulative_population(decomposition(), q).slope_per_module
             elif name == PR:
-                values[name] = participation_ratio(steady_state(decomposition()))
+                values[name] = participation_ratio(state())
             elif name == QFI:
                 psi, dpsi = probe()
                 values[name] = qfi(psi, dpsi)

@@ -1,11 +1,13 @@
 """Fisher-information machinery for steady-state parameter estimation.
 
 The probe is the steady state of the lattice Hamiltonian (right
-eigenvector with the largest imaginary eigenvalue).  Its parameter
-derivatives are analytic by default: one left/right eigensolve in the
-skin-balancing frame gives the steady eigenvalue's derivative
-l^+ H' r / l^+ r and, through a bordered linear system, the right
-vector's (Nelson's method).  Gauge-aligned central differences of the
+eigenvector with the largest imaginary eigenvalue).  Each point costs
+one eigenvalue solve in the skin-balancing frame plus inverse iteration
+for the steady eigenvalue's right and left vectors (spectral.eigenpair,
+which also certifies the eigenvalues the guards read).  Parameter
+derivatives are analytic by default: the steady eigenvalue moves by
+l^+ H' r / l^+ r, and a bordered linear system gives the right vector's
+derivative (Nelson's method).  Gauge-aligned central differences of the
 steady state remain available as an oracle.  Quantum and classical
 Fisher informations (scalar and matrix) follow from the derivatives.
 All bounds are per measurement shot.
@@ -20,8 +22,8 @@ from .errors import (BoundUndefinedError, DerivativeIllDefinedError,
                      NumericalError, ValidationError)
 from .gbz import skin_frame
 from .model import build_current_operator, build_hamiltonian
-from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, full_spectrum,
-                       steady_state)
+from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, eigenpair,
+                       full_spectrum, steady_state)
 
 QUANTUM = "QUANTUM"
 CLASSICAL = "CLASSICAL"
@@ -198,6 +200,25 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
     return _balanced_spectrum(build_hamiltonian(p), skin_frame(p), tol_eig)
 
 
+def _balanced_hamiltonian(q):
+    """Hamiltonian of model q in its skin-balancing frame, and the frame
+    (ln s; None on PBC rings and unbalanced chains)."""
+    H = build_hamiltonian(q)
+    frame = skin_frame(q)
+    return (H if frame is None else _balance(H, frame)), frame
+
+
+def model_eigenvalues(p, tol_eig=DEFAULT_TOL_EIG):
+    """Eigenvalues of the model in its skin-balancing frame, no vectors.
+
+    Returns (H, values): the balanced Hamiltonian and its sorted
+    eigenvalues.  Nothing here checks a residual; certify each eigenvalue
+    a result reads with spectral.eigenpair(H, value, tol_eig).
+    """
+    H, _ = _balanced_hamiltonian(p)
+    return H, full_spectrum(H, tol_eig, vectors=False)
+
+
 class _SteadySolve(NamedTuple):
     """The steady pair of a model, all in its skin-balancing frame.
 
@@ -214,15 +235,21 @@ class _SteadySolve(NamedTuple):
 
 
 def _steady_solve(q, tol_eig=DEFAULT_TOL_EIG):
-    """One left/right eigensolve of model q in its skin-balancing frame."""
-    H = build_hamiltonian(q)
-    frame = skin_frame(q)
-    if frame is not None:
-        H = _balance(H, frame)
-    dec = full_spectrum(H, tol_eig, left=True)
-    return _SteadySolve(H=H, frame=frame, values=dec.values,
-                        right=dec.right_vectors[:, 0],
-                        left=dec.left_vectors[:, 0])
+    """One eigenvalue solve of model q in its skin-balancing frame, plus
+    inverse iteration for the steady eigenvalue's right and left vectors.
+
+    The guards read values[1] and the eigenvalue nearest values[0]; both
+    are certified by a right vector that passes the residual gate.
+    """
+    H, frame = _balanced_hamiltonian(q)
+    values = full_spectrum(H, tol_eig, vectors=False)
+    right, left = eigenpair(H, values[0], tol_eig, left=True)
+    if len(values) > 1:
+        nearest = 1 + int(np.argmin(np.abs(values[1:] - values[0])))
+        for k in sorted({1, nearest}):
+            eigenpair(H, values[k], tol_eig)
+    return _SteadySolve(H=H, frame=frame, values=values, right=right,
+                        left=left)
 
 
 def _unbalance(frame, r, *more):
@@ -263,8 +290,8 @@ def _phase_fixed(r, dr=None):
 def probe_state(p, ps, shift=None):
     """Steady state of the Hamiltonian at the shifted parameter point.
 
-    It comes from the same left/right solve as state_derivative, so the
-    two agree bit for bit on the state.
+    It comes from the same steady solve as state_derivative, so the two
+    agree bit for bit on the state.
     """
     st = _steady_solve(apply_params(p, ps, shift))
     return _phase_fixed(*_unbalance(st.frame, st.right))
@@ -342,8 +369,10 @@ def family_state_derivative(build, h, richardson=False, rel_tol=2e-3,
 
     build(delta) must return the Hamiltonian at parameter offset delta.
     Central differences at steps h and h/2 are compared; h is halved
-    until they agree to rel_tol (or fixed_step skips that loop), which
-    also walks the step below the isolation scale near criticality.
+    until they agree to rel_tol, which also walks the step below the
+    isolation scale near criticality.  fixed_step=True takes the one
+    central difference at h, and raises DerivativeIllDefinedError where
+    h is not below the isolation scale instead of halving it.
     Richardson extrapolation combines the two stencils when requested.
     frame, when given, is the logarithm of a diagonal similarity (see
     _balanced_spectrum) held fixed across the whole family.
@@ -371,6 +400,10 @@ def family_state_derivative(build, h, richardson=False, rel_tol=2e-3,
                 return D1, step
             D2 = central(0.5 * step)
         except DerivativeIllDefinedError as err:
+            if fixed_step:
+                raise DerivativeIllDefinedError(
+                    "no central difference at the fixed step %g: %s"
+                    % (step, err)) from err
             last_err = err
             step *= 0.5
             continue
@@ -392,8 +425,9 @@ def state_derivative(p, ps, i, richardson=False, fixed_step=None,
                      with_state=False):
     """Derivative of the probe state along parameter i.
 
-    By default it is analytic and costs one eigensolve: the left/right
-    solve that probe_state makes, in the skin-balancing frame.  With
+    By default it is analytic and costs one eigenvalue solve, the steady
+    solve that probe_state makes in the skin-balancing frame, plus
+    inverse iteration for the steady right and left vectors.  With
     H' the central difference of the Hamiltonian at ps.steps[i] (exact
     for the labels H is linear in, O(step^2) for J, whose JmP is 1/J),
     the steady eigenvalue moves by l^+ H' r / l^+ r and the bordered
@@ -406,9 +440,9 @@ def state_derivative(p, ps, i, richardson=False, fixed_step=None,
     does not resolve (see _check_resolved), where the oracle's stencil
     fails to converge.
 
-    fixed_step (one central difference at that step) or richardson
-    selects the oracle instead: family_state_derivative, with the whole
-    stencil diagonalized in the base point's frame.
+    fixed_step (one central difference at exactly that step) or
+    richardson selects the oracle instead: family_state_derivative, with
+    the whole stencil diagonalized in the base point's frame.
 
     with_state=True returns (probe_state(p, ps), derivative), the state
     from the same solve.

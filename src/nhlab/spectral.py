@@ -1,12 +1,17 @@
 """Dense non-normal eigenproblems and skin-effect diagnostics.
 
-Decompositions carry right eigenvectors, and left ones on request:
-steady-state selection and populations use right eigenpairs only, and
-the analytic steady-state derivative (metrology.state_derivative) adds
-the left vector of the steady eigenvalue.  Model
-spectra are solved in the skin-balancing frame (metrology.model_spectrum
-over full_spectrum); a raw solve of a skin-amplified chain loses
-eigenvalues to pseudospectral error that the residual gate does not see.
+full_spectrum solves for every eigenvalue, with the right eigenvectors
+unless only the values are asked for; eigenpair computes one right
+eigenvector (and the left one on request) by inverse iteration from a
+computed eigenvalue.  Both hold a vector to the same residual gate.
+A result that reads a few eigenpairs pays for one eigenvalue solve and
+one LU factorization per pair: the steady state and its derivative
+(metrology._steady_solve) read the steady eigenvalue's right and left
+vectors, the OBC gaps (topology) only eigenvalues, each certified by a
+vector that passes the gate.  Model spectra are solved in the
+skin-balancing frame (metrology.model_spectrum over full_spectrum); a raw
+solve of a skin-amplified chain loses eigenvalues to pseudospectral
+error that the residual gate does not see.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +22,9 @@ import scipy.linalg
 from .errors import ConvergenceError, ValidationError
 
 DEFAULT_TOL_EIG = 1e-9
+# inverse iteration stops at the first iterate that passes the gate, after
+# at most this many solves, as LAPACK's ?laein does
+MAX_INVERSE_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -31,22 +39,35 @@ class SpectralDecomposition:
         Column j is the unit-2-norm right eigenvector of values[j].
     residuals : ndarray, real
         Per-pair ||H v - lambda v||_2.
-    left_vectors : ndarray (D, D), complex, or None
-        Column j is a unit-2-norm left eigenvector (l^H H = lambda l^H)
-        of values[j]; None unless requested.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
     residuals: np.ndarray
-    left_vectors: np.ndarray = None
 
     @property
     def dim(self):
         return len(self.values)
 
 
-def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, left=False):
+def _checked(H):
+    H = np.asarray(H, dtype=complex)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValidationError("matrix must be square")
+    if not np.all(np.isfinite(H)):
+        raise ValidationError("matrix entries must be finite")
+    return H
+
+
+def _order(values, tol_eig):
+    """Sort permutation: Im descending at resolution tol_eig*max(|lambda|, 1),
+    ties by Re descending."""
+    im_res = tol_eig * max(float(np.max(np.abs(values), initial=0.0)), 1.0)
+    im_key = np.round(values.imag / im_res)
+    return np.lexsort((-values.real, -im_key))
+
+
+def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     """Diagonalize a dense complex matrix with a residual guarantee.
 
     Eigenpairs are sorted by decreasing imaginary part, ties broken by
@@ -56,39 +77,96 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, left=False):
     carries O(1e-16) imaginary noise that would otherwise scramble the
     primary key and make the tie-break unreachable.
 
+    vectors=False returns only the sorted eigenvalues (an ndarray): the
+    solve skips the eigenvectors and so has no residual to check; a
+    caller certifies the eigenvalues it reads with eigenpair.
+
     Raises
     ------
     ConvergenceError
-        If LAPACK fails or any residual exceeds tol_eig * ||H||_F.
+        If LAPACK fails or any residual exceeds tol_eig * max(||H||_F, 1).
     """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValidationError("matrix must be square")
-    if not np.all(np.isfinite(H)):
-        raise ValidationError("matrix entries must be finite")
+    H = _checked(H)
     try:
-        if left:
-            values, lefts, vectors = scipy.linalg.eig(H, left=True)
-        else:
-            values, vectors = scipy.linalg.eig(H)
+        if not vectors:
+            values = scipy.linalg.eigvals(H)
+            return values[_order(values, tol_eig)]
+        values, vecs = scipy.linalg.eig(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError("eigensolver failed: %s" % exc)
-    im_res = tol_eig * max(float(np.max(np.abs(values), initial=0.0)), 1.0)
-    im_key = np.round(values.imag / im_res)
-    order = np.lexsort((-values.real, -im_key))
+    order = _order(values, tol_eig)
     values = values[order]
-    vectors = vectors[:, order]
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    residuals = np.linalg.norm(H @ vectors - vectors * values[None, :], axis=0)
-    scale = np.linalg.norm(H, "fro")
-    bound = tol_eig * max(scale, 1.0)
+    vecs = vecs[:, order]
+    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+    residuals = np.linalg.norm(H @ vecs - vecs * values[None, :], axis=0)
+    bound = tol_eig * max(float(np.linalg.norm(H, "fro")), 1.0)
     if np.any(residuals > bound):
         raise ConvergenceError(
             "eigensolver residual %.3e exceeds %.3e (dim %d)"
             % (residuals.max(), bound, H.shape[0]))
-    return SpectralDecomposition(values=values, right_vectors=vectors,
-                                 residuals=residuals,
-                                 left_vectors=lefts[:, order] if left else None)
+    return SpectralDecomposition(values=values, right_vectors=vecs,
+                                 residuals=residuals)
+
+
+def _inverse_iterate(solve, residual, bound, start):
+    """Unit vector x with residual(x) <= bound, by inverse iteration.
+
+    solve applies the inverse of the shifted matrix; the first iterate
+    that passes the gate is kept, because on a defective eigenvalue later
+    steps drift off the kernel.
+    """
+    x = start
+    res = np.inf
+    for _ in range(MAX_INVERSE_STEPS):
+        with np.errstate(all="ignore"):
+            y = solve(x)
+            x = y / np.linalg.norm(y)
+            res = float(np.linalg.norm(residual(x)))
+        if res <= bound:
+            return x
+    raise ConvergenceError(
+        "inverse iteration residual %.3e exceeds %.3e (dim %d)"
+        % (res, bound, len(x)))
+
+
+def eigenpair(H, lam, tol_eig=DEFAULT_TOL_EIG, left=False):
+    """Unit eigenvector(s) of H for a computed eigenvalue lam.
+
+    One LU factorization of H - lam I drives inverse iteration for the
+    right vector r (H r = lam r) and, with left=True, the left vector l
+    (l^H H = lam l^H), returned as (r, l).  Each vector is kept only if
+    its residual is at most tol_eig * max(||H||_F, 1), full_spectrum's
+    gate, so a value lam that is not an eigenvalue of H to that accuracy
+    raises ConvergenceError.  An exactly zero pivot (lam an exact
+    eigenvalue) is replaced by eps * max(||H||_F, 1).  The start vector
+    is fixed, so the result is deterministic.
+    """
+    H = _checked(H)
+    D = H.shape[0]
+    scale = max(float(np.linalg.norm(H, "fro")), 1.0)
+    diag = np.arange(D)
+    A = H.copy()
+    A[diag, diag] -= lam
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (A,))
+    # getrf reports an exactly zero pivot through info > 0 (lu_factor
+    # turns that into a warning) and still completes the factorization
+    lu, piv, _ = getrf(A, overwrite_a=True)
+    zero = diag[lu[diag, diag] == 0]
+    lu[zero, zero] = np.finfo(float).eps * scale
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    start /= np.linalg.norm(start)
+    bound = tol_eig * scale
+
+    def solver(trans):
+        return lambda b: getrs(lu, piv, b, trans=trans)[0]
+
+    r = _inverse_iterate(solver(0), lambda x: H @ x - lam * x, bound, start)
+    if not left:
+        return r
+    l = _inverse_iterate(solver(2),
+                         lambda x: x.conj() @ H - lam * x.conj(), bound, start)
+    return r, l
 
 
 def steady_state(dec):

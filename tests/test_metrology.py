@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from nhlab import (DEFAULT_STEP, NON_MODULAR, RECIPROCAL_MODULAR,
-                   BoundUndefinedError, CouplingPreset,
+                   BoundUndefinedError, ConvergenceError, CouplingPreset,
                    DerivativeIllDefinedError, FisherMatrix,
                    NumericalError, ParamSpec, ValidationError, apply_params,
                    build_hamiltonian, cfi, cfim, current_basis, find_peak,
                    make_params, metrology, position_basis, preset,
                    probe_state, qfi, qfim, run_sweep, skin_frame,
                    state_derivative, total_variance_bound)
+from nhlab.spectral import participation_ratio
 from nhlab.metrology import QUANTUM
 
 
@@ -128,6 +129,15 @@ def test_non_isolated_steady_state_is_reported(jr_im):
     for kwargs in ({}, {"richardson": True}):
         with pytest.raises(DerivativeIllDefinedError):
             state_derivative(p, ps, 0, **kwargs)
+
+
+def test_fixed_step_is_not_halved():
+    # the isolation check fails at the requested step; the oracle reports
+    # that step instead of halving it until the check passes
+    p = make_params(1, 3, 2, JL=1.0, JR=0.5, Jm=1.0, JmP=0.5)
+    ps = ParamSpec(("JR_im",), (1e-6,), (1e-5,))
+    with pytest.raises(DerivativeIllDefinedError, match="step 1e-05"):
+        state_derivative(p, ps, 0, fixed_step=1e-5)
 
 
 @pytest.mark.parametrize("d, r, L, J0, JR, Jm, JmP", [
@@ -264,6 +274,28 @@ def test_qfi_work_counts(count_solves):
     count_solves["solves"] = 0
     state_derivative(p, ps, 0, richardson=True)
     assert count_solves["solves"] == 5
+    # PR beside a Fisher column reads the state of the same steady solve
+    spec = preset("FIG4_HN").sweep(("QFI", "PR"), grid=(-0.4,))
+    count_solves["solves"] = 0
+    table = run_sweep(spec, workers=1)
+    assert count_solves["solves"] == 1
+    ps = ParamSpec((spec.axis,), (-0.4,), (DEFAULT_STEP,))
+    assert table.column("PR")[0] == participation_ratio(probe_state(spec.base, ps))
+
+
+def test_steady_solve_certifies_the_eigenvalues_the_guards_read(monkeypatch):
+    # a runner-up eigenvalue off by 1e-3 fails its certificate
+    solve = metrology.full_spectrum
+
+    def off(*args, **kwargs):
+        values = solve(*args, **kwargs).copy()
+        values[1] += 1e-3
+        return values
+
+    monkeypatch.setattr(metrology, "full_spectrum", off)
+    p, ps = preset_point("FIG4_HN", 34)
+    with pytest.raises(ConvergenceError):
+        probe_state(p, ps)
 
 
 ORACLE_CASES = [

@@ -7,7 +7,10 @@ from conftest import assert_multiset_close
 from nhlab import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED,
                    ConvergenceError, CouplingPreset, ValidationError,
                    build_hamiltonian, cumulative_population, full_spectrum,
-                   gbz_radius, make_params, participation_ratio, steady_state)
+                   gbz_radius, make_params, participation_ratio, preset,
+                   steady_state)
+from nhlab.metrology import model_eigenvalues
+from nhlab.spectral import eigenpair
 
 
 def test_diagonal_matrix():
@@ -117,3 +120,46 @@ def test_participation_ratio():
     assert abs(participation_ratio(e) - 1.0) < 1e-12
     with pytest.raises(ValidationError):
         participation_ratio(2.0 * v)
+
+
+@pytest.mark.parametrize("name, L", [("FIG2_HN", 100), ("FIG3", 100),
+                                     ("FIG4_HN", 34), ("FIG5_TOP", 34)])
+def test_values_only_solve_matches_the_full_solve(name, L):
+    H, values = model_eigenvalues(preset(name).resized(L))
+    full = full_spectrum(H).values
+    # same order, same values
+    assert np.max(np.abs(values - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_eigenpair_vectors_pass_the_residual_gate():
+    H, values = model_eigenvalues(preset("FIG4_HN").resized(34))
+    bound = 1e-9 * np.linalg.norm(H)
+    for lam in values[:3]:
+        r, l = eigenpair(H, lam, left=True)
+        assert abs(np.linalg.norm(r) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(l) - 1.0) < 1e-12
+        assert np.linalg.norm(H @ r - lam * r) <= bound
+        assert np.linalg.norm(l.conj() @ H - lam * l.conj()) <= bound
+    # an exact eigenvalue gives an exactly singular pivot
+    r = eigenpair(np.diag([1.0, 2.0]).astype(complex), 1.0)
+    assert abs(r[1]) < 1e-12
+
+
+def test_eigenpair_gate_rejects_a_non_eigenvalue():
+    H, values = model_eigenvalues(preset("FIG4_HN").resized(34))
+    lam = values[0] + 0.1j  # values[0] has the largest imaginary part
+    assert np.min(np.abs(values - lam)) >= 0.1 - 1e-9
+    with pytest.raises(ConvergenceError):
+        eigenpair(H, lam)
+
+
+def test_eigenpair_accepts_a_defective_eigenvalue_at_its_first_step():
+    # with one-way bonds inside each module (JL = 0) the steady eigenvalue
+    # is defective: the first inverse-iteration step reaches a residual
+    # near eps, every later one about 1e-6, above the gate
+    p = make_params(1, 2, 4, J0=0.0, JL=0.0, JR=1.0, Jm=1.0 + 0.3j,
+                    JmP=-0.8 + 0.3j)
+    H, values = model_eigenvalues(p)
+    r, l = eigenpair(H, values[0], left=True)
+    assert np.linalg.norm(H @ r - values[0] * r) <= 1e-14 * np.linalg.norm(H)
+    assert abs(np.vdot(l, r)) < 1e-6  # nearly parallel: a defective pair

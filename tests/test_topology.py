@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nhlab import (PBC, RECIPROCAL_MODULAR, SHIFTED, CouplingPreset,
-                   UnsupportedStructureError, ValidationError, band_winding,
-                   build_hamiltonian, count_spectral_loops,
+from nhlab import (PBC, RECIPROCAL_MODULAR, SHIFTED, ConvergenceError,
+                   CouplingPreset, UnsupportedStructureError, ValidationError,
+                   band_winding, build_hamiltonian, count_spectral_loops,
                    direct_band_minimum, edge_states, gbz_contour, gbz_radius,
                    gbz_zero_gap_solutions, line_gap_minima, make_params,
-                   obc_central_gap, obc_side_gap, pbc_zero_gap_solutions,
-                   point_gap_residual, spectral_winding)
+                   metrology, obc_central_gap, obc_side_gap,
+                   pbc_zero_gap_solutions, point_gap_residual,
+                   spectral_winding)
 from nhlab.topology import (IllConditionedContourError, _contour_blochs,
                             _gap_reports, _track_bands)
 
@@ -151,6 +152,48 @@ def test_obc_side_gap_and_edge_pair_on_long_skin_amplified_chains():
     pair = [E for E, _ in edge_states(p, 0.2)]
     assert len(pair) == 2
     assert abs(pair[0] + pair[1]) <= 1e-12
+
+
+def test_obc_gaps_solve_eigenvalues_only(monkeypatch):
+    # each gap is one eigenvalue solve, and no eigenvector solve
+    counts = {"eig": 0, "eigvals": 0}
+    for name in counts:
+        solve = getattr(scipy.linalg, name)
+
+        def counted(*args, _name=name, _solve=solve, **kwargs):
+            counts[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    p = shifted(-1.0, L=100)
+    obc_central_gap(p)
+    obc_side_gap(p)
+    assert counts == {"eig": 0, "eigvals": 2}
+
+
+def test_obc_gaps_certify_the_eigenvalues_they_read(monkeypatch):
+    # an eigenvalue off by 1e-3 fails its inverse-iteration certificate
+    solve = metrology.full_spectrum
+
+    def off(*args, **kwargs):
+        return solve(*args, **kwargs) + 1e-3
+
+    monkeypatch.setattr(metrology, "full_spectrum", off)
+    p = shifted(-1.0, L=50)
+    for gap in (obc_central_gap, obc_side_gap):
+        with pytest.raises(ConvergenceError):
+            gap(p)
+
+
+def test_obc_central_gap_keeps_the_fig3_closing_values():
+    # the L=200 gaps at the four GBZ closings, as the full decomposition
+    # in the skin-balancing frame gave them
+    roots = gbz_zero_gap_solutions(shifted(0.5))
+    want = {0.3468: 0.007576403576102371, -0.5685: 0.21121306188683375,
+            -1.4315: 0.3935199791368669, -2.3468: 0.04884480930063236}
+    for target, gap in want.items():
+        got = obc_central_gap(shifted(nearest(roots, target), L=200))
+        assert abs(got - gap) <= 1e-10, target
 
 
 def test_band_winding_needs_bipartite_structure():
