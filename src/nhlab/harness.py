@@ -133,7 +133,13 @@ def _point_values(spec, x, names):
 
     def probe():
         if "probe" not in cache:
-            cache["probe"] = state_derivative(spec.base, ps, 0, with_state=True)
+            try:
+                cache["probe"] = state_derivative(spec.base, ps, 0,
+                                                  with_state=True)
+            except (ValidationError, NumericalError) as exc:
+                cache["probe"] = exc  # kept, so no later column repeats it
+        if isinstance(cache["probe"], Exception):
+            raise cache["probe"]
         return cache["probe"]
 
     def state():

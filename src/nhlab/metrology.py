@@ -5,12 +5,13 @@ eigenvector with the largest imaginary eigenvalue).  Each point costs
 one eigenvalue solve in the skin-balancing frame plus inverse iteration
 for the steady eigenvalue's right and left vectors (spectral.eigenpair,
 which also certifies the eigenvalues the guards read).  Parameter
-derivatives are analytic by default: the steady eigenvalue moves by
-l^+ H' r / l^+ r, and a bordered linear system gives the right vector's
-derivative (Nelson's method).  Gauge-aligned central differences of the
-steady state remain available as an oracle.  Quantum and classical
-Fisher informations (scalar and matrix) follow from the derivatives.
-All bounds are per measurement shot.
+derivatives are analytic: the steady eigenvalue moves by l^+ H' r /
+l^+ r, and a bordered linear system gives the right vector's derivative
+(Nelson's method).  family_state_derivative, one gauge-aligned central
+difference of the steady state at a fixed step, is kept as an
+independent oracle.  Quantum and classical Fisher informations (scalar
+and matrix) follow from the derivatives.  All bounds are per
+measurement shot.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .errors import (BoundUndefinedError, DerivativeIllDefinedError,
 from .gbz import skin_frame
 from .model import build_current_operator, build_hamiltonian
 from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, eigenpair,
-                       full_spectrum, steady_state)
+                       full_spectrum, phase_fixed, steady_state)
 
 QUANTUM = "QUANTUM"
 CLASSICAL = "CLASSICAL"
@@ -32,7 +33,10 @@ PARAM_LABELS = ("JR_re", "JR_im", "JR", "Jm", "JmP", "J")
 
 DEFAULT_STEP = 1e-5
 PROB_FLOOR = 1e-14
-MAX_HALVINGS = 12
+# the analytic derivative is the step -> 0 limit, so its steady eigenvalue
+# must stay isolated over the spectral motion across this fraction of the
+# parameter's step, not only across the step itself
+ISOLATION_SCALE = 0.5 ** 11
 # a steady eigenvalue whose rounding uncertainty eps ||H|| / |l^+ r| reaches
 # this fraction of its distance to the nearest other eigenvalue is not
 # resolved; rounding-split defective eigenvalues sit at 0.1 to 1e17, the
@@ -46,7 +50,7 @@ class ParamSpec:
 
     labels come from PARAM_LABELS; values give the base point theta and
     steps the step per parameter of the central difference that gives
-    dH/dtheta (and of the finite-difference oracle's stencil).
+    dH/dtheta.
     """
 
     labels: tuple
@@ -163,19 +167,21 @@ def _balance(H, ln_s):
     return Hb
 
 
-def _balanced_spectrum(H, frame, tol_eig=DEFAULT_TOL_EIG):
-    """Eigendecomposition of H computed in a diagonal similarity frame.
+def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
+    """Spectrum of the model's Hamiltonian, solved in its skin-balancing
+    frame (the one spectral path every consumer of a model shares).
 
-    frame is ln s for a positive vector s; the solver sees S^-1 H S
+    The frame is ln s for a positive vector s; the solver sees S^-1 H S
     (S = diag(s)), which tames the exponential ill-conditioning skin
     modes inflict on the raw matrix.  The right vectors are mapped back
     through their logarithm, shifted so each column peaks at 1, so no
-    component overflows however large s grows.  The mapping is
-    an exact similarity, so this changes rounding behavior only.
+    component overflows however large s grows.  The mapping is an exact
+    similarity, so this changes rounding behavior only.
     """
-    if frame is None:
+    H = build_hamiltonian(p)
+    ln_s = skin_frame(p)
+    if ln_s is None:
         return full_spectrum(H, tol_eig)
-    ln_s = np.asarray(frame, dtype=float)
     Hb = _balance(H, ln_s)
     dec = full_spectrum(Hb, tol_eig)
     del Hb  # keeps the back-mapping below the solve's own peak memory
@@ -192,12 +198,6 @@ def _balanced_spectrum(H, frame, tol_eig=DEFAULT_TOL_EIG):
         res = np.linalg.norm(H @ vecs - vecs * values[None, :], axis=0)
     return SpectralDecomposition(values=values, right_vectors=vecs,
                                  residuals=res)
-
-
-def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
-    """Spectrum of the model's Hamiltonian, solved in its skin-balancing
-    frame (the one spectral path every consumer of a model shares)."""
-    return _balanced_spectrum(build_hamiltonian(p), skin_frame(p), tol_eig)
 
 
 def _balanced_hamiltonian(q):
@@ -256,7 +256,7 @@ def _unbalance(frame, r, *more):
     """Balanced-frame vectors mapped back through S.
 
     Every vector gets the scale that brings r's largest component to
-    modulus 1, as in _balanced_spectrum; the mapping runs through the
+    modulus 1, as in model_spectrum; the mapping runs through the
     logarithm, so no component overflows however large s grows.
     """
     vecs = (r,) + more
@@ -268,25 +268,6 @@ def _unbalance(frame, r, *more):
         return tuple(np.exp(lv - shift) for lv in logs)
 
 
-def _phase_fixed(r, dr=None):
-    """Steady state from its right vector r, gauged as steady_state does.
-
-    The state is r normalized, with its largest component real positive.
-    With dr, the derivative of r, also returns the state derivative
-    (1 - psi psi^+) dr / ||r|| in the same gauge; the component along
-    psi it drops is normalization and phase, invisible to every Fisher
-    information.
-    """
-    k = int(np.argmax(np.abs(r)))
-    c = r[k] / abs(r[k]) * np.linalg.norm(r)
-    psi = r / c
-    psi /= np.linalg.norm(psi)
-    if dr is None:
-        return psi
-    d = dr / c
-    return psi, d - psi * np.vdot(psi, d)
-
-
 def probe_state(p, ps, shift=None):
     """Steady state of the Hamiltonian at the shifted parameter point.
 
@@ -294,24 +275,16 @@ def probe_state(p, ps, shift=None):
     agree bit for bit on the state.
     """
     st = _steady_solve(apply_params(p, ps, shift))
-    return _phase_fixed(*_unbalance(st.frame, st.right))
+    return phase_fixed(*_unbalance(st.frame, st.right))
 
 
-def _aligned_probe(build, psi0, delta, frame=None):
-    """Steady state at offset delta, phase-aligned to the base state.
-
-    The eigensolver's arbitrary phase and the steady-state gauge both
-    cancel here, leaving <psi0|psi(delta)> real positive.  A small
-    overlap means the largest-imaginary-part branch changed inside the
-    stencil, which makes the difference quotient meaningless.
-    """
-    psi = steady_state(_balanced_spectrum(build(delta), frame))
-    ov = np.vdot(psi0, psi)
-    if abs(ov) < 0.5:
-        raise DerivativeIllDefinedError(
-            "steady-state branch changed within the stencil (overlap %.3f)"
-            % abs(ov))
-    return psi * (np.conj(ov) / abs(ov))
+def _shifted(p, ps, i, delta):
+    """Model parameters at ps's point with parameter i moved by delta."""
+    if not 0 <= i < ps.l:
+        raise ValidationError("parameter index out of range")
+    shift = np.zeros(ps.l)
+    shift[i] = delta
+    return apply_params(p, ps, shift)
 
 
 def _check_nondegenerate(lam):
@@ -362,113 +335,70 @@ def _check_resolved(st):
             "to the nearest eigenvalue" % (overlap, dist))
 
 
-def family_state_derivative(build, h, richardson=False, rel_tol=2e-3,
-                            max_halvings=MAX_HALVINGS, fixed_step=False,
-                            frame=None):
-    """Derivative of the steady state of a one-parameter matrix family.
+def family_state_derivative(p, ps, i, step):
+    """Central difference of the probe state along parameter i at step.
 
-    build(delta) must return the Hamiltonian at parameter offset delta.
-    Central differences at steps h and h/2 are compared; h is halved
-    until they agree to rel_tol, which also walks the step below the
-    isolation scale near criticality.  fixed_step=True takes the one
-    central difference at h, and raises DerivativeIllDefinedError where
-    h is not below the isolation scale instead of halving it.
-    Richardson extrapolation combines the two stencils when requested.
-    frame, when given, is the logarithm of a diagonal similarity (see
-    _balanced_spectrum) held fixed across the whole family.
-
-    Returns (derivative vector, step actually used).
+    The oracle for state_derivative.  Each stencil point is solved on its
+    own (model_spectrum, then steady_state), independently of the
+    analytic path's inverse iteration, and phase-aligned to the base
+    state, so the eigensolver's arbitrary phase and the gauge cancel.  A
+    degenerate steady eigenvalue raises DerivativeIllDefinedError; so do
+    one not isolated against the spectral motion over step and a change
+    of the steady-state branch inside the stencil (a small overlap with
+    the base state), with the step named.
     """
-    dec0 = _balanced_spectrum(build(0.0), frame)
+    dec0 = model_spectrum(_shifted(p, ps, i, 0.0))
     psi0 = steady_state(dec0)
-    lam = dec0.values
-    _check_nondegenerate(lam)
-
-    def central(step):
-        plus = _aligned_probe(build, psi0, step, frame)
-        minus = _aligned_probe(build, psi0, -step, frame)
-        return (plus - minus) / (2.0 * step)
-
-    step = float(h)
-    last_err = None
-    for _ in range(max_halvings):
-        try:
-            motion = 10.0 * float(np.linalg.norm(build(step) - build(-step))) / 2.0
-            _check_isolated(lam, motion, step)
-            D1 = central(step)
-            if fixed_step:
-                return D1, step
-            D2 = central(0.5 * step)
-        except DerivativeIllDefinedError as err:
-            if fixed_step:
+    _check_nondegenerate(dec0.values)
+    plus, minus = _shifted(p, ps, i, step), _shifted(p, ps, i, -step)
+    motion = 10.0 * float(np.linalg.norm(
+        build_hamiltonian(plus) - build_hamiltonian(minus))) / 2.0
+    aligned = []
+    try:
+        _check_isolated(dec0.values, motion, step)
+        for q in (plus, minus):
+            psi = steady_state(model_spectrum(q))
+            ov = np.vdot(psi0, psi)
+            if abs(ov) < 0.5:
                 raise DerivativeIllDefinedError(
-                    "no central difference at the fixed step %g: %s"
-                    % (step, err)) from err
-            last_err = err
-            step *= 0.5
-            continue
-        diff = float(np.linalg.norm(D1 - D2))
-        # eigensolver noise on the stencil states enters as O(eps)/step,
-        # so the acceptance floor must grow as the step shrinks
-        floor = 1e-12 / step
-        if diff <= rel_tol * float(np.linalg.norm(D2)) + floor:
-            if richardson:
-                return (4.0 * D2 - D1) / 3.0, step
-            return D2, step
-        step *= 0.5
-    raise DerivativeIllDefinedError(
-        "no converged central difference down to step %.3e%s"
-        % (step, ": %s" % last_err if last_err else ""))
+                    "steady-state branch changed within the stencil "
+                    "(overlap %.3f)" % abs(ov))
+            aligned.append(psi * (np.conj(ov) / abs(ov)))
+    except DerivativeIllDefinedError as err:
+        raise DerivativeIllDefinedError(
+            "no central difference at the fixed step %g: %s"
+            % (step, err)) from err
+    return (aligned[0] - aligned[1]) / (2.0 * step)
 
 
-def state_derivative(p, ps, i, richardson=False, fixed_step=None,
-                     with_state=False):
+def state_derivative(p, ps, i, with_state=False):
     """Derivative of the probe state along parameter i.
 
-    By default it is analytic and costs one eigenvalue solve, the steady
-    solve that probe_state makes in the skin-balancing frame, plus
-    inverse iteration for the steady right and left vectors.  With
-    H' the central difference of the Hamiltonian at ps.steps[i] (exact
-    for the labels H is linear in, O(step^2) for J, whose JmP is 1/J),
-    the steady eigenvalue moves by l^+ H' r / l^+ r and the bordered
-    system [[H - lambda, r], [l^+, 0]] gives r's derivative.  Both
-    vectors are mapped back with one scale, and the state derivative is
+    It is analytic and costs one eigenvalue solve, the steady solve that
+    probe_state makes in the skin-balancing frame, plus inverse
+    iteration for the steady right and left vectors.  With H' the
+    central difference of the Hamiltonian at ps.steps[i] (exact for the
+    labels H is linear in, O(step^2) for J, whose JmP is 1/J), the
+    steady eigenvalue moves by l^+ H' r / l^+ r and the bordered system
+    [[H - lambda, r], [l^+, 0]] gives r's derivative.  Both vectors are
+    mapped back with one scale, and the state derivative is
     (1 - psi psi^+) dr / ||r||.  A degenerate steady eigenvalue, or one
-    not isolated against the spectral motion over the smallest step the
-    finite-difference oracle would reach, raises
-    DerivativeIllDefinedError, as the oracle does; so does one the solve
-    does not resolve (see _check_resolved), where the oracle's stencil
-    fails to converge.
-
-    fixed_step (one central difference at exactly that step) or
-    richardson selects the oracle instead: family_state_derivative, with
-    the whole stencil diagonalized in the base point's frame.
+    not isolated against the spectral motion over ISOLATION_SCALE times
+    the step, raises DerivativeIllDefinedError, as the oracle
+    family_state_derivative does; so does one the solve does not resolve
+    (see _check_resolved), where a central difference has no limit.
 
     with_state=True returns (probe_state(p, ps), derivative), the state
     from the same solve.
     """
-    if not 0 <= i < ps.l:
-        raise ValidationError("parameter index out of range")
-
-    def build(delta):
-        shift = np.zeros(ps.l)
-        shift[i] = delta
-        return build_hamiltonian(apply_params(p, ps, shift))
-
-    if fixed_step is not None or richardson:
-        h = ps.steps[i] if fixed_step is None else fixed_step
-        d, _ = family_state_derivative(
-            build, h, richardson=richardson, fixed_step=fixed_step is not None,
-            frame=skin_frame(apply_params(p, ps)))
-        return (probe_state(p, ps), d) if with_state else d
-
-    st = _steady_solve(apply_params(p, ps))
+    st = _steady_solve(_shifted(p, ps, i, 0.0))
     h = ps.steps[i]
-    dH = (build(h) - build(-h)) / (2.0 * h)
+    dH = (build_hamiltonian(_shifted(p, ps, i, h))
+          - build_hamiltonian(_shifted(p, ps, i, -h))) / (2.0 * h)
     _check_nondegenerate(st.values)
     if dH.any():  # a parameter H does not depend on has derivative 0
         _check_resolved(st)
-    smallest = h * 0.5 ** (MAX_HALVINGS - 1)
+    smallest = h * ISOLATION_SCALE
     _check_isolated(st.values, 10.0 * smallest * float(np.linalg.norm(dH)),
                     smallest)
     if st.frame is not None:
@@ -486,7 +416,7 @@ def state_derivative(p, ps, i, richardson=False, fixed_step=None,
         dr = np.linalg.solve(border, np.append(dlam * r - dHr, 0.0))[:D]
     except np.linalg.LinAlgError as exc:
         raise DerivativeIllDefinedError("bordered system is singular: %s" % exc)
-    psi, dpsi = _phase_fixed(*_unbalance(st.frame, r, dr))
+    psi, dpsi = phase_fixed(*_unbalance(st.frame, r, dr))
     return (psi, dpsi) if with_state else dpsi
 
 

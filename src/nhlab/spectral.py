@@ -169,21 +169,35 @@ def eigenpair(H, lam, tol_eig=DEFAULT_TOL_EIG, left=False):
     return r, l
 
 
+def phase_fixed(r, dr=None):
+    """Steady state from its right vector r, in the steady-state gauge.
+
+    The state is r normalized, with its component of largest magnitude
+    real and positive.  With dr, the derivative of r, also returns the
+    state derivative (1 - psi psi^+) dr / ||r|| in the same gauge; the
+    component along psi it drops is normalization and phase, invisible to
+    every Fisher information.
+    """
+    k = int(np.argmax(np.abs(r)))
+    c = r[k] / abs(r[k]) * np.linalg.norm(r)
+    psi = r / c
+    psi /= np.linalg.norm(psi)
+    if dr is None:
+        return psi
+    d = dr / c
+    return psi, d - psi * np.vdot(psi, d)
+
+
 def steady_state(dec):
-    """Right eigenvector of the eigenvalue with the largest imaginary part.
+    """Right eigenvector of the eigenvalue with the largest imaginary part,
+    gauged by phase_fixed.
 
     Ties on Im break by largest Re, then lowest index (the sort order of
-    the decomposition).  The global phase is fixed so the component of
-    largest magnitude is real and positive.
+    the decomposition).
     """
     if dec.dim == 0:
         raise ValidationError("empty decomposition")
-    v = dec.right_vectors[:, 0].copy()
-    k = int(np.argmax(np.abs(v)))
-    phase = v[k] / abs(v[k])
-    v = v / phase
-    # roundoff can leave a tiny imaginary remnant on the pivot
-    return v / np.linalg.norm(v)
+    return phase_fixed(dec.right_vectors[:, 0])
 
 
 @dataclass(frozen=True)

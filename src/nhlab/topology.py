@@ -507,27 +507,15 @@ def count_spectral_loops(p, resolution=1e-2, n_k=2048):
             loops.append(curve)
     if not loops:
         return 0
-    # merge loops that touch within the resolution
+    # merge loops that touch within the resolution; csgraph is imported
+    # here because loading it adds about 1 MB to every process's memory
+    from scipy.sparse.csgraph import connected_components
     n = len(loops)
-    adj = np.eye(n, dtype=bool)
+    adj = np.zeros((n, n), dtype=bool)
     trees = [cKDTree(np.column_stack([c.real, c.imag])) for c in loops]
     for i in range(n):
         for j in range(i + 1, n):
             d = trees[i].query(np.column_stack([loops[j].real, loops[j].imag]),
                                k=1)[0].min()
-            if d < resolution:
-                adj[i, j] = adj[j, i] = True
-    comp = 0
-    seen = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if seen[i]:
-            continue
-        comp += 1
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            if seen[u]:
-                continue
-            seen[u] = True
-            stack.extend(np.where(adj[u])[0])
-    return comp
+            adj[i, j] = d < resolution
+    return int(connected_components(adj, directed=False)[0])

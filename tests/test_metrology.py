@@ -1,14 +1,17 @@
 """Fisher information: analytic pins, exact chain oracle, dominance."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from nhlab import (DEFAULT_STEP, NON_MODULAR, RECIPROCAL_MODULAR,
                    BoundUndefinedError, ConvergenceError, CouplingPreset,
-                   DerivativeIllDefinedError, FisherMatrix,
-                   NumericalError, ParamSpec, ValidationError, apply_params,
-                   build_hamiltonian, cfi, cfim, current_basis, find_peak,
-                   make_params, metrology, position_basis, preset,
+                   DerivativeIllDefinedError, FisherMatrix, NumericalError,
+                   ParamSpec, SweepSpec, ValidationError, apply_params,
+                   build_hamiltonian, cfi, cfim, current_basis,
+                   family_state_derivative, find_peak, harness, make_params,
+                   metrology, position_basis, preset,
                    probe_state, qfi, qfim, run_sweep, skin_frame,
                    state_derivative, total_variance_bound)
 from nhlab.spectral import participation_ratio
@@ -81,13 +84,13 @@ def test_qfi_gauge_and_basis_invariance():
     assert qfi(U @ psi, U @ dpsi) == pytest.approx(base, rel=1e-9)
 
 
-def test_step_halving_is_stable_away_from_criticality():
+def test_oracle_is_step_stable_away_from_criticality():
     p = make_params(1, 3, 16, JL=1, JR=-2.5,
                     preset=CouplingPreset(RECIPROCAL_MODULAR, 2.0))
     ps = ParamSpec(("JR",), (-2.5,), (1e-5,))
     psi = probe_state(p, ps)
-    a = qfi(psi, state_derivative(p, ps, 0, fixed_step=1e-5))
-    b = qfi(psi, state_derivative(p, ps, 0, fixed_step=5e-6))
+    a = qfi(psi, family_state_derivative(p, ps, 0, 1e-5))
+    b = qfi(psi, family_state_derivative(p, ps, 0, 5e-6))
     assert abs(a - b) <= 5e-3 * abs(a)
 
 
@@ -122,22 +125,22 @@ def random_complex_models():
 def test_non_isolated_steady_state_is_reported(jr_im):
     # every imaginary part of this spectrum scales with JR_im, and at 0 the
     # steady eigenvalue jumps from Re 0.88 to -0.88; this close to it the
-    # runner-up trails by less than the spectral motion over the smallest
-    # step the finite-difference oracle tries
+    # runner-up trails by less than the spectral motion over the step
     p = make_params(1, 3, 2, JL=1.0, JR=0.5, Jm=1.0, JmP=0.5)
     ps = ParamSpec(("JR_im",), (jr_im,), (1e-5,))
-    for kwargs in ({}, {"richardson": True}):
+    for derivative in (state_derivative,
+                       partial(family_state_derivative, step=1e-5)):
         with pytest.raises(DerivativeIllDefinedError):
-            state_derivative(p, ps, 0, **kwargs)
+            derivative(p, ps, 0)
 
 
-def test_fixed_step_is_not_halved():
-    # the isolation check fails at the requested step; the oracle reports
-    # that step instead of halving it until the check passes
+def test_oracle_error_names_its_step():
+    # the isolation check fails at the requested step, and the oracle
+    # reports that step
     p = make_params(1, 3, 2, JL=1.0, JR=0.5, Jm=1.0, JmP=0.5)
     ps = ParamSpec(("JR_im",), (1e-6,), (1e-5,))
     with pytest.raises(DerivativeIllDefinedError, match="step 1e-05"):
-        state_derivative(p, ps, 0, fixed_step=1e-5)
+        family_state_derivative(p, ps, 0, 1e-5)
 
 
 @pytest.mark.parametrize("d, r, L, J0, JR, Jm, JmP", [
@@ -147,12 +150,13 @@ def test_fixed_step_is_not_halved():
 def test_unresolved_steady_state_is_reported(d, r, L, J0, JR, Jm, JmP):
     # with one-way bonds inside each module (JL = 0) the steady eigenvalue
     # is defective, and rounding splits it into a cluster about 1e-4 wide;
-    # the oracle's stencil never converges there
+    # a central difference has no limit there
     p = make_params(d, r, L, J0=J0, JL=0.0, JR=JR, Jm=Jm, JmP=JmP)
     ps = ParamSpec(("JR_re",), (complex(JR).real,), (1e-5,))
-    for kwargs in ({}, {"richardson": True}):
+    for derivative in (state_derivative,
+                       partial(family_state_derivative, step=1e-5)):
         with pytest.raises(DerivativeIllDefinedError):
-            state_derivative(p, ps, 0, **kwargs)
+            derivative(p, ps, 0)
 
 
 def test_classical_never_beats_quantum():
@@ -227,7 +231,7 @@ def preset_point(name, L):
 def analytic_and_oracle_qfim(p, ps):
     psi = probe_state(p, ps)
     analytic = [state_derivative(p, ps, i) for i in range(ps.l)]
-    oracle = [state_derivative(p, ps, i, fixed_step=1e-5) for i in range(ps.l)]
+    oracle = [family_state_derivative(p, ps, i, 1e-5) for i in range(ps.l)]
     return qfim(psi, analytic).entries, qfim(psi, oracle).entries
 
 
@@ -265,15 +269,11 @@ def test_qfi_work_counts(count_solves):
         psi = probe_state(p, ps)
         qfim(psi, [state_derivative(p, ps, i) for i in range(ps.l)], ps)
         assert count_solves["solves"] == 1 + l, name
-    # the finite-difference oracle is reached only on request: the base
-    # solve plus a two-point stencil, or two stencils for Richardson
+    # the finite-difference oracle is the base solve plus a two-point stencil
     p, ps = preset_point("FIG4_HN", 34)
     count_solves["solves"] = 0
-    state_derivative(p, ps, 0, fixed_step=1e-5)
+    family_state_derivative(p, ps, 0, 1e-5)
     assert count_solves["solves"] == 3
-    count_solves["solves"] = 0
-    state_derivative(p, ps, 0, richardson=True)
-    assert count_solves["solves"] == 5
     # PR beside a Fisher column reads the state of the same steady solve
     spec = preset("FIG4_HN").sweep(("QFI", "PR"), grid=(-0.4,))
     count_solves["solves"] = 0
@@ -281,6 +281,21 @@ def test_qfi_work_counts(count_solves):
     assert count_solves["solves"] == 1
     ps = ParamSpec((spec.axis,), (-0.4,), (DEFAULT_STEP,))
     assert table.column("PR")[0] == participation_ratio(probe_state(spec.base, ps))
+    # where the derivative is ill-defined, the failed probe is not repeated
+    # for each Fisher column: one failed steady solve, then PR's own
+    base = make_params(1, 3, 50, JL=1, JR=-0.22,
+                       preset=CouplingPreset(RECIPROCAL_MODULAR, 0.4))
+    fisher = ("QFI", "CFI_POSITION", "CFI_CURRENT")
+    spec = SweepSpec(base=base, axis="JR", grid=(-0.22,),
+                     observables=frozenset(fisher + ("PR",)))
+    count_solves["solves"] = 0
+    values, error = harness._point_values(spec, -0.22, spec.observables)
+    assert count_solves["solves"] == 2
+    ps = ParamSpec(("JR",), (-0.22,), (DEFAULT_STEP,))
+    assert values["PR"] == participation_ratio(probe_state(base, ps))
+    assert values["PR"] == pytest.approx(1.6221193654003574, rel=1e-12)
+    assert error == "; ".join("%s: steady-state eigenvalue is degenerate" % name
+                              for name in fisher)
 
 
 def test_steady_solve_certifies_the_eigenvalues_the_guards_read(monkeypatch):
