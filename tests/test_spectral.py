@@ -1,16 +1,19 @@
 """Eigensolver contract, steady state, localization profile."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import assert_multiset_close
-from nhlab import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED,
+from nhlab import (NON_MODULAR, PBC, PRESET_NAMES, RECIPROCAL_MODULAR, SHIFTED,
                    ConvergenceError, CouplingPreset, ValidationError,
-                   build_hamiltonian, cumulative_population, full_spectrum,
-                   gbz_radius, make_params, participation_ratio, preset,
-                   steady_state)
+                   build_hamiltonian, cumulative_population, edge_states,
+                   full_spectrum, gbz_radius, make_params, model_spectrum,
+                   participation_ratio, preset, steady_state)
 from nhlab.metrology import model_eigenvalues
-from nhlab.spectral import eigenpair
+from nhlab.spectral import DEFAULT_TOL_EIG, _order, eigenpair
 
 
 def test_diagonal_matrix():
@@ -163,3 +166,59 @@ def test_eigenpair_accepts_a_defective_eigenvalue_at_its_first_step():
     r, l = eigenpair(H, values[0], left=True)
     assert np.linalg.norm(H @ r - values[0] * r) <= 1e-14 * np.linalg.norm(H)
     assert abs(np.vdot(l, r)) < 1e-6  # nearly parallel: a defective pair
+
+
+def _record_solver_dtypes(monkeypatch):
+    """Dtype of every matrix full_spectrum hands to scipy's eigensolvers."""
+    seen = []
+    for name in ("eigvals", "eig"):
+        def recorded(a, *args, _solve=getattr(scipy.linalg, name), **kw):
+            seen.append(a.dtype)
+            return _solve(a, *args, **kw)
+        monkeypatch.setattr(scipy.linalg, name, recorded)
+    return seen
+
+
+# every preset has a real Hamiltonian but FIG5_TOP, whose JR is complex
+LAPACK_DTYPE_CASES = (
+    [(n, preset(n).resized(34), n == "FIG5_TOP") for n in PRESET_NAMES]
+    + [(n, preset(n).resized(200), False) for n in ("FIG2_HN", "FIG3")]
+    + [("complex_JR", make_params(1, 3, 34, JL=1.0, JR=-0.5 + 0.2j,
+                                  preset=CouplingPreset(RECIPROCAL_MODULAR, 2.0)),
+        True)])
+
+
+@pytest.mark.parametrize("p, is_complex", [c[1:] for c in LAPACK_DTYPE_CASES],
+                         ids=["%s_L%d" % (c[0], c[1].L) for c in LAPACK_DTYPE_CASES])
+def test_real_matrices_take_real_lapack(monkeypatch, p, is_complex):
+    H, _ = model_eigenvalues(p)
+    ref = scipy.linalg.eigvals(H.astype(complex))
+    ref = ref[_order(ref, DEFAULT_TOL_EIG)]
+    seen = _record_solver_dtypes(monkeypatch)
+    solved = [full_spectrum(H, vectors=False)]
+    if p.L == 34:
+        solved.append(full_spectrum(H).values)
+    assert seen == [np.complex128 if is_complex else np.float64] * len(solved)
+    scale = max(float(np.max(np.abs(ref))), 1.0)
+    for values in solved:
+        assert values.dtype == np.complex128
+        # same values in the same order
+        assert np.max(np.abs(values - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p", [preset("FIG2_SSH").resized(34),
+                               preset("FIG3").resized(34).with_updates(JR=0.3)],
+                         ids=["FIG2_SSH", "FIG3_JR0.3"])
+def test_all_real_spectrum_gives_complex_vectors(p):
+    # dgeev returns real vectors when every eigenvalue is real; the
+    # logarithmic back-mapping of model_spectrum needs them complex
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = full_spectrum(build_hamiltonian(p))
+        assert np.all(dec.values.imag == 0)
+        assert dec.right_vectors.dtype == np.complex128
+        balanced = model_spectrum(p)
+        assert np.all(np.isfinite(balanced.right_vectors))
+        assert np.all(np.isfinite(balanced.residuals))
+        edges = edge_states(p, 100.0)
+    assert all(np.isfinite(e) and np.isfinite(w) for e, w in edges)
