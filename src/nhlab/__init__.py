@@ -21,7 +21,8 @@ from .metrology import (DEFAULT_STEP, PARAM_LABELS, FisherMatrix, ParamSpec,
                         Povm, apply_params, cfi, cfim, current_basis,
                         family_state_derivative, model_spectrum,
                         position_basis, probe_state, qfi, qfim,
-                        state_derivative, total_variance_bound)
+                        state_derivative, state_derivatives,
+                        total_variance_bound)
 from .model import (CONFIG_KEYS, NON_MODULAR, OBC, PBC, RECIPROCAL_MODULAR,
                     SHIFTED, CouplingPreset, ModelParams, build_bloch,
                     build_current_operator, build_generalized_bloch,

@@ -19,8 +19,8 @@ from . import harness
 from .errors import NumericalError, ValidationError
 from .gbz import gbz_contour, point_gap_residual
 from .metrology import (DEFAULT_STEP, ParamSpec, cfi, cfim, current_basis,
-                        model_spectrum, position_basis, probe_state, qfi, qfim,
-                        state_derivative, total_variance_bound)
+                        model_spectrum, position_basis, qfi, qfim,
+                        state_derivatives, total_variance_bound)
 from .model import build_bloch, params_from_config, params_to_config
 from .spectral import DEFAULT_TOL_EIG, cumulative_population
 from .topology import band_winding, count_spectral_loops, line_gap_minima, spectral_winding
@@ -122,7 +122,7 @@ def _cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # numpy 2 spells its scalars np.float64(...)
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return str(v)
@@ -271,7 +271,7 @@ def cmd_qfi(args, cfg):
     if ps.l != 1:
         raise ValidationError("qfi needs exactly one parameter label; "
                               "use qfim for %d" % ps.l)
-    psi, dpsi = state_derivative(p, ps, 0, with_state=True)
+    psi, (dpsi,) = state_derivatives(p, ps)
     val = qfi(psi, dpsi)
     header = ["label", "value", "qfi"]
     row = [ps.labels[0], float(ps.values[0]), float(val)]
@@ -287,8 +287,7 @@ def cmd_qfi(args, cfg):
 def cmd_qfim(args, cfg):
     p = _model_params(cfg, _parse_overrides(args.set))
     ps, bases = _param_spec(cfg)
-    psi = probe_state(p, ps)
-    dpsis = [state_derivative(p, ps, i) for i in range(ps.l)]
+    psi, dpsis = state_derivatives(p, ps)
     F = qfim(psi, dpsis, ps)
     bound = total_variance_bound(F)
     header = ("matrix", "row_label", "col_label", "value")

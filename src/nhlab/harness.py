@@ -13,12 +13,13 @@ from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import DerivativeIllDefinedError, NumericalError, ValidationError
 from .gbz import gbz_contour, point_gap_residual
 from .metrology import (DEFAULT_STEP, PARAM_LABELS, ParamSpec, apply_params,
                         cfi, current_basis, model_spectrum, position_basis,
-                        probe_state, qfi, qfim, state_derivative,
+                        probe_state, qfi, qfim, state_derivatives,
                         total_variance_bound)
 from .model import (NON_MODULAR, RECIPROCAL_MODULAR, SHIFTED, CouplingPreset,
                     make_params, params_to_config)
@@ -134,8 +135,7 @@ def _point_values(spec, x, names):
     def probe():
         if "probe" not in cache:
             try:
-                cache["probe"] = state_derivative(spec.base, ps, 0,
-                                                  with_state=True)
+                cache["probe"] = state_derivatives(spec.base, ps)
             except (ValidationError, NumericalError) as exc:
                 cache["probe"] = exc  # kept, so no later column repeats it
         if isinstance(cache["probe"], Exception):
@@ -164,13 +164,13 @@ def _point_values(spec, x, names):
             elif name == PR:
                 values[name] = participation_ratio(state())
             elif name == QFI:
-                psi, dpsi = probe()
+                psi, (dpsi,) = probe()
                 values[name] = qfi(psi, dpsi)
             elif name == CFI_POSITION:
-                psi, dpsi = probe()
+                psi, (dpsi,) = probe()
                 values[name] = cfi(psi, dpsi, position_basis(q.D))
             elif name == CFI_CURRENT:
-                psi, dpsi = probe()
+                psi, (dpsi,) = probe()
                 values[name] = cfi(psi, dpsi, current_basis(q))
         except (ValidationError, NumericalError) as exc:
             values[name] = float("nan")
@@ -218,33 +218,14 @@ def run_sweep(spec, workers=None):
     return SweepTable(spec=spec, rows=tuple(rows))
 
 
-_INVPHI = (sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, a, b, tol):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def find_peak(table, column):
     """Locate the maximum of a sweep column.
 
-    The coarse argmax over valid rows is refined by golden-section
-    search, re-evaluating the observable at each probe point, down to
-    PEAK_TOL in parameter units.  A maximum sitting on the grid boundary
-    cannot be bracketed and is returned unrefined with boundary=True.
+    The coarse argmax over valid rows is refined inside its neighbours'
+    bracket by Brent's bounded search (scipy's minimize_scalar), down to
+    PEAK_TOL in parameter units, never ending below the coarse argmax.  A
+    maximum sitting on the grid boundary cannot be bracketed and is
+    returned unrefined with boundary=True.
     """
     if column not in table.columns or column in ("value", "error"):
         raise ValidationError("cannot search for a peak in column %r" % (column,))
@@ -264,10 +245,13 @@ def find_peak(table, column):
             raise NumericalError("peak refinement failed at %r: %s" % (x, error))
         return values[column]
 
-    loc, val = _golden_max(f, float(xs[i - 1]), float(xs[i + 1]), PEAK_TOL)
-    if val < ys[i]:  # golden probe never beat the coarse argmax
+    res = minimize_scalar(lambda x: -f(x), method="bounded",
+                          bounds=(float(xs[i - 1]), float(xs[i + 1])),
+                          options={"xatol": PEAK_TOL})
+    loc, val = float(res.x), -float(res.fun)
+    if val < ys[i]:  # no probe beat the coarse argmax
         loc, val = float(xs[i]), float(ys[i])
-    return PeakResult(location=loc, value=float(val), boundary=False)
+    return PeakResult(location=loc, value=val, boundary=False)
 
 
 @dataclass(frozen=True)
@@ -498,7 +482,7 @@ def size_scaling(bundle_or_name, Lgrid=None, delta=0.0, at_peak=None):
             loc, val = peak.location, peak.value
         else:
             ps = ParamSpec((b.axis,), (center,), (DEFAULT_STEP,))
-            psi, dpsi = state_derivative(base, ps, 0, with_state=True)
+            psi, (dpsi,) = state_derivatives(base, ps)
             loc, val = center, qfi(psi, dpsi)
         rows.append({"L": int(L), "N": int(base.r * L),
                      "location": float(loc), "value": float(val)})
@@ -516,9 +500,7 @@ def matrix_size_scaling(bundle_or_name, Lgrid=None):
     for L in (b.Lgrid if Lgrid is None else Lgrid):
         base = b.resized(L)
         ps = _critical_spec(b.param_labels, b.critical)
-        psi = probe_state(base, ps)
-        dpsis = [state_derivative(base, ps, i) for i in range(ps.l)]
-        F = qfim(psi, dpsis, ps)
+        F = qfim(*state_derivatives(base, ps), ps)
         row = {"L": int(L), "N": int(base.r * L)}
         for i, lab in enumerate(b.param_labels):
             row["F_" + lab] = float(F.entries[i, i])

@@ -7,14 +7,16 @@ for the steady eigenvalue's right and left vectors (spectral.eigenpair,
 which also certifies the eigenvalues the guards read).  Parameter
 derivatives are analytic: the steady eigenvalue moves by l^+ H' r /
 l^+ r, and a bordered linear system gives the right vector's derivative
-(Nelson's method).  family_state_derivative, one gauge-aligned central
+(Nelson's method), one right-hand side per parameter, so
+state_derivatives gives the state and every derivative of a point from
+one solve.  family_state_derivative, one gauge-aligned central
 difference of the steady state at a fixed step, is kept as an
 independent oracle.  Quantum and classical Fisher informations (scalar
 and matrix) follow from the derivatives.  All bounds are per
 measurement shot.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -268,16 +270,6 @@ def _unbalance(frame, r, *more):
         return tuple(np.exp(lv - shift) for lv in logs)
 
 
-def probe_state(p, ps, shift=None):
-    """Steady state of the Hamiltonian at the shifted parameter point.
-
-    It comes from the same steady solve as state_derivative, so the two
-    agree bit for bit on the state.
-    """
-    st = _steady_solve(apply_params(p, ps, shift))
-    return phase_fixed(*_unbalance(st.frame, st.right))
-
-
 def _shifted(p, ps, i, delta):
     """Model parameters at ps's point with parameter i moved by delta."""
     if not 0 <= i < ps.l:
@@ -371,41 +363,45 @@ def family_state_derivative(p, ps, i, step):
     return (aligned[0] - aligned[1]) / (2.0 * step)
 
 
-def state_derivative(p, ps, i, with_state=False):
-    """Derivative of the probe state along parameter i.
+def _steady_derivatives(p, ps, indices):
+    """Probe state at ps's point and its derivatives along the parameters
+    in indices: one steady solve, the guards per parameter, one bordered
+    solve.
 
-    It is analytic and costs one eigenvalue solve, the steady solve that
-    probe_state makes in the skin-balancing frame, plus inverse
-    iteration for the steady right and left vectors.  With H' the
-    central difference of the Hamiltonian at ps.steps[i] (exact for the
-    labels H is linear in, O(step^2) for J, whose JmP is 1/J), the
-    steady eigenvalue moves by l^+ H' r / l^+ r and the bordered system
-    [[H - lambda, r], [l^+, 0]] gives r's derivative.  Both vectors are
-    mapped back with one scale, and the state derivative is
-    (1 - psi psi^+) dr / ||r||.  A degenerate steady eigenvalue, or one
-    not isolated against the spectral motion over ISOLATION_SCALE times
-    the step, raises DerivativeIllDefinedError, as the oracle
-    family_state_derivative does; so does one the solve does not resolve
-    (see _check_resolved), where a central difference has no limit.
-
-    with_state=True returns (probe_state(p, ps), derivative), the state
-    from the same solve.
+    For each parameter, H' is the central difference of the Hamiltonian
+    at its step (exact for the labels H is linear in, O(step^2) for J,
+    whose JmP is 1/J) and the steady eigenvalue moves by l^+ H' r / l^+ r.
+    A degenerate steady eigenvalue, one not isolated against the spectral
+    motion over ISOLATION_SCALE times the step, or one the solve does not
+    resolve (see _check_resolved), where a central difference has no
+    limit, raises DerivativeIllDefinedError, as the oracle
+    family_state_derivative does.  The bordered system
+    [[H - lambda, r], [l^+, 0]] gives r's derivatives, one right-hand side
+    per parameter.  All vectors are mapped back with one scale, and each
+    state derivative is (1 - psi psi^+) dr / ||r||.
     """
-    st = _steady_solve(_shifted(p, ps, i, 0.0))
-    h = ps.steps[i]
-    dH = (build_hamiltonian(_shifted(p, ps, i, h))
-          - build_hamiltonian(_shifted(p, ps, i, -h))) / (2.0 * h)
-    _check_nondegenerate(st.values)
-    if dH.any():  # a parameter H does not depend on has derivative 0
-        _check_resolved(st)
-    smallest = h * ISOLATION_SCALE
-    _check_isolated(st.values, 10.0 * smallest * float(np.linalg.norm(dH)),
-                    smallest)
-    if st.frame is not None:
-        dH = _balance(dH, st.frame)
+    if any(not 0 <= i < ps.l for i in indices):
+        raise ValidationError("parameter index out of range")
+    st = _steady_solve(apply_params(p, ps))
     r, l, lam = st.right, st.left, st.values[0]
-    dHr = dH @ r
-    dlam = np.vdot(l, dHr) / np.vdot(l, r)
+    rhs = []
+    for i in indices:
+        h = ps.steps[i]
+        dH = (build_hamiltonian(_shifted(p, ps, i, h))
+              - build_hamiltonian(_shifted(p, ps, i, -h))) / (2.0 * h)
+        _check_nondegenerate(st.values)
+        if dH.any():  # a parameter H does not depend on has derivative 0
+            _check_resolved(st)
+        smallest = h * ISOLATION_SCALE
+        _check_isolated(st.values, 10.0 * smallest * float(np.linalg.norm(dH)),
+                        smallest)
+        if st.frame is not None:
+            dH = _balance(dH, st.frame)
+        dHr = dH @ r
+        dlam = np.vdot(l, dHr) / np.vdot(l, r)
+        rhs.append(np.append(dlam * r - dHr, 0.0))
+    if not rhs:
+        return phase_fixed(*_unbalance(st.frame, r)), ()
     D = len(r)
     border = np.zeros((D + 1, D + 1), dtype=complex)
     border[:D, :D] = st.H
@@ -413,11 +409,33 @@ def state_derivative(p, ps, i, with_state=False):
     border[:D, D] = r
     border[D, :D] = l.conj()
     try:
-        dr = np.linalg.solve(border, np.append(dlam * r - dHr, 0.0))[:D]
+        dr = np.linalg.solve(border, np.array(rhs).T)[:D]
     except np.linalg.LinAlgError as exc:
         raise DerivativeIllDefinedError("bordered system is singular: %s" % exc)
-    psi, dpsi = phase_fixed(*_unbalance(st.frame, r, dr))
-    return (psi, dpsi) if with_state else dpsi
+    psi, *dpsis = phase_fixed(*_unbalance(st.frame, r,
+                                          *np.ascontiguousarray(dr.T)))
+    return psi, tuple(dpsis)
+
+
+def probe_state(p, ps):
+    """Steady state of the Hamiltonian at ps's point.
+
+    It comes from the same steady solve as state_derivatives, so the two
+    agree bit for bit on the state.
+    """
+    return _steady_derivatives(p, ps, ())[0]
+
+
+def state_derivative(p, ps, i):
+    """Derivative of the probe state along parameter i (one steady solve;
+    see _steady_derivatives for the method and the errors it raises)."""
+    return _steady_derivatives(p, ps, (i,))[1][0]
+
+
+def state_derivatives(p, ps):
+    """(psi, (dpsi_0, ...)): the probe state and its derivative along
+    every parameter of ps, from one steady solve and one bordered solve."""
+    return _steady_derivatives(p, ps, range(ps.l))
 
 
 def _check_unit(psi):

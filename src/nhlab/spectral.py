@@ -180,12 +180,12 @@ def eigenpair(H, lam, tol_eig=DEFAULT_TOL_EIG, left=False):
     return r, l
 
 
-def phase_fixed(r, dr=None):
+def phase_fixed(r, *drs):
     """Steady state from its right vector r, in the steady-state gauge.
 
     The state is r normalized, with its component of largest magnitude
-    real and positive.  With dr, the derivative of r, also returns the
-    state derivative (1 - psi psi^+) dr / ||r|| in the same gauge; the
+    real and positive.  Given derivatives of r, also returns each state
+    derivative (1 - psi psi^+) dr / ||r|| in the same gauge; the
     component along psi it drops is normalization and phase, invisible to
     every Fisher information.
     """
@@ -193,10 +193,10 @@ def phase_fixed(r, dr=None):
     c = r[k] / abs(r[k]) * np.linalg.norm(r)
     psi = r / c
     psi /= np.linalg.norm(psi)
-    if dr is None:
+    if not drs:
         return psi
-    d = dr / c
-    return psi, d - psi * np.vdot(psi, d)
+    ds = [dr / c for dr in drs]
+    return (psi,) + tuple(d - psi * np.vdot(psi, d) for d in ds)
 
 
 def steady_state(dec):

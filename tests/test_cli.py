@@ -204,7 +204,7 @@ axis = JR
 start = -2.8
 stop = -2.2
 step = 0.2
-observables = GAP_RESIDUAL,SLOPE
+observables = GAP_RESIDUAL,SLOPE,QFI
 """)
     a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
     assert main(["sweep", "--config", ini, "--threads", "1",
@@ -214,8 +214,12 @@ observables = GAP_RESIDUAL,SLOPE
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     _, header, rows = read_table(a)
-    assert header == ["value", "GAP_RESIDUAL", "SLOPE", "error"]
+    assert header == ["value", "QFI", "GAP_RESIDUAL", "SLOPE", "error"]
     assert [r[0] for r in rows] == ["-2.8", "-2.6", "-2.4", "-2.2"]
+    # every numeric cell, QFI's numpy scalars included, re-parses as a float
+    for r in rows:
+        assert r[-1] == ""
+        assert all(repr(float(c)) == c for c in r[:-1])
 
 
 def test_scaling_size_mode(tmp_path, capsys):

@@ -107,7 +107,10 @@ def test_find_peak_refines_an_interior_maximum():
     table = run_sweep(spec)
     pk = find_peak(table, "QFI")
     assert not pk.boundary
-    assert spec.grid[0] < pk.location < spec.grid[-1]
+    # the refined location lies strictly inside the coarse argmax's bracket
+    i = int(np.nanargmax(table.column("QFI")))
+    assert 0 < i < len(spec.grid) - 1
+    assert spec.grid[i - 1] < pk.location < spec.grid[i + 1]
     assert pk.value >= float(np.nanmax(table.column("QFI")))
     with pytest.raises(ValidationError):
         find_peak(table, "value")

@@ -13,7 +13,7 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, RECIPROCAL_MODULAR,
                    family_state_derivative, find_peak, harness, make_params,
                    metrology, position_basis, preset,
                    probe_state, qfi, qfim, run_sweep, skin_frame,
-                   state_derivative, total_variance_bound)
+                   state_derivative, state_derivatives, total_variance_bound)
 from nhlab.spectral import participation_ratio
 from nhlab.metrology import QUANTUM
 
@@ -101,6 +101,12 @@ def test_degenerate_steady_state_is_reported():
     ps = ParamSpec(("JR",), (-0.22,), (1e-5,))
     with pytest.raises(NumericalError):
         state_derivative(p, ps, 0)
+    with pytest.raises(DerivativeIllDefinedError):
+        state_derivatives(p, ps)
+
+
+def all_derivatives(p, ps, i):
+    return state_derivatives(p, ps)[1][i]
 
 
 def random_complex_models():
@@ -128,7 +134,7 @@ def test_non_isolated_steady_state_is_reported(jr_im):
     # runner-up trails by less than the spectral motion over the step
     p = make_params(1, 3, 2, JL=1.0, JR=0.5, Jm=1.0, JmP=0.5)
     ps = ParamSpec(("JR_im",), (jr_im,), (1e-5,))
-    for derivative in (state_derivative,
+    for derivative in (state_derivative, all_derivatives,
                        partial(family_state_derivative, step=1e-5)):
         with pytest.raises(DerivativeIllDefinedError):
             derivative(p, ps, 0)
@@ -153,7 +159,7 @@ def test_unresolved_steady_state_is_reported(d, r, L, J0, JR, Jm, JmP):
     # a central difference has no limit there
     p = make_params(d, r, L, J0=J0, JL=0.0, JR=JR, Jm=Jm, JmP=JmP)
     ps = ParamSpec(("JR_re",), (complex(JR).real,), (1e-5,))
-    for derivative in (state_derivative,
+    for derivative in (state_derivative, all_derivatives,
                        partial(family_state_derivative, step=1e-5)):
         with pytest.raises(DerivativeIllDefinedError):
             derivative(p, ps, 0)
@@ -255,20 +261,24 @@ def test_qfi_work_counts(count_solves):
                                    grid=(-0.41, -0.4))
     table = run_sweep(spec, workers=1)
     assert count_solves["solves"] == 2
-    # a peak refinement is 24 evaluations of one solve each
+    # Brent refines this peak in 8 evaluations of one solve each
     count_solves["solves"] = 0
     spec = preset("FIG4_HN").sweep(("QFI",), grid=(-0.41, -0.4, -0.39))
     table = run_sweep(spec, workers=1)
     count_solves["solves"] = 0
     find_peak(table, "QFI")
-    assert count_solves["solves"] == 24
-    # a QFIM point through the public calls is 1 + l solves
+    assert count_solves["solves"] == 8
+    # a QFIM point is 1 + l solves through the per-parameter calls and
+    # one solve through state_derivatives
     for name, l in (("FIG5_TOP", 2), ("FIG5_BOTTOM", 3)):
         p, ps = preset_point(name, 34)
         count_solves["solves"] = 0
         psi = probe_state(p, ps)
         qfim(psi, [state_derivative(p, ps, i) for i in range(ps.l)], ps)
         assert count_solves["solves"] == 1 + l, name
+        count_solves["solves"] = 0
+        qfim(*state_derivatives(p, ps), ps)
+        assert count_solves["solves"] == 1, name
     # the finite-difference oracle is the base solve plus a two-point stencil
     p, ps = preset_point("FIG4_HN", 34)
     count_solves["solves"] = 0
@@ -351,6 +361,17 @@ def test_analytic_derivative_maps_back_from_the_skin_frame():
     assert np.ptp(skin_frame(apply_params(p, ps))) > 30.0
     A, F = analytic_and_oracle_qfim(p, ps)
     assert abs(A[0, 0] - F[0, 0]) <= 1e-4 * F[0, 0]
-    psi, dpsi = state_derivative(p, ps, 0, with_state=True)
+    psi, (dpsi,) = state_derivatives(p, ps)
     assert np.array_equal(psi, probe_state(p, ps))
     assert abs(np.vdot(psi, dpsi)) <= 1e-12 * np.linalg.norm(dpsi)
+
+
+@pytest.mark.parametrize("name", ["FIG4_HN", "FIG5_TOP", "FIG5_BOTTOM"])
+def test_state_derivatives_match_the_per_parameter_calls(name):
+    p, ps = preset_point(name, 34)
+    psi, dpsis = state_derivatives(p, ps)
+    assert np.array_equal(psi, probe_state(p, ps))
+    assert len(dpsis) == ps.l
+    for i, dpsi in enumerate(dpsis):
+        single = state_derivative(p, ps, i)
+        assert np.linalg.norm(dpsi - single) <= 1e-12 * np.linalg.norm(single)
