@@ -118,14 +118,15 @@ def point_gap_residual(p):
     return abs(rho * rho - 1.0)
 
 
-def gbz_contour(p, n_points=DEFAULT_CONTOUR_POINTS, min_radius=MIN_CONTOUR_RADIUS):
+def gbz_contour(p, n_points=DEFAULT_CONTOUR_POINTS):
     """GBZ circle for the model, clamped away from zero radius.
 
     Degenerate couplings (JR = 0 or JmP = 0) collapse the analytic radius
     to zero; the clamp keeps the contour usable for winding integrals,
     where any positive radius encircles the origin the same way.
     """
-    return GbzContour(radius=max(gbz_radius(p), min_radius), n_points=n_points)
+    return GbzContour(radius=max(gbz_radius(p), MIN_CONTOUR_RADIUS),
+                      n_points=n_points)
 
 
 def skin_frame(p):

@@ -352,7 +352,7 @@ class PresetBundle:
 
 
 def _grid(a, b, step):
-    return tuple(np.round(np.arange(a, b + 0.5 * step, step), 10))
+    return tuple(np.round(np.arange(a, b + 0.5 * step, step), 10).tolist())
 
 
 def preset(name):
@@ -460,7 +460,7 @@ def _peak_near(base, axis, center, halfwidth=0.05, step=0.01):
     return find_peak(run_sweep(spec), QFI)
 
 
-def size_scaling(bundle_or_name, Lgrid=None, delta=0.0, at_peak=None):
+def size_scaling(bundle_or_name, Lgrid=None, delta=0.0):
     """Peak (or fixed-point) QFI per system size for a one-axis preset.
 
     With ``delta`` = 0 the QFI is maximized over the sweep axis near the
@@ -471,13 +471,11 @@ def size_scaling(bundle_or_name, Lgrid=None, delta=0.0, at_peak=None):
     b = _resolve(bundle_or_name)
     if b.axis is None:
         raise ValidationError("size_scaling needs a one-axis preset")
-    if at_peak is None:
-        at_peak = (delta == 0.0)
     center = b.critical[0] - float(delta)
     rows = []
     for L in (b.Lgrid if Lgrid is None else Lgrid):
         base = b.resized(L)
-        if at_peak:
+        if delta == 0.0:
             peak = _peak_near(base, b.axis, center)
             loc, val = peak.location, peak.value
         else:
@@ -518,8 +516,7 @@ def exponent_vs_delta(bundle_or_name, delta_grid, Lgrid=None):
         delta = float(delta)
         if delta < 0:
             raise ValidationError("delta grid must be nonnegative")
-        data = size_scaling(b, Lgrid=Lgrid, delta=delta,
-                            at_peak=(delta == 0.0))
+        data = size_scaling(b, Lgrid=Lgrid, delta=delta)
         fit = fit_power_law([row["N"] for row in data],
                             [row["value"] for row in data])
         rows.append({"delta": delta, "exponent": fit.exponent, "r2": fit.r2})

@@ -2,31 +2,31 @@
 
 The probe is the steady state of the lattice Hamiltonian (right
 eigenvector with the largest imaginary eigenvalue).  Each point costs
-one eigenvalue solve in the skin-balancing frame plus inverse iteration
-for the steady eigenvalue's right and left vectors (spectral.eigenpair,
-which also certifies the eigenvalues the guards read).  Parameter
-derivatives are analytic: the steady eigenvalue moves by l^+ H' r /
-l^+ r, and a bordered linear system gives the right vector's derivative
-(Nelson's method), one right-hand side per parameter, so
-state_derivatives gives the state and every derivative of a point from
-one solve.  family_state_derivative, one gauge-aligned central
-difference of the steady state at a fixed step, is kept as an
+one eigenvalue solve in the skin-balancing frame, which is the model
+itself with module bonds (Jm rho, JmP / rho), plus inverse iteration for
+the steady eigenvalue's right and left vectors (spectral.eigenpair;
+spectral.certify holds the eigenvalues the guards read to the same
+gate).  Parameter derivatives are analytic: the steady eigenvalue moves
+by l^+ H' r / l^+ r, and a bordered linear system gives the right
+vector's derivative (Nelson's method), one right-hand side per
+parameter, so state_derivatives gives the state and every derivative of
+a point from one solve.  family_state_derivative, one gauge-aligned
+central difference of the steady state at a fixed step, is kept as an
 independent oracle.  Quantum and classical Fisher informations (scalar
 and matrix) follow from the derivatives.  All bounds are per
 measurement shot.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (BoundUndefinedError, DerivativeIllDefinedError,
                      NumericalError, ValidationError)
-from .gbz import skin_frame
+from .gbz import gbz_radius, skin_frame
 from .model import build_current_operator, build_hamiltonian
-from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, eigenpair,
-                       full_spectrum, phase_fixed, steady_state)
+from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, certify,
+                       eigenpair, full_spectrum, phase_fixed, steady_state)
 
 QUANTUM = "QUANTUM"
 CLASSICAL = "CLASSICAL"
@@ -157,16 +157,26 @@ def apply_params(p, ps, shift=None):
     return p.with_updates(**updates)
 
 
-def _balance(H, ln_s):
-    """S^-1 H S for S = diag(exp(ln_s)).
+def _skin_balanced(q):
+    """Hamiltonian of model q in its skin-balancing frame: (H, rho, frame).
 
-    Only realized bonds are scaled; skipping the zeros keeps the frame
-    from costing a dense D x D exponent table.
+    Conjugating the chain by S = diag(rho^n), n the module index and rho
+    the GBZ radius, leaves every bond inside a module alone and rescales
+    the module bonds (Jm, JmP) to (Jm rho, JmP / rho), so S^-1 H S is the
+    same model with those couplings (_rebalanced).  frame is skin_frame's
+    ln s; on PBC rings and unbalanced chains it is None, rho is 1 and H
+    is the raw Hamiltonian.
     """
-    rows, cols = np.nonzero(H)
-    Hb = np.zeros_like(H)
-    Hb[rows, cols] = H[rows, cols] * np.exp(ln_s[cols] - ln_s[rows])
-    return Hb
+    frame = skin_frame(q)
+    rho = 1.0 if frame is None else gbz_radius(q)
+    return build_hamiltonian(_rebalanced(q, rho)), rho, frame
+
+
+def _rebalanced(q, rho):
+    """Model q with its module bonds scaled to (Jm rho, JmP / rho)."""
+    if rho == 1.0:
+        return q
+    return q.with_updates(Jm=q.Jm * rho, JmP=q.JmP / rho)
 
 
 def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
@@ -174,18 +184,17 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
     frame (the one spectral path every consumer of a model shares).
 
     The frame is ln s for a positive vector s; the solver sees S^-1 H S
-    (S = diag(s)), which tames the exponential ill-conditioning skin
-    modes inflict on the raw matrix.  The right vectors are mapped back
-    through their logarithm, shifted so each column peaks at 1, so no
-    component overflows however large s grows.  The mapping is an exact
-    similarity, so this changes rounding behavior only.
+    (S = diag(s), see _skin_balanced), which tames the exponential
+    ill-conditioning skin modes inflict on the raw matrix.  The right
+    vectors are mapped back through their logarithm, shifted so each
+    column peaks at 1, so no component overflows however large s grows.
+    The mapping is an exact similarity, so this changes rounding behavior
+    only; the residuals are taken against the raw Hamiltonian.
     """
-    H = build_hamiltonian(p)
-    ln_s = skin_frame(p)
-    if ln_s is None:
-        return full_spectrum(H, tol_eig)
-    Hb = _balance(H, ln_s)
+    Hb, _, ln_s = _skin_balanced(p)
     dec = full_spectrum(Hb, tol_eig)
+    if ln_s is None:
+        return dec
     del Hb  # keeps the back-mapping below the solve's own peak memory
     values = dec.values
     # ln v = ln|v| + i arg v, mapped back in place; components far below
@@ -197,17 +206,10 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
         vecs -= vecs.real.max(axis=0)
         np.exp(vecs, out=vecs)
         vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
+        H = build_hamiltonian(p)
         res = np.linalg.norm(H @ vecs - vecs * values[None, :], axis=0)
     return SpectralDecomposition(values=values, right_vectors=vecs,
                                  residuals=res)
-
-
-def _balanced_hamiltonian(q):
-    """Hamiltonian of model q in its skin-balancing frame, and the frame
-    (ln s; None on PBC rings and unbalanced chains)."""
-    H = build_hamiltonian(q)
-    frame = skin_frame(q)
-    return (H if frame is None else _balance(H, frame)), frame
 
 
 def model_eigenvalues(p, tol_eig=DEFAULT_TOL_EIG):
@@ -215,43 +217,10 @@ def model_eigenvalues(p, tol_eig=DEFAULT_TOL_EIG):
 
     Returns (H, values): the balanced Hamiltonian and its sorted
     eigenvalues.  Nothing here checks a residual; certify each eigenvalue
-    a result reads with spectral.eigenpair(H, value, tol_eig).
+    a result reads with spectral.certify(H, values).
     """
-    H, _ = _balanced_hamiltonian(p)
+    H = _skin_balanced(p)[0]
     return H, full_spectrum(H, tol_eig, vectors=False)
-
-
-class _SteadySolve(NamedTuple):
-    """The steady pair of a model, all in its skin-balancing frame.
-
-    H is the balanced Hamiltonian, frame its ln s (None on PBC rings and
-    unbalanced chains), values the sorted spectrum, and right / left the
-    right and left eigenvectors of the steady eigenvalue values[0].
-    """
-
-    H: np.ndarray
-    frame: np.ndarray
-    values: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-
-
-def _steady_solve(q, tol_eig=DEFAULT_TOL_EIG):
-    """One eigenvalue solve of model q in its skin-balancing frame, plus
-    inverse iteration for the steady eigenvalue's right and left vectors.
-
-    The guards read values[1] and the eigenvalue nearest values[0]; both
-    are certified by a right vector that passes the residual gate.
-    """
-    H, frame = _balanced_hamiltonian(q)
-    values = full_spectrum(H, tol_eig, vectors=False)
-    right, left = eigenpair(H, values[0], tol_eig, left=True)
-    if len(values) > 1:
-        nearest = 1 + int(np.argmin(np.abs(values[1:] - values[0])))
-        for k in sorted({1, nearest}):
-            eigenpair(H, values[k], tol_eig)
-    return _SteadySolve(H=H, frame=frame, values=values, right=right,
-                        left=left)
 
 
 def _unbalance(frame, r, *more):
@@ -308,19 +277,19 @@ def _check_isolated(lam, motion, step):
         "steady eigenvalue not isolated at step %.3e" % step)
 
 
-def _check_resolved(st):
-    """Raise unless the steady eigenvalue of st is resolved by the solve.
+def _check_resolved(H, lam, r, l):
+    """Raise unless the steady eigenvalue lam[0] of H is resolved by the
+    solve (r and l its right and left vectors).
 
     A defective eigenvalue comes out of the solver as a cluster split by
     rounding, with nearly parallel left and right vectors; its state has
     no derivative, yet the bordered solve would return one.
     """
-    lam = st.values
     if len(lam) == 1:
         return
     dist = float(np.min(np.abs(lam[1:] - lam[0])))
-    uncertainty = np.finfo(float).eps * float(np.linalg.norm(st.H))
-    overlap = abs(np.vdot(st.left, st.right))
+    uncertainty = np.finfo(float).eps * float(np.linalg.norm(H))
+    overlap = abs(np.vdot(l, r))
     if not uncertainty < UNRESOLVED_FRACTION * dist * overlap:
         raise DerivativeIllDefinedError(
             "steady eigenvalue not resolved: |l^+ r| = %.3e, distance %.3e "
@@ -363,48 +332,63 @@ def family_state_derivative(p, ps, i, step):
     return (aligned[0] - aligned[1]) / (2.0 * step)
 
 
+def _central_difference(p, ps, i, rho=1.0):
+    """dH/dtheta_i: the central difference of the Hamiltonian at parameter
+    i's step, with every stencil model's module bonds scaled by rho."""
+    h = ps.steps[i]
+    plus, minus = (_rebalanced(_shifted(p, ps, i, s), rho) for s in (h, -h))
+    return (build_hamiltonian(plus) - build_hamiltonian(minus)) / (2.0 * h)
+
+
 def _steady_derivatives(p, ps, indices):
     """Probe state at ps's point and its derivatives along the parameters
     in indices: one steady solve, the guards per parameter, one bordered
     solve.
 
-    For each parameter, H' is the central difference of the Hamiltonian
-    at its step (exact for the labels H is linear in, O(step^2) for J,
-    whose JmP is 1/J) and the steady eigenvalue moves by l^+ H' r / l^+ r.
-    A degenerate steady eigenvalue, one not isolated against the spectral
-    motion over ISOLATION_SCALE times the step, or one the solve does not
-    resolve (see _check_resolved), where a central difference has no
-    limit, raises DerivativeIllDefinedError, as the oracle
-    family_state_derivative does.  The bordered system
+    The steady solve is one eigenvalue solve in the skin-balancing frame
+    plus inverse iteration for the steady eigenvalue's right and left
+    vectors; the eigenvalues the guards read (values[1] and the one
+    nearest the steady eigenvalue) are certified as well.  For each
+    parameter, H' is the central difference of the Hamiltonian at its
+    step (exact for the labels H is linear in, O(step^2) for J, whose JmP
+    is 1/J) and the steady eigenvalue moves by l^+ H' r / l^+ r.  A
+    degenerate steady eigenvalue, one not isolated against the spectral
+    motion of the raw H' over ISOLATION_SCALE times the step, or one the
+    solve does not resolve (see _check_resolved), where a central
+    difference has no limit, raises DerivativeIllDefinedError, as the
+    oracle family_state_derivative does.  The bordered system
     [[H - lambda, r], [l^+, 0]] gives r's derivatives, one right-hand side
-    per parameter.  All vectors are mapped back with one scale, and each
-    state derivative is (1 - psi psi^+) dr / ||r||.
+    per parameter, with H' built in the frame of the base point.  All
+    vectors are mapped back with one scale, and each state derivative is
+    (1 - psi psi^+) dr / ||r||.
     """
     if any(not 0 <= i < ps.l for i in indices):
         raise ValidationError("parameter index out of range")
-    st = _steady_solve(apply_params(p, ps))
-    r, l, lam = st.right, st.left, st.values[0]
+    H, rho, frame = _skin_balanced(apply_params(p, ps))
+    values = full_spectrum(H, vectors=False)
+    lam = values[0]
+    r, l = eigenpair(H, lam, left=True)
+    nearest = 1 + int(np.argmin(np.abs(values[1:] - lam)))
+    certify(H, values[sorted({1, nearest})])
     rhs = []
     for i in indices:
-        h = ps.steps[i]
-        dH = (build_hamiltonian(_shifted(p, ps, i, h))
-              - build_hamiltonian(_shifted(p, ps, i, -h))) / (2.0 * h)
-        _check_nondegenerate(st.values)
+        dH = _central_difference(p, ps, i)
+        _check_nondegenerate(values)
         if dH.any():  # a parameter H does not depend on has derivative 0
-            _check_resolved(st)
-        smallest = h * ISOLATION_SCALE
-        _check_isolated(st.values, 10.0 * smallest * float(np.linalg.norm(dH)),
+            _check_resolved(H, values, r, l)
+        smallest = ps.steps[i] * ISOLATION_SCALE
+        _check_isolated(values, 10.0 * smallest * float(np.linalg.norm(dH)),
                         smallest)
-        if st.frame is not None:
-            dH = _balance(dH, st.frame)
+        if rho != 1.0:
+            dH = _central_difference(p, ps, i, rho)
         dHr = dH @ r
         dlam = np.vdot(l, dHr) / np.vdot(l, r)
         rhs.append(np.append(dlam * r - dHr, 0.0))
     if not rhs:
-        return phase_fixed(*_unbalance(st.frame, r)), ()
+        return phase_fixed(*_unbalance(frame, r)), ()
     D = len(r)
     border = np.zeros((D + 1, D + 1), dtype=complex)
-    border[:D, :D] = st.H
+    border[:D, :D] = H
     border[np.arange(D), np.arange(D)] -= lam
     border[:D, D] = r
     border[D, :D] = l.conj()
@@ -412,7 +396,7 @@ def _steady_derivatives(p, ps, indices):
         dr = np.linalg.solve(border, np.array(rhs).T)[:D]
     except np.linalg.LinAlgError as exc:
         raise DerivativeIllDefinedError("bordered system is singular: %s" % exc)
-    psi, *dpsis = phase_fixed(*_unbalance(st.frame, r,
+    psi, *dpsis = phase_fixed(*_unbalance(frame, r,
                                           *np.ascontiguousarray(dr.T)))
     return psi, tuple(dpsis)
 

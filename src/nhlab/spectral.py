@@ -6,9 +6,10 @@ eigenvector (and the left one on request) by inverse iteration from a
 computed eigenvalue.  Both hold a vector to the same residual gate.
 A result that reads a few eigenpairs pays for one eigenvalue solve and
 one LU factorization per pair: the steady state and its derivative
-(metrology._steady_solve) read the steady eigenvalue's right and left
-vectors, the OBC gaps (topology) only eigenvalues, each certified by a
-vector that passes the gate.  Model spectra are solved in the
+(metrology._steady_derivatives) read the steady eigenvalue's right and
+left vectors, the OBC gaps (topology) only eigenvalues; certify holds
+every other eigenvalue a result reads to the gate with one
+inverse-iteration vector each.  Model spectra are solved in the
 skin-balancing frame (metrology.model_spectrum over full_spectrum); a raw
 solve of a skin-amplified chain loses eigenvalues to pseudospectral
 error that the residual gate does not see.
@@ -178,6 +179,13 @@ def eigenpair(H, lam, tol_eig=DEFAULT_TOL_EIG, left=False):
     l = _inverse_iterate(solver(2),
                          lambda x: x.conj() @ H - lam * x.conj(), bound, start)
     return r, l
+
+
+def certify(H, values):
+    """Raise ConvergenceError unless each value is an eigenvalue of H to
+    full_spectrum's residual gate (one inverse-iteration vector each)."""
+    for lam in values:
+        eigenpair(H, lam)
 
 
 def phase_fixed(r, *drs):

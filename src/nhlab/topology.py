@@ -21,7 +21,7 @@ from .errors import (AtTransitionError, NumericalError, UnsupportedStructureErro
 from .gbz import gbz_contour
 from .metrology import model_eigenvalues, model_spectrum
 from .model import SHIFTED, build_bloch, build_generalized_bloch, chiral_blocks
-from .spectral import DEFAULT_TOL_EIG, eigenpair
+from .spectral import DEFAULT_TOL_EIG, certify
 
 POINT_GAP = "POINT_GAP"
 LINE_GAP_CENTRAL = "LINE_GAP_CENTRAL"
@@ -403,14 +403,7 @@ def edge_states(p, energy_window):
     return out
 
 
-def _certify(H, values):
-    """Raise ConvergenceError unless each value is an eigenvalue of H to
-    full_spectrum's residual gate (one inverse-iteration vector each)."""
-    for lam in values:
-        eigenpair(H, lam)
-
-
-def obc_central_gap(p, exclude_edge_modes=True):
+def obc_central_gap(p):
     """Width of the central line gap of the OBC spectrum, 2*min|E|.
 
     The eigenvalues are solved in the skin-balancing frame, without
@@ -430,9 +423,9 @@ def obc_central_gap(p, exclude_edge_modes=True):
     """
     H, E = model_eigenvalues(p)
     smallest = E[np.argsort(np.abs(E), kind="stable")[:3]]
-    _certify(H, smallest)
+    certify(H, smallest)
     mags = np.abs(smallest)
-    if exclude_edge_modes and len(mags) > 2 and mags[2] > 20.0 * max(mags[1], 1e-300):
+    if len(mags) > 2 and mags[2] > 20.0 * max(mags[1], 1e-300):
         return float(2.0 * mags[2])
     return float(2.0 * mags[0])
 
@@ -459,7 +452,7 @@ def obc_side_gap(p):
         return 0.0
     dist = np.abs(central[:, None] - side[None, :])
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
-    _certify(H, (central[i], side[j]))
+    certify(H, (central[i], side[j]))
     return float(dist[i, j])
 
 

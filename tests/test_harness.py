@@ -158,6 +158,16 @@ def test_preset_bundles_are_consistent():
             assert len(b.critical) == len(b.param_labels)
         if b.grid is not None:
             assert np.all(np.diff(b.grid) > 0)
+    # every number the manifest writes parses back as a float
+    parsed = 0
+    for line in manifest.splitlines():
+        key, _, value = line.partition(" = ")
+        if key in ("grid_min", "grid_max", "critical"):
+            for item in value.split(","):
+                float(item)
+            parsed += 1
+    axes = sum(preset(name).axis is not None for name in PRESET_NAMES)
+    assert parsed == len(PRESET_NAMES) + 2 * axes
     with pytest.raises(ValidationError):
         preset("FIG9_NOPE")
 

@@ -366,6 +366,29 @@ def test_analytic_derivative_maps_back_from_the_skin_frame():
     assert abs(np.vdot(psi, dpsi)) <= 1e-12 * np.linalg.norm(dpsi)
 
 
+@pytest.mark.parametrize("name", ["FIG2_HN", "FIG2_SSH"])
+def test_rebalanced_model_is_the_skin_frame_similarity(name):
+    # the model with module bonds (Jm rho, JmP / rho) is S^-1 H S for
+    # S = diag(exp(skin_frame)), entry for entry and bond for bond
+    p = preset(name).resized(34)
+    H = build_hamiltonian(p)
+    s = np.exp(skin_frame(p))
+    want = H * (s[None, :] / s[:, None])
+    Hb, rho, frame = metrology._skin_balanced(p)
+    assert rho != 1.0 and np.array_equal(frame, skin_frame(p))
+    assert np.array_equal(Hb != 0, H != 0)
+    assert np.all(np.abs(Hb - want) <= 1e-14 * np.abs(want))
+
+
+def test_unbalanced_model_is_built_raw():
+    pbc = preset("FIG2_HN").params.with_updates(boundary="PBC")
+    for p in (preset("FIG4_HN").params, pbc):
+        assert skin_frame(p) is None
+        Hb, rho, frame = metrology._skin_balanced(p)
+        assert rho == 1.0 and frame is None
+        assert np.array_equal(Hb, build_hamiltonian(p))
+
+
 @pytest.mark.parametrize("name", ["FIG4_HN", "FIG5_TOP", "FIG5_BOTTOM"])
 def test_state_derivatives_match_the_per_parameter_calls(name):
     p, ps = preset_point(name, 34)
