@@ -97,6 +97,12 @@ def _float_list(section, cfg, key):
     return out
 
 
+def _integers(section, key, values):
+    if any(v != int(v) for v in values):
+        raise ValidationError("[%s] %s must hold integers" % (section, key))
+    return [int(v) for v in values]
+
+
 def _model_params(cfg, overrides):
     model = dict(cfg.get("model", {}))
     if not model:
@@ -346,7 +352,7 @@ def cmd_scaling(args, cfg):
         raise ValidationError("config needs a [scaling] section")
     name = str(sc.get("preset", "")).strip()
     mode = str(sc.get("mode", "size")).strip().lower()
-    Lgrid = ([int(v) for v in _float_list("scaling", sc, "Lgrid")]
+    Lgrid = (_integers("scaling", "Lgrid", _float_list("scaling", sc, "Lgrid"))
              if "Lgrid" in sc else None)
     out, fmt = _out_settings(args, cfg)
     if mode == "size":
@@ -368,7 +374,7 @@ def cmd_scaling(args, cfg):
               % (len(rows), repr(rows[0]["exponent"]), repr(rows[-1]["exponent"])))
     elif mode == "coupling":
         Jgrid = _float_list("scaling", sc, "Jgrid")
-        L = int(_float("scaling", sc, "L", 50))
+        (L,) = _integers("scaling", "L", [_float("scaling", sc, "L", 50)])
         rows, slope, r2 = harness.coupling_scaling(Jgrid, L=L)
         header = ("J", "location", "value")
         emit(out, fmt, header, [tuple(r[c] for c in header) for r in rows],
@@ -401,60 +407,52 @@ def cmd_preset(args, cfg):
 
 
 def build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="INI config file")
-    shared.add_argument("--out", help="output file path")
-    shared.add_argument("--format", choices=("csv", "json"),
-                        help="output format (default csv)")
-    shared.add_argument("--threads", type=int, default=None,
-                        help="sweep worker count (fallback: NHLAB_THREADS)")
-    shared.add_argument("--tol-eig", type=float, default=DEFAULT_TOL_EIG,
-                        help="eigensolver residual gate")
-    shared.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override a [model] config entry")
-
     ap = argparse.ArgumentParser(
         prog="nhlab",
         description="Non-Hermitian lattice toolkit: spectra, topology, sensing")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[shared],
-                   help="eigenvalues of the chain").set_defaults(fn=cmd_spectrum)
-    sub.add_parser("skin", parents=[shared],
-                   help="site population profile and skin slope").set_defaults(fn=cmd_skin)
-    sub.add_parser("gaps", parents=[shared],
-                   help="line-gap minima and point-gap residual").set_defaults(fn=cmd_gaps)
-    wind = sub.add_parser("winding", parents=[shared],
-                          help="band or spectral winding number")
-    wind.add_argument("--kind", choices=("band", "spectral"), default="band")
-    wind.set_defaults(fn=cmd_winding)
-    sub.add_parser("qfi", parents=[shared],
-                   help="quantum/classical Fisher information").set_defaults(fn=cmd_qfi)
-    sub.add_parser("qfim", parents=[shared],
-                   help="Fisher information matrices").set_defaults(fn=cmd_qfim)
-    sub.add_parser("sweep", parents=[shared],
-                   help="observable sweep over a parameter grid").set_defaults(fn=cmd_sweep)
-    sub.add_parser("scaling", parents=[shared],
-                   help="power-law scaling studies").set_defaults(fn=cmd_scaling)
-    pre = sub.add_parser("preset", parents=[shared],
-                         help="materialize a named experiment preset")
-    pre.add_argument("name", choices=harness.PRESET_NAMES)
-    pre.set_defaults(fn=cmd_preset)
+
+    def command(name, fn, help, config=True, model=True):
+        """Subparser taking --out and --format, plus --config and --set
+        unless the command reads no config file or no [model] entry."""
+        cmd = sub.add_parser(name, help=help)
+        if config:
+            cmd.add_argument("--config", help="INI config file")
+        cmd.add_argument("--out", help="output file path")
+        cmd.add_argument("--format", choices=("csv", "json"),
+                         help="output format (default csv)")
+        if model:
+            cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
+                             help="override a [model] config entry")
+        cmd.set_defaults(fn=fn)
+        return cmd
+
+    for cmd in (command("spectrum", cmd_spectrum, "eigenvalues of the chain"),
+                command("skin", cmd_skin, "site population profile and skin slope")):
+        cmd.add_argument("--tol-eig", type=float, default=DEFAULT_TOL_EIG,
+                         help="eigensolver residual gate")
+    command("gaps", cmd_gaps, "line-gap minima and point-gap residual")
+    command("winding", cmd_winding, "band or spectral winding number").add_argument(
+        "--kind", choices=("band", "spectral"), default="band")
+    command("qfi", cmd_qfi, "quantum/classical Fisher information")
+    command("qfim", cmd_qfim, "Fisher information matrices")
+    command("sweep", cmd_sweep, "observable sweep over a parameter grid").add_argument(
+        "--threads", type=int, default=None,
+        help="sweep worker count (fallback: NHLAB_THREADS)")
+    command("scaling", cmd_scaling, "power-law scaling studies", model=False)
+    command("preset", cmd_preset, "materialize a named experiment preset",
+            config=False).add_argument("name", choices=harness.PRESET_NAMES)
     return ap
-
-
-NEEDS_CONFIG = ("spectrum", "skin", "gaps", "winding", "qfi", "qfim",
-                "sweep", "scaling")
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command in NEEDS_CONFIG:
+        cfg = {}
+        if hasattr(args, "config"):
             if not args.config:
                 raise ValidationError("command %r needs --config" % args.command)
             cfg = load_config(args.config)
-        else:
-            cfg = {}
         return args.fn(args, cfg)
     except ValidationError as exc:
         print("error: validation: %s" % exc, file=sys.stderr)

@@ -44,6 +44,8 @@ FISHER_COLUMNS = frozenset((QFI, CFI_POSITION, CFI_CURRENT))
 
 DEFAULT_L_GRID = (10, 20, 34, 50, 70, 100)
 PEAK_TOL = 1e-6
+PEAK_HALFWIDTH = 0.05
+PEAK_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -453,9 +455,11 @@ def _critical_spec(labels, critical):
     return ParamSpec(labels, tuple(critical), (DEFAULT_STEP,) * len(labels))
 
 
-def _peak_near(base, axis, center, halfwidth=0.05, step=0.01):
+def _peak_near(base, axis, center):
+    """QFI peak over center +- PEAK_HALFWIDTH, sampled every PEAK_STEP."""
     spec = SweepSpec(base=base, axis=axis,
-                     grid=_grid(center - halfwidth, center + halfwidth, step),
+                     grid=_grid(center - PEAK_HALFWIDTH, center + PEAK_HALFWIDTH,
+                                PEAK_STEP),
                      observables=frozenset((QFI,)))
     return find_peak(run_sweep(spec), QFI)
 
@@ -523,12 +527,13 @@ def exponent_vs_delta(bundle_or_name, delta_grid, Lgrid=None):
     return rows
 
 
-def coupling_scaling(Jgrid, L=50, d=1, r=3):
+def coupling_scaling(Jgrid, L=50):
     """Peak QFI against the module-coupling strength J.
 
-    Each J gets its own reciprocal-modular family whose critical point
-    sits at -J; the returned fit is the log-log slope of peak value
-    against J.
+    Each J gets its own reciprocal-modular family (d=1, r=3, JL=1) whose
+    critical point sits at -J; its peak is searched by _peak_near over
+    -J +- PEAK_HALFWIDTH.  The returned fit is the log-log slope of peak
+    value against J.
     """
     Jgrid = [float(J) for J in Jgrid]
     if any(J <= 0 for J in Jgrid):
@@ -537,7 +542,7 @@ def coupling_scaling(Jgrid, L=50, d=1, r=3):
         raise ValidationError("coupling grid must be strictly increasing")
     rows = []
     for J in Jgrid:
-        base = make_params(d=d, r=r, L=L, JL=1.0, JR=-J,
+        base = make_params(d=1, r=3, L=L, JL=1.0, JR=-J,
                            preset=CouplingPreset(RECIPROCAL_MODULAR, J))
         peak = _peak_near(base, "JR", -J)
         rows.append({"J": J, "location": peak.location, "value": peak.value})

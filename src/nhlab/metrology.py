@@ -212,15 +212,16 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
                                  residuals=res)
 
 
-def model_eigenvalues(p, tol_eig=DEFAULT_TOL_EIG):
+def model_eigenvalues(p):
     """Eigenvalues of the model in its skin-balancing frame, no vectors.
 
-    Returns (H, values): the balanced Hamiltonian and its sorted
-    eigenvalues.  Nothing here checks a residual; certify each eigenvalue
-    a result reads with spectral.certify(H, values).
+    Returns (H, values): the balanced Hamiltonian and its eigenvalues,
+    sorted at DEFAULT_TOL_EIG's resolution.  Nothing here checks a
+    residual; certify each eigenvalue a result reads with
+    spectral.certify(H, values).
     """
     H = _skin_balanced(p)[0]
-    return H, full_spectrum(H, tol_eig, vectors=False)
+    return H, full_spectrum(H, vectors=False)
 
 
 def _unbalance(frame, r, *more):

@@ -141,17 +141,18 @@ def _inverse_iterate(solve, residual, bound, start):
         % (res, bound, len(x)))
 
 
-def eigenpair(H, lam, tol_eig=DEFAULT_TOL_EIG, left=False):
+def eigenpair(H, lam, left=False):
     """Unit eigenvector(s) of H for a computed eigenvalue lam.
 
     One LU factorization of H - lam I drives inverse iteration for the
     right vector r (H r = lam r) and, with left=True, the left vector l
     (l^H H = lam l^H), returned as (r, l).  Each vector is kept only if
-    its residual is at most tol_eig * max(||H||_F, 1), full_spectrum's
-    gate, so a value lam that is not an eigenvalue of H to that accuracy
-    raises ConvergenceError.  An exactly zero pivot (lam an exact
-    eigenvalue) is replaced by eps * max(||H||_F, 1).  The start vector
-    is fixed, so the result is deterministic.
+    its residual is at most DEFAULT_TOL_EIG * max(||H||_F, 1),
+    full_spectrum's default gate, so a value lam that is not an
+    eigenvalue of H to that accuracy raises ConvergenceError.  An exactly
+    zero pivot (lam an exact eigenvalue) is replaced by
+    eps * max(||H||_F, 1).  The start vector is fixed, so the result is
+    deterministic.
     """
     H = _checked(H)
     D = H.shape[0]
@@ -168,7 +169,7 @@ def eigenpair(H, lam, tol_eig=DEFAULT_TOL_EIG, left=False):
     rng = np.random.default_rng(0)
     start = rng.standard_normal(D) + 1j * rng.standard_normal(D)
     start /= np.linalg.norm(start)
-    bound = tol_eig * scale
+    bound = DEFAULT_TOL_EIG * scale
 
     def solver(trans):
         return lambda b: getrs(lu, piv, b, trans=trans)[0]

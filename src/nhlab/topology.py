@@ -30,6 +30,11 @@ LINE_GAP_SIDE = "LINE_GAP_SIDE"
 DEFAULT_TOL_GAP = 1e-6
 TRANSITION_SOLVER_TOL = 5e-4
 WINDING_INTEGER_TOL = 0.05
+WINDING_K_POINTS = 1024
+LINE_GAP_K_POINTS = 512
+LOOP_K_POINTS = 2048
+LOOP_RESOLUTION = 1e-2
+ROOT_DEDUPE_TOL = 1e-9  # gap-closing roots closer than this are one root
 
 
 class IllConditionedContourError(NumericalError):
@@ -71,30 +76,22 @@ def _loop_phase(samples):
     return float(np.sum(diffs) / (2.0 * np.pi)), float(np.max(np.abs(diffs)))
 
 
-def spectral_winding(p, Eref, nK=1024, tol_gap=DEFAULT_TOL_GAP):
+def spectral_winding(p, Eref):
     """Winding of det(H_k - Eref) as k sweeps the Brillouin zone.
 
-    Parameters
-    ----------
-    p : ModelParams
-    Eref : complex
-        Reference energy; must stay farther than tol_gap from the PBC
-        spectrum.
-    nK : int
-        Initial number of k samples; doubled until phase steps are small.
-
-    Returns
-    -------
+    Eref must stay farther than DEFAULT_TOL_GAP from the PBC spectrum.
+    The k-grid starts at WINDING_K_POINTS samples and doubles, up to
+    seven times, until the phase steps are small.  Returns a
     WindingResult with a signed integer value.
     """
     Eref = complex(Eref)
     eye = np.eye(p.r * p.d)
-    n = int(nK)
+    n = WINDING_K_POINTS
     for _ in range(8):
         Hk = _contour_blochs(p, False, n)
         dets = np.linalg.det(Hk - Eref * eye)
         dist = np.min(np.abs(np.linalg.eigvals(Hk) - Eref))
-        if dist <= tol_gap:
+        if dist <= DEFAULT_TOL_GAP:
             raise IllConditionedContourError(
                 "Eref within %.2e of the PBC spectrum" % dist)
         turns, max_step = _loop_phase(dets)
@@ -247,10 +244,10 @@ def gbz_zero_gap_solutions(p):
     return _dedupe_sorted(roots)
 
 
-def _dedupe_sorted(values, tol=1e-9):
+def _dedupe_sorted(values):
     out = []
     for v in sorted(values):
-        if not out or abs(v - out[-1]) > tol:
+        if not out or abs(v - out[-1]) > ROOT_DEDUPE_TOL:
             out.append(float(v))
     return out
 
@@ -303,31 +300,22 @@ def _track_bands(evs):
     return np.array(bands).T  # (n_bands, n_samples)
 
 
-def line_gap_minima(p, use_gbz=False, grid_size=512, tol_gap=DEFAULT_TOL_GAP):
+def line_gap_minima(p, use_gbz=False):
     """Minimum complex distance between adjacent tracked bands.
 
-    Bands are followed over the Bloch k-grid (use_gbz False) or over the
-    GBZ circle (use_gbz True) and ordered by mean real part (ties, at
-    the eigenvalue sort's resolution, by mean imaginary part); the minimum
-    distance between the point sets of each adjacent pair is reported.
-    The pair between the two middle bands (r*d even) is labelled central.
+    Bands are followed over LINE_GAP_K_POINTS samples of the Bloch k-grid
+    (use_gbz False) or of the GBZ circle (use_gbz True) and ordered by
+    mean real part (ties, at the eigenvalue sort's resolution, by mean
+    imaginary part); the minimum distance between the point sets of each
+    adjacent pair is reported, closed below DEFAULT_TOL_GAP.  The pair
+    between the two middle bands (r*d even) is labelled central.
 
-    Ambiguous tracking refines the grid up to three times before failing.
+    Ambiguous tracking raises NumericalError; a finer grid does not
+    resolve it on any preset.
     """
-    if grid_size < 128:
-        raise ValidationError("grid_size must be >= 128")
-    n = int(grid_size)
-    last_err = None
-    for _ in range(4):
-        try:
-            bands = _track_bands(np.linalg.eigvals(_contour_blochs(p, use_gbz, n)))
-        except NumericalError as err:
-            last_err = err
-            n *= 2
-            continue
-        return _gap_reports(p, bands, tol_gap)
-    raise NumericalError("band tracking stayed ambiguous after refinement: %s"
-                         % last_err)
+    bands = _track_bands(np.linalg.eigvals(
+        _contour_blochs(p, use_gbz, LINE_GAP_K_POINTS)))
+    return _gap_reports(p, bands)
 
 
 def direct_band_minimum(p, use_gbz=False, grid_size=512):
@@ -347,7 +335,7 @@ def direct_band_minimum(p, use_gbz=False, grid_size=512):
     return float(d.min())
 
 
-def _gap_reports(p, bands, tol_gap):
+def _gap_reports(p, bands):
     # bands are ordered by mean real part at the resolution full_spectrum
     # sorts imaginary parts with, then by mean imaginary part: bands whose
     # mean real parts differ only by rounding (all three of FIG2_HN's sit
@@ -364,7 +352,7 @@ def _gap_reports(p, bands, tol_gap):
         central = (m % 2 == 0) and (i == m // 2 - 1)
         kind = LINE_GAP_CENTRAL if central else LINE_GAP_SIDE
         reports.append(GapReport(kind=kind, parameter_value=p.JR,
-                                 min_gap=min_gap, closed=min_gap < tol_gap))
+                                 min_gap=min_gap, closed=min_gap < DEFAULT_TOL_GAP))
     return reports
 
 
@@ -459,16 +447,16 @@ def obc_side_gap(p):
 # -- spectral loop counting --------------------------------------------------
 
 
-def count_spectral_loops(p, resolution=1e-2, n_k=2048):
+def count_spectral_loops(p):
     """Number of area-enclosing loops traced by the PBC spectrum.
 
-    Bands are tracked over a fine k-grid; after one Brillouin-zone
-    traversal the bands may permute, so the closed curves are the cycles
-    of that permutation.  A cycle counts as a loop when its shoelace area
-    exceeds the resolution; loops closer than the resolution merge into
-    one component.
+    Bands are tracked over a k-grid of LOOP_K_POINTS samples; after one
+    Brillouin-zone traversal the bands may permute, so the closed curves
+    are the cycles of that permutation.  A cycle counts as a loop when its
+    shoelace area exceeds LOOP_RESOLUTION; loops closer than
+    LOOP_RESOLUTION merge into one component.
     """
-    ev = np.linalg.eigvals(_contour_blochs(p, False, int(n_k)))
+    ev = np.linalg.eigvals(_contour_blochs(p, False, LOOP_K_POINTS))
     bands = _track_bands(np.concatenate([ev, ev[:1]]))
     start = bands[:, 0]
     end = bands[:, -1]
@@ -496,7 +484,7 @@ def count_spectral_loops(p, resolution=1e-2, n_k=2048):
     for curve in curves:
         x, y = curve.real, curve.imag
         area = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-        if area > resolution:
+        if area > LOOP_RESOLUTION:
             loops.append(curve)
     if not loops:
         return 0
@@ -510,5 +498,5 @@ def count_spectral_loops(p, resolution=1e-2, n_k=2048):
         for j in range(i + 1, n):
             d = trees[i].query(np.column_stack([loops[j].real, loops[j].imag]),
                                k=1)[0].min()
-            adj[i, j] = d < resolution
+            adj[i, j] = d < LOOP_RESOLUTION
     return int(connected_components(adj, directed=False)[0])

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from nhlab import gbz_radius, model_spectrum, params_from_config
+from nhlab import (exponent_vs_delta, gbz_radius, model_spectrum,
+                   params_from_config)
 from nhlab.cli import main
 
 HN = """\
@@ -239,6 +240,32 @@ delta = 0.1
     assert len(rows) == 4
 
 
+def test_scaling_delta_mode_rows_are_exponent_vs_delta(tmp_path, capsys):
+    ini = write(tmp_path, """\
+[scaling]
+preset = FIG4_HN
+mode = delta
+Lgrid = 10,14,20,26
+deltas = 0.05,0.1
+""")
+    out = tmp_path / "d.csv"
+    assert main(["scaling", "--config", ini, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("scaling: deltas=2 b_first=")
+    _, header, rows = read_table(out)
+    assert header == ["delta", "exponent", "r2"]
+    want = exponent_vs_delta("FIG4_HN", (0.05, 0.1), Lgrid=(10, 14, 20, 26))
+    assert rows == [[repr(r["delta"]), repr(r["exponent"]), repr(r["r2"])]
+                    for r in want]
+
+
+@pytest.mark.parametrize("entry", ["mode = size\nLgrid = 10.9,12,14,16",
+                                   "mode = coupling\nJgrid = 0.4,0.55\nL = 20.5"])
+def test_scaling_sizes_must_be_integers(tmp_path, capsys, entry):
+    ini = write(tmp_path, "[scaling]\npreset = FIG4_HN\n%s\n" % entry)
+    assert main(["scaling", "--config", ini]) == 2
+    assert "must hold integers" in capsys.readouterr().err
+
+
 def test_scaling_coupling_mode(tmp_path, capsys):
     ini = write(tmp_path, """\
 [scaling]
@@ -296,6 +323,19 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert main(["spectrum"]) == 2
     capsys.readouterr()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["qfi", "--config", "run.ini", "--tol-eig", "1e-30"],
+    ["gaps", "--config", "run.ini", "--threads", "7"],
+    ["scaling", "--config", "run.ini", "--set", "JX=1"],
+    ["preset", "FIG2_HN", "--config", "run.ini"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_3(tmp_path, capsys):

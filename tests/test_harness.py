@@ -8,7 +8,8 @@ from nhlab import (NumericalError, ParamSpec, SweepSpec, ValidationError,
                    apply_params, coupling_scaling, exponent_vs_delta,
                    find_peak, fit_power_law, matrix_size_scaling,
                    point_gap_residual, preset, preset_manifest, probe_state,
-                   qfi, run_sweep, size_scaling, state_derivative)
+                   qfi, run_sweep, size_scaling, spectral_winding,
+                   state_derivative)
 from nhlab.harness import PRESET_NAMES
 
 
@@ -60,11 +61,15 @@ def test_run_sweep_is_deterministic():
 def test_parallel_sweep_matches_serial():
     spec = SweepSpec(base=hn_base(), axis="JR",
                      grid=(-2.8, -2.6, -2.4, -2.2),
-                     observables=frozenset(["GAP_RESIDUAL", "SLOPE"]))
+                     observables=frozenset(["GAP_RESIDUAL", "SLOPE",
+                                            "WINDING_SPECTRAL"]))
     serial = run_sweep(spec, workers=1)
     parallel = run_sweep(spec, workers=2)
     for c in spec.columns[:-1]:
         assert np.array_equal(serial.column(c), parallel.column(c))
+    want = [spectral_winding(hn_base().with_updates(JR=x), 0j).value
+            for x in spec.grid]
+    assert serial.column("WINDING_SPECTRAL").tolist() == want
 
 
 def test_sweep_qfi_is_the_probe_state_qfi():

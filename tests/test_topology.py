@@ -7,12 +7,12 @@ import pytest
 import scipy.linalg
 
 from nhlab import (PBC, RECIPROCAL_MODULAR, SHIFTED, ConvergenceError,
-                   CouplingPreset, UnsupportedStructureError, ValidationError,
-                   band_winding, build_hamiltonian, count_spectral_loops,
-                   direct_band_minimum, edge_states, gbz_contour, gbz_radius,
-                   gbz_zero_gap_solutions, line_gap_minima, make_params,
-                   metrology, obc_central_gap, obc_side_gap,
-                   pbc_zero_gap_solutions, point_gap_residual,
+                   CouplingPreset, NumericalError, UnsupportedStructureError,
+                   ValidationError, band_winding, build_hamiltonian,
+                   count_spectral_loops, direct_band_minimum, edge_states,
+                   gbz_contour, gbz_radius, gbz_zero_gap_solutions,
+                   line_gap_minima, make_params, metrology, obc_central_gap,
+                   obc_side_gap, pbc_zero_gap_solutions, point_gap_residual,
                    spectral_winding)
 from nhlab.topology import (IllConditionedContourError, _contour_blochs,
                             _gap_reports, _track_bands)
@@ -249,8 +249,24 @@ def test_line_gap_pairs_do_not_depend_on_band_order(jr, use_gbz):
     for perm in itertools.permutations(range(3)):
         for nudge in ((0.0, 1e-15, 2e-15), (2e-15, 1e-15, 0.0)):
             stack = bands[list(perm)] + np.array(nudge)[:, None]
-            got = [rep.min_gap for rep in _gap_reports(p, stack, 1e-6)]
+            got = [rep.min_gap for rep in _gap_reports(p, stack)]
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_track_bands_tolerates_only_degenerate_ties():
+    # each stack has two samples; band 0 (at 0) sits exactly halfway
+    # between its two candidates at the second one
+    def track(*samples):
+        return _track_bands(np.array(samples, dtype=complex))
+
+    # the tied candidates coincide: either choice gives the same bands
+    assert track([0, 1], [0.5, 0.5]).tolist() == [[0, 0.5], [1, 0.5]]
+    # the tied bands coincide at the previous sample: a swap relabels
+    # identical histories
+    assert sorted(track([0, 0], [-1, 1])[:, 1].real) == [-1, 1]
+    # anything else is ambiguous
+    with pytest.raises(NumericalError, match="ambiguous band continuation"):
+        track([0, 3], [-1, 1])
 
 
 def test_loop_count_collapses_at_criticality():
