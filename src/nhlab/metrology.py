@@ -3,12 +3,13 @@
 The probe is the steady state of the lattice Hamiltonian (right
 eigenvector with the largest imaginary eigenvalue).  Each point costs
 one eigenvalue solve in the skin-balancing frame, which is the model
-itself with module bonds (Jm rho, JmP / rho), plus inverse iteration for
-the steady eigenvalue's right and left vectors (spectral.eigenpair;
-spectral.certify holds the eigenvalues the guards read to the same
-gate).  Parameter derivatives are analytic: the steady eigenvalue moves
-by l^+ H' r / l^+ r, and a bordered linear system gives the right
-vector's derivative (Nelson's method), one right-hand side per
+itself with module bonds (Jm rho, JmP / rho), on one sublattice
+(spectral.sublattice_eigenvalues, a (D/2)-square solve), plus inverse
+iteration for the steady eigenvalue's right and left vectors
+(spectral.eigenpair; spectral.certify holds the eigenvalues the guards
+read to the same gate).  Parameter derivatives are analytic: the steady
+eigenvalue moves by l^+ H' r / l^+ r, and a bordered linear system gives
+the right vector's derivative (Nelson's method), one right-hand side per
 parameter, so state_derivatives gives the state and every derivative of
 a point from one solve.  family_state_derivative, one gauge-aligned
 central difference of the steady state at a fixed step, is kept as an
@@ -26,7 +27,8 @@ from .errors import (BoundUndefinedError, DerivativeIllDefinedError,
 from .gbz import gbz_radius, skin_frame
 from .model import build_current_operator, build_hamiltonian
 from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, certify,
-                       eigenpair, full_spectrum, phase_fixed, steady_state)
+                       eigenpair, full_spectrum, phase_fixed, steady_neighbours,
+                       steady_state, sublattice_eigenvalues)
 
 QUANTUM = "QUANTUM"
 CLASSICAL = "CLASSICAL"
@@ -347,9 +349,10 @@ def _steady_derivatives(p, ps, indices):
     solve.
 
     The steady solve is one eigenvalue solve in the skin-balancing frame
-    plus inverse iteration for the steady eigenvalue's right and left
-    vectors; the eigenvalues the guards read (values[1] and the one
-    nearest the steady eigenvalue) are certified as well.  For each
+    on one sublattice (sublattice_eigenvalues) plus inverse iteration for
+    the steady eigenvalue's right and left vectors; the eigenvalues the
+    guards read (values[1] and the one nearest the steady eigenvalue,
+    spectral.steady_neighbours) are certified as well.  For each
     parameter, H' is the central difference of the Hamiltonian at its
     step (exact for the labels H is linear in, O(step^2) for J, whose JmP
     is 1/J) and the steady eigenvalue moves by l^+ H' r / l^+ r.  A
@@ -366,11 +369,10 @@ def _steady_derivatives(p, ps, indices):
     if any(not 0 <= i < ps.l for i in indices):
         raise ValidationError("parameter index out of range")
     H, rho, frame = _skin_balanced(apply_params(p, ps))
-    values = full_spectrum(H, vectors=False)
+    values = sublattice_eigenvalues(H)
     lam = values[0]
     r, l = eigenpair(H, lam, left=True)
-    nearest = 1 + int(np.argmin(np.abs(values[1:] - lam)))
-    certify(H, values[sorted({1, nearest})])
+    certify(H, values[steady_neighbours(values)])
     rhs = []
     for i in indices:
         dH = _central_difference(p, ps, i)

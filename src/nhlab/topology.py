@@ -76,16 +76,43 @@ def _loop_phase(samples):
     return float(np.sum(diffs) / (2.0 * np.pi)), float(np.max(np.abs(diffs)))
 
 
+def _check_crossings(p, Eref):
+    """Raise IllConditionedContourError where the Bloch spectrum passes
+    within DEFAULT_TOL_GAP of Eref, wherever the k-grid falls.
+
+    The corner bonds JmP/beta and Jm beta make beta det(H_beta - Eref) a
+    quadratic in beta; its coefficients are the discrete Fourier
+    transform of three samples on the unit circle.  The spectrum reaches
+    Eref only at the k of a root on |beta| = 1, so the Bloch spectrum is
+    checked at each root's k.
+    """
+    eye = np.eye(p.r * p.d)
+    beta = np.exp(2j * np.pi * np.arange(3) / 3.0)
+    dets = beta * np.linalg.det(build_generalized_bloch(p, beta) - Eref * eye)
+    coeffs = np.fft.fft(dets) / 3.0  # coefficients of beta^0, beta^1, beta^2
+    roots = np.roots(coeffs[::-1])
+    if len(roots) == 0:
+        return
+    evs = np.linalg.eigvals(build_bloch(p, np.angle(roots)))
+    dist = float(np.min(np.abs(evs - Eref)))
+    if dist <= DEFAULT_TOL_GAP:
+        raise IllConditionedContourError(
+            "Eref within %.2e of the PBC spectrum" % dist)
+
+
 def spectral_winding(p, Eref):
     """Winding of det(H_k - Eref) as k sweeps the Brillouin zone.
 
-    Eref must stay farther than DEFAULT_TOL_GAP from the PBC spectrum.
-    The k-grid starts at WINDING_K_POINTS samples and doubles, up to
-    seven times, until the phase steps are small.  Returns a
-    WindingResult with a signed integer value.
+    Eref must stay farther than DEFAULT_TOL_GAP from the PBC spectrum;
+    that is checked where the spectrum crosses Eref (_check_crossings)
+    before any sampling, and on every k-grid.  The k-grid starts at
+    WINDING_K_POINTS samples and doubles, up to seven times, until the
+    phase steps are small.  Returns a WindingResult with a signed
+    integer value.
     """
     Eref = complex(Eref)
     eye = np.eye(p.r * p.d)
+    _check_crossings(p, Eref)
     n = WINDING_K_POINTS
     for _ in range(8):
         Hk = _contour_blochs(p, False, n)

@@ -10,6 +10,7 @@ from nhlab import (NumericalError, ParamSpec, SweepSpec, ValidationError,
                    point_gap_residual, preset, preset_manifest, probe_state,
                    qfi, run_sweep, size_scaling, spectral_winding,
                    state_derivative)
+from nhlab import harness
 from nhlab.harness import PRESET_NAMES
 
 
@@ -70,6 +71,32 @@ def test_parallel_sweep_matches_serial():
     want = [spectral_winding(hn_base().with_updates(JR=x), 0j).value
             for x in spec.grid]
     assert serial.column("WINDING_SPECTRAL").tolist() == want
+
+
+def test_current_basis_is_built_once_per_sweep(monkeypatch):
+    calls = []
+    build = harness.current_basis
+
+    def counted(p):
+        calls.append(p.D)
+        return build(p)
+
+    monkeypatch.setattr(harness, "current_basis", counted)
+    spec = preset("FIG4_HN").sweep(("QFI", "CFI_CURRENT"),
+                                   grid=(-0.4, -0.38, -0.36, -0.34))
+    serial = run_sweep(spec, workers=1)
+    assert calls == [150]
+    calls.clear()
+    find_peak(serial, "CFI_CURRENT")
+    assert calls == [150]
+    calls.clear()
+    run_sweep(preset("FIG4_HN").sweep(("QFI",), grid=(-0.41, -0.4)), workers=1)
+    assert calls == []
+    # each pool worker builds its own; the rows stay bit for bit the same
+    parallel = run_sweep(spec, workers=2)
+    for c in spec.columns[:-1]:
+        assert np.array_equal(serial.column(c), parallel.column(c))
+    assert serial.column("error") == parallel.column("error") == [""] * 4
 
 
 def test_sweep_qfi_is_the_probe_state_qfi():

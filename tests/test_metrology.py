@@ -245,13 +245,12 @@ def analytic_and_oracle_qfim(p, ps):
 def count_solves(monkeypatch):
     """Count the eigensolves behind every model spectrum and steady state."""
     counter = {"solves": 0}
-    solve = metrology.full_spectrum
+    for name in ("full_spectrum", "sublattice_eigenvalues"):
+        def counted(*args, _solve=getattr(metrology, name), **kwargs):
+            counter["solves"] += 1
+            return _solve(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        counter["solves"] += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(metrology, "full_spectrum", counted)
+        monkeypatch.setattr(metrology, name, counted)
     return counter
 
 
@@ -310,14 +309,14 @@ def test_qfi_work_counts(count_solves):
 
 def test_steady_solve_certifies_the_eigenvalues_the_guards_read(monkeypatch):
     # a runner-up eigenvalue off by 1e-3 fails its certificate
-    solve = metrology.full_spectrum
+    solve = metrology.sublattice_eigenvalues
 
     def off(*args, **kwargs):
         values = solve(*args, **kwargs).copy()
         values[1] += 1e-3
         return values
 
-    monkeypatch.setattr(metrology, "full_spectrum", off)
+    monkeypatch.setattr(metrology, "sublattice_eigenvalues", off)
     p, ps = preset_point("FIG4_HN", 34)
     with pytest.raises(ConvergenceError):
         probe_state(p, ps)

@@ -7,13 +7,16 @@ import pytest
 import scipy.linalg
 
 from conftest import assert_multiset_close
-from nhlab import (NON_MODULAR, PBC, PRESET_NAMES, RECIPROCAL_MODULAR, SHIFTED,
-                   ConvergenceError, CouplingPreset, ValidationError,
+from nhlab import (DEFAULT_STEP, NON_MODULAR, PBC, PRESET_NAMES,
+                   RECIPROCAL_MODULAR, SHIFTED, ConvergenceError,
+                   CouplingPreset, ParamSpec, ValidationError,
                    build_hamiltonian, cumulative_population, edge_states,
                    full_spectrum, gbz_radius, make_params, model_spectrum,
-                   participation_ratio, preset, steady_state)
+                   obc_central_gap, participation_ratio, preset,
+                   state_derivatives, steady_state)
 from nhlab.metrology import model_eigenvalues
-from nhlab.spectral import DEFAULT_TOL_EIG, _order, eigenpair
+from nhlab.spectral import (DEFAULT_TOL_EIG, _order, eigenpair,
+                            sublattice_eigenvalues)
 
 
 def test_diagonal_matrix():
@@ -222,3 +225,86 @@ def test_all_real_spectrum_gives_complex_vectors(p):
         assert np.all(np.isfinite(balanced.residuals))
         edges = edge_states(p, 100.0)
     assert all(np.isfinite(e) and np.isfinite(w) for e, w in edges)
+
+
+def _record_eigvals(monkeypatch):
+    """(shape, dtype) of every matrix handed to scipy.linalg.eigvals."""
+    seen = []
+    solve = scipy.linalg.eigvals
+
+    def recorded(a, *args, **kwargs):
+        seen.append((a.shape, a.dtype))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", recorded)
+    return seen
+
+
+SUBLATTICE_CASES = (
+    [(n, preset(n).resized(34)) for n in PRESET_NAMES]
+    + [("FIG4_HN_odd_D", preset("FIG4_HN").resized(35)),
+       ("FIG4_HN_PBC", preset("FIG4_HN").resized(34).with_updates(boundary=PBC))])
+
+
+@pytest.mark.parametrize("p", [c[1] for c in SUBLATTICE_CASES],
+                         ids=[c[0] for c in SUBLATTICE_CASES])
+def test_sublattice_eigenvalues_match_the_full_solve(monkeypatch, p):
+    H, full = model_eigenvalues(p)
+    seen = _record_eigvals(monkeypatch)
+    values = sublattice_eigenvalues(H)
+    half = p.D // 2
+    assert seen == [((half, half), np.complex128 if np.any(H.imag)
+                     else np.float64)]
+    # same values in the same order; an odd D adds one exact zero
+    assert np.all(np.abs(values - full) <= 1e-12 * np.maximum(np.abs(full), 1.0))
+    assert np.sum(values == 0) == p.D % 2
+    # the spectrum is exactly symmetric under E -> -E
+    assert np.array_equal(np.sort_complex(values), np.sort_complex(-values))
+
+
+def test_sublattice_eigenvalues_fall_back_off_bipartite_matrices(monkeypatch):
+    odd_ring = build_hamiltonian(
+        preset("FIG4_HN").resized(35).with_updates(boundary=PBC))
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((6, 6))
+    for H in (odd_ring, dense):
+        seen = _record_eigvals(monkeypatch)
+        values = sublattice_eigenvalues(H)
+        assert [shape for shape, _ in seen] == [H.shape]
+        assert np.array_equal(values, full_spectrum(H, vectors=False))
+
+
+def test_sublattice_eigenvalues_fall_back_near_zero(monkeypatch):
+    # a bipartite matrix whose largest-Im eigenvalue is 1e-6 ||H||: the
+    # squared solve would miss it by about eps ||H||^2 / |lambda|
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    H = np.zeros((8, 8))
+    H[0::2, 1::2] = Q.T
+    H[1::2, 0::2] = Q * np.array([-3e-6 ** 2, 1.0, 2.0, 3.0])
+    norm = np.linalg.norm(H, 2)
+    assert abs(norm - 3.0) < 1e-12
+    seen = _record_eigvals(monkeypatch)
+    values = sublattice_eigenvalues(H)
+    assert [shape for shape, _ in seen] == [(4, 4), (8, 8)]
+    assert np.array_equal(values, full_spectrum(H, vectors=False))
+    assert abs(values[0] - 1e-6j * norm) <= 1e-3 * 1e-6 * norm
+
+
+def test_fisher_point_solves_one_sublattice(monkeypatch):
+    # the steady solve hands LAPACK a floor(D/2)-square matrix, real or
+    # complex as the Hamiltonian is; the OBC gaps keep the D x D solve
+    for name, L, dtype in (("FIG4_HN", 34, np.float64),
+                           ("FIG5_BOTTOM", 70, np.float64),
+                           ("FIG5_TOP", 34, np.complex128)):
+        b = preset(name)
+        ps = ParamSpec(b.param_labels, b.critical,
+                       (DEFAULT_STEP,) * len(b.critical))
+        seen = _record_eigvals(monkeypatch)
+        state_derivatives(b.resized(L), ps)
+        half = 3 * L // 2
+        assert seen == [((half, half), dtype)], name
+    p = preset("FIG4_HN").resized(34)
+    seen = _record_eigvals(monkeypatch)
+    obc_central_gap(p)
+    assert seen == [((p.D, p.D), np.float64)]

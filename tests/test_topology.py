@@ -1,6 +1,7 @@
 """Winding numbers, gap-closing solvers, edge counting, loop detection."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ import scipy.linalg
 
 from nhlab import (PBC, RECIPROCAL_MODULAR, SHIFTED, ConvergenceError,
                    CouplingPreset, NumericalError, UnsupportedStructureError,
-                   ValidationError, band_winding, build_hamiltonian,
+                   ValidationError, band_winding, build_bloch, build_hamiltonian,
                    count_spectral_loops, direct_band_minimum, edge_states,
                    gbz_contour, gbz_radius, gbz_zero_gap_solutions,
                    line_gap_minima, make_params, metrology, obc_central_gap,
                    obc_side_gap, pbc_zero_gap_solutions, point_gap_residual,
-                   spectral_winding)
+                   preset, spectral_winding)
 from nhlab.topology import (IllConditionedContourError, _contour_blochs,
                             _gap_reports, _track_bands)
 
@@ -216,6 +217,21 @@ def test_spectral_winding_rejects_reference_on_spectrum():
     E = np.linalg.eigvals(build_hamiltonian(p))[0]
     with pytest.raises(IllConditionedContourError):
         spectral_winding(p, complex(E))
+
+
+def test_spectral_winding_fails_fast_between_grid_points():
+    # FIG5_TOP's PBC spectrum passes through 0 at k = pi/6 and -5pi/6,
+    # which no doubling of the k-grid samples to within DEFAULT_TOL_GAP
+    p = preset("FIG5_TOP").params
+    t0 = time.perf_counter()
+    with pytest.raises(IllConditionedContourError):
+        spectral_winding(p, 0j)
+    assert time.perf_counter() - t0 < 0.1
+    # a reference on the Bloch spectrum at an irrational fraction of 2 pi
+    q = hn(-2.5, boundary=PBC)
+    E = np.linalg.eigvals(build_bloch(q, 2.0 * np.pi / np.sqrt(7.0)))[0]
+    with pytest.raises(IllConditionedContourError):
+        spectral_winding(q, E)
 
 
 def test_no_spectral_flow_without_nonreciprocity():
