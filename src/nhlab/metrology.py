@@ -27,8 +27,8 @@ from .errors import (BoundUndefinedError, DerivativeIllDefinedError,
 from .gbz import gbz_radius, skin_frame
 from .model import build_current_operator, build_hamiltonian
 from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, certify,
-                       eigenpair, full_spectrum, phase_fixed, steady_neighbours,
-                       steady_state, sublattice_eigenvalues)
+                       eigenpair, full_spectrum, phase_fixed, residuals,
+                       steady_neighbours, steady_state, sublattice_eigenvalues)
 
 QUANTUM = "QUANTUM"
 CLASSICAL = "CLASSICAL"
@@ -187,29 +187,30 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
 
     The frame is ln s for a positive vector s; the solver sees S^-1 H S
     (S = diag(s), see _skin_balanced), which tames the exponential
-    ill-conditioning skin modes inflict on the raw matrix.  The right
-    vectors are mapped back through their logarithm, shifted so each
-    column peaks at 1, so no component overflows however large s grows.
-    The mapping is an exact similarity, so this changes rounding behavior
-    only; the residuals are taken against the raw Hamiltonian.
+    ill-conditioning skin modes inflict on the raw matrix; full_spectrum
+    solves it on one sublattice unless an eigenvalue lies too near zero.
+    The right vectors are mapped back through their logarithm, in place,
+    shifted so each column peaks at 1, so no component overflows however
+    large s grows.  The mapping is an exact similarity, so this changes
+    rounding behavior only; the residuals are taken against the raw
+    Hamiltonian (spectral.residuals).
     """
     Hb, _, ln_s = _skin_balanced(p)
     dec = full_spectrum(Hb, tol_eig)
     if ln_s is None:
         return dec
     del Hb  # keeps the back-mapping below the solve's own peak memory
-    values = dec.values
+    values, vecs = dec.values, dec.right_vectors
+    del dec
     # ln v = ln|v| + i arg v, mapped back in place; components far below
     # their column's peak underflow to zero, as they must
     with np.errstate(divide="ignore", under="ignore"):
-        vecs = np.log(dec.right_vectors)
-        del dec
+        np.log(vecs, out=vecs)
         vecs += ln_s[:, None]
         vecs -= vecs.real.max(axis=0)
         np.exp(vecs, out=vecs)
         vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-        H = build_hamiltonian(p)
-        res = np.linalg.norm(H @ vecs - vecs * values[None, :], axis=0)
+        res = residuals(build_hamiltonian(p), vecs, values)
     return SpectralDecomposition(values=values, right_vectors=vecs,
                                  residuals=res)
 
@@ -218,9 +219,10 @@ def model_eigenvalues(p):
     """Eigenvalues of the model in its skin-balancing frame, no vectors.
 
     Returns (H, values): the balanced Hamiltonian and its eigenvalues,
-    sorted at DEFAULT_TOL_EIG's resolution.  Nothing here checks a
-    residual; certify each eigenvalue a result reads with
-    spectral.certify(H, values).
+    sorted at DEFAULT_TOL_EIG's resolution, from full_spectrum's
+    values-only solve (on one sublattice unless a value is too close to
+    zero for the squared solve).  Nothing here checks a residual; certify
+    each eigenvalue a result reads with spectral.certify(H, values).
     """
     H = _skin_balanced(p)[0]
     return H, full_spectrum(H, vectors=False)
@@ -356,7 +358,8 @@ def _steady_derivatives(p, ps, indices):
     parameter, H' is the central difference of the Hamiltonian at its
     step (exact for the labels H is linear in, O(step^2) for J, whose JmP
     is 1/J) and the steady eigenvalue moves by l^+ H' r / l^+ r.  A
-    degenerate steady eigenvalue, one not isolated against the spectral
+    degenerate steady eigenvalue (checked before the inverse iteration,
+    which diverges on it), one not isolated against the spectral
     motion of the raw H' over ISOLATION_SCALE times the step, or one the
     solve does not resolve (see _check_resolved), where a central
     difference has no limit, raises DerivativeIllDefinedError, as the
@@ -370,13 +373,15 @@ def _steady_derivatives(p, ps, indices):
         raise ValidationError("parameter index out of range")
     H, rho, frame = _skin_balanced(apply_params(p, ps))
     values = sublattice_eigenvalues(H)
+    if indices:
+        # before the inverse iteration, which diverges on a degenerate lam
+        _check_nondegenerate(values)
     lam = values[0]
     r, l = eigenpair(H, lam, left=True)
     certify(H, values[steady_neighbours(values)])
     rhs = []
     for i in indices:
         dH = _central_difference(p, ps, i)
-        _check_nondegenerate(values)
         if dH.any():  # a parameter H does not depend on has derivative 0
             _check_resolved(H, values, r, l)
         smallest = ps.steps[i] * ISOLATION_SCALE

@@ -14,19 +14,25 @@ skin-balancing frame (metrology.model_spectrum over full_spectrum); a raw
 solve of a skin-amplified chain loses eigenvalues to pseudospectral
 error that the residual gate does not see.
 
-full_spectrum solves a matrix whose imaginary part is all zero in real
-arithmetic (LAPACK dgeev instead of zgeev, about twice as fast); every
-preset but FIG5_TOP has a real Hamiltonian.  Values and vectors are
-returned complex either way, and the residual gate is the same.
+Both eigensolvers work on one sublattice where they can: every chain here
+couples even to odd positions only, so the eigenvalues are +-sqrt of
+those of the (D/2)-square product of the two off-diagonal blocks, about
+1/8 of the flops (_half_solve), and the eigenvectors follow from the
+product's.  full_spectrum (model spectra, skin profiles, edge states,
+the OBC gaps) and sublattice_eigenvalues (the steady solve, no vectors)
+share that solve.  Squaring loses absolute accuracy near zero
+(eps ||H||^2 / |lambda| instead of eps ||H||), so each value is held to
+the squaring gate: full_spectrum keeps the half-size result only if
+every value passes (and every pair the residual gate), the steady solve
+only checks the values it reads; otherwise both run the dense LAPACK
+?geev.  Chains with an edge pair near zero, deep in a topological phase,
+fall back.
 
-sublattice_eigenvalues gives the steady solve its eigenvalues from half
-the dimension: every chain here couples even to odd positions only, so
-the eigenvalues are +-sqrt of those of the (D/2)-square product of the
-two off-diagonal blocks, about 1/8 of the flops.  Squaring loses
-absolute accuracy near zero (eps ||H||^2 / |lambda| instead of
-eps ||H||), so it falls back to full_spectrum where a value the steady
-solve reads is too small; the OBC gaps, which read the eigenvalues
-nearest zero, stay on full_spectrum.
+A matrix whose imaginary part is all zero is solved in real arithmetic
+(LAPACK dgeev instead of zgeev, about twice as fast, and real products
+for the residuals); every preset but FIG5_TOP has a real Hamiltonian.
+Values and vectors are returned complex either way, and the residual
+gate is the same.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +46,9 @@ DEFAULT_TOL_EIG = 1e-9
 # inverse iteration stops at the first iterate that passes the gate, after
 # at most this many solves, as LAPACK's ?laein does
 MAX_INVERSE_STEPS = 3
+# a sublattice eigenvalue is kept when its squaring error eps ||M|| / |lambda|
+# is at most this fraction of max(|lambda|, 1)
+SQUARING_GATE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,9 +94,16 @@ def _order(values, tol_eig):
 def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     """Diagonalize a dense matrix with a residual guarantee.
 
-    A matrix with an all-zero imaginary part is passed to LAPACK as real
-    (dgeev, not zgeev).  Values and vectors come back complex either
-    way, and the residuals are taken against the matrix as given.
+    A bipartite matrix (see _bipartite_blocks) is solved on one
+    sublattice (_half_solve): the values are kept only if every one
+    passes the squaring gate, and the vectors only if every pair then
+    passes the residual gate below.  Anything else (odd dimension with
+    vectors, a value too close to zero for the squared solve, a failed
+    gate, a LAPACK failure of the half solve) takes the dense solve,
+    LAPACK ?geev of H.  A matrix with an all-zero imaginary
+    part goes to LAPACK as real (dgeev, not zgeev).  Values and vectors
+    come back complex either way, and the residuals are taken against the
+    matrix as given, in real arithmetic when it is real.
 
     Eigenpairs are sorted by decreasing imaginary part, ties broken by
     decreasing real part, so the ordering (and therefore steady-state
@@ -103,10 +119,38 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     Raises
     ------
     ConvergenceError
-        If LAPACK fails or any residual exceeds tol_eig * max(||H||_F, 1).
+        If the dense solve fails in LAPACK or leaves a residual above
+        tol_eig * max(||H||_F, 1).
     """
     H = _checked(H)
     A = H if np.any(H.imag) else H.real
+    blocks = _bipartite_blocks(A)
+    half = None if blocks is None else _half_solve(blocks, tol_eig, vectors)
+    if not vectors:
+        if half is not None and _squaring_ok(*half[:2]):
+            return half[0]
+        return _dense_solve(A, tol_eig, vectors=False)
+    bound = tol_eig * max(float(np.linalg.norm(H, "fro")), 1.0)
+    if half is not None and half[2] is not None:
+        values, _, vecs = half
+        residuals = _residuals(A, blocks, vecs, values)
+        if np.all(residuals <= bound):
+            return SpectralDecomposition(values=values, right_vectors=vecs,
+                                         residuals=residuals)
+    half = vecs = None  # frees the rejected vectors before the dense solve
+    values, vecs = _dense_solve(A, tol_eig, vectors=True)
+    residuals = _residuals(A, blocks, vecs, values)
+    if np.any(residuals > bound):
+        raise ConvergenceError(
+            "eigensolver residual %.3e exceeds %.3e (dim %d)"
+            % (residuals.max(), bound, H.shape[0]))
+    return SpectralDecomposition(values=values, right_vectors=vecs,
+                                 residuals=residuals)
+
+
+def _dense_solve(A, tol_eig, vectors):
+    """Sorted eigenvalues of A and, with vectors=True, its unit right
+    eigenvectors as (values, vecs): LAPACK ?geev, no residual check."""
     try:
         if not vectors:
             values = scipy.linalg.eigvals(A)
@@ -115,18 +159,113 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError("eigensolver failed: %s" % exc)
     order = _order(values, tol_eig)
-    values = values[order]
     # dgeev returns real vectors when every eigenvalue is real
     vecs = vecs[:, order].astype(complex, copy=False)
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    residuals = np.linalg.norm(H @ vecs - vecs * values[None, :], axis=0)
-    bound = tol_eig * max(float(np.linalg.norm(H, "fro")), 1.0)
-    if np.any(residuals > bound):
-        raise ConvergenceError(
-            "eigensolver residual %.3e exceeds %.3e (dim %d)"
-            % (residuals.max(), bound, H.shape[0]))
-    return SpectralDecomposition(values=values, right_vectors=vecs,
-                                 residuals=residuals)
+    vecs /= np.linalg.norm(vecs, axis=0)
+    return values[order], vecs
+
+
+def _bipartite_blocks(A):
+    """(H_eo, H_oe) = (A[0::2, 1::2], A[1::2, 0::2]), contiguous, when A
+    couples even to odd positions only (its even-even and odd-odd blocks
+    are exactly zero), else None."""
+    if len(A) < 2 or A[0::2, 0::2].any() or A[1::2, 1::2].any():
+        return None
+    return (np.ascontiguousarray(A[0::2, 1::2]),
+            np.ascontiguousarray(A[1::2, 0::2]))
+
+
+def _squaring_ok(values, error):
+    """True when every value's squaring error is within
+    SQUARING_GATE * max(|lambda|, 1)."""
+    return bool(np.all(error <= SQUARING_GATE * np.maximum(np.abs(values), 1.0)))
+
+
+def _half_solve(blocks, tol_eig, vectors):
+    """Sublattice solve of a bipartite matrix H from its blocks (H_eo, H_oe).
+
+    The eigenvalues are +-sqrt(mu), mu running over the eigenvalues of
+    the floor(D/2)-square product M = H_oe H_eo, plus an exact 0 when D
+    is odd; they are exactly symmetric under E -> -E and sorted as
+    full_spectrum sorts.  Returns (values, error, vecs): error is each
+    value's squaring error eps ||M||_1 / |lambda| (0 for the exact zero).
+    With vectors=True and every value within _squaring_ok, vecs holds the
+    unit right eigenvectors: the odd part of lambda's vector is x, M's
+    eigenvector of mu = lambda^2, and the even part H_eo x / lambda, so
+    the vectors of +-lambda are images of each other under
+    S = diag((-1)^i) up to a sign.  Otherwise vecs is None.  Returns None
+    for vectors=True at odd D, and when LAPACK fails.
+    """
+    eo, oe = blocks
+    D = len(eo) + len(oe)
+    if vectors and D % 2:
+        return None
+    M = oe @ eo
+    try:
+        if vectors:
+            mu, X = scipy.linalg.eig(M)
+        else:
+            mu = scipy.linalg.eigvals(M)
+    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure
+        return None
+    root = np.sqrt(mu)
+    values = np.concatenate([root, -root, np.zeros(D % 2)])
+    norm1 = float(np.max(np.sum(np.abs(M), axis=0)))
+    with np.errstate(divide="ignore"):
+        error = np.finfo(float).eps * norm1 / np.abs(values)
+    error[2 * len(root):] = 0.0
+    order = _order(values, tol_eig)
+    values, error = values[order], error[order]
+    if not (vectors and _squaring_ok(values, error)):
+        return values, error, None
+    k = order % len(root)
+    vecs = np.empty((D, D), dtype=complex)
+    vecs[1::2] = X[:, k]
+    np.divide(_product(eo, X)[:, k], values, out=vecs[0::2])
+    vecs /= _column_norms(vecs)
+    return values, error, vecs
+
+
+def _column_norms(V):
+    """2-norm of each column of a complex V with contiguous rows, summed
+    on its real view, so no V-sized temporary is made."""
+    F = V.view(float)
+    return np.sqrt(np.einsum("ij,ij->j", F, F).reshape(-1, 2).sum(axis=1))
+
+
+def _product(B, W):
+    """B @ W; a real B multiplies a complex W in real arithmetic (dgemm on
+    the interleaved real and imaginary parts), not as a complex matrix."""
+    if np.iscomplexobj(B) or not np.iscomplexobj(W):
+        return B @ W
+    if W.strides[-1] != W.itemsize:
+        W = np.ascontiguousarray(W)
+    return (B @ W.view(float)).view(complex)
+
+
+def _residuals(A, blocks, vecs, values):
+    """||A v - lambda v||_2 for each column v of vecs; blocks is
+    _bipartite_blocks(A), whose two products replace the D x D one."""
+    if blocks is None:
+        parts = ((A, vecs, vecs),)
+    else:
+        eo, oe = blocks
+        parts = ((eo, vecs[1::2], vecs[0::2]), (oe, vecs[0::2], vecs[1::2]))
+    squares = np.zeros(len(values))
+    for B, x, y in parts:
+        r = _product(B, x)
+        r -= y * values
+        squares += _column_norms(r) ** 2
+    return np.sqrt(squares)
+
+
+def residuals(H, vecs, values):
+    """Per-pair ||H v - lambda v||_2 of the columns of vecs, as
+    full_spectrum takes them (real arithmetic for a real H, the two
+    nonzero blocks of a bipartite one)."""
+    H = _checked(H)
+    A = H if np.any(H.imag) else H.real
+    return _residuals(A, _bipartite_blocks(A), vecs, values)
 
 
 def steady_neighbours(values):
@@ -142,35 +281,29 @@ def sublattice_eigenvalues(H):
 
     H is bipartite when its even-even and odd-odd blocks are zero, as on
     every open chain and even ring here; then S H S = -H for
-    S = diag((-1)^i), and the eigenvalues are +-sqrt(mu), mu running over
-    the eigenvalues of the floor(D/2)-square product H_oe H_eo
-    (H_oe = H[1::2, 0::2], H_eo = H[0::2, 1::2]), plus an exact 0 when D
-    is odd.  The product is solved in real arithmetic when
-    H is real, as full_spectrum does.  The output is exactly symmetric
-    under E -> -E and sorted as full_spectrum sorts.
+    S = diag((-1)^i), and _half_solve gives the eigenvalues from the
+    floor(D/2)-square product H_oe H_eo (H_oe = H[1::2, 0::2],
+    H_eo = H[0::2, 1::2]), in real arithmetic when H is real, as
+    full_spectrum does.  The output is exactly symmetric under E -> -E
+    and sorted as full_spectrum sorts.
 
-    Squaring costs accuracy near zero: a value's absolute error is about
-    eps ||H_oe H_eo|| / |lambda|.  Where that exceeds
-    1e-12 max(|lambda|, 1) for a value a steady solve reads (values[0]
-    and steady_neighbours), and for any matrix that is not bipartite,
-    this returns full_spectrum(H, vectors=False) instead.
+    Only the values a steady solve reads (values[0] and
+    steady_neighbours) are held to the squaring gate.  Where one of them
+    fails it, and for any matrix that is not bipartite, this returns the
+    dense solve's eigenvalues instead, as full_spectrum(H, vectors=False)
+    would, without a second half solve.
     """
     H = _checked(H)
     A = H if np.any(H.imag) else H.real
-    if len(A) < 2 or A[0::2, 0::2].any() or A[1::2, 1::2].any():
-        return full_spectrum(H, vectors=False)
-    M = A[1::2, 0::2] @ A[0::2, 1::2]
-    try:
-        root = np.sqrt(scipy.linalg.eigvals(M))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError("eigensolver failed: %s" % exc)
-    values = np.concatenate([root, -root, np.zeros(len(A) % 2)])
-    values = values[_order(values, DEFAULT_TOL_EIG)]
-    read = np.abs(values[[0] + steady_neighbours(values)])
-    error = np.finfo(float).eps * float(np.max(np.sum(np.abs(M), axis=0)))
-    if np.any(error > 1e-12 * np.maximum(read, 1.0) * read):
-        return full_spectrum(H, vectors=False)
-    return values
+    blocks = _bipartite_blocks(A)
+    half = None if blocks is None else _half_solve(blocks, DEFAULT_TOL_EIG,
+                                                   vectors=False)
+    if half is not None:
+        values, error, _ = half
+        read = [0] + steady_neighbours(values)
+        if _squaring_ok(values[read], error[read]):
+            return values
+    return _dense_solve(A, DEFAULT_TOL_EIG, vectors=False)
 
 
 def _inverse_iterate(solve, residual, bound, start):
@@ -185,8 +318,15 @@ def _inverse_iterate(solve, residual, bound, start):
     for _ in range(MAX_INVERSE_STEPS):
         with np.errstate(all="ignore"):
             y = solve(x)
-            x = y / np.linalg.norm(y)
+            size = np.linalg.norm(y)
+            x = y / size
             res = float(np.linalg.norm(residual(x)))
+        if not np.isfinite(size):
+            # the solve overflowed: H - lambda has more than one
+            # (near-)zero pivot, so lambda is degenerate or defective
+            raise ConvergenceError(
+                "inverse iteration diverged: eigenvalue is degenerate or "
+                "defective (dim %d)" % len(x))
         if res <= bound:
             return x
     raise ConvergenceError(
@@ -202,7 +342,8 @@ def eigenpair(H, lam, left=False):
     (l^H H = lam l^H), returned as (r, l).  Each vector is kept only if
     its residual is at most DEFAULT_TOL_EIG * max(||H||_F, 1),
     full_spectrum's default gate, so a value lam that is not an
-    eigenvalue of H to that accuracy raises ConvergenceError.  An exactly
+    eigenvalue of H to that accuracy raises ConvergenceError, as does a
+    degenerate or defective lam whose solve overflows.  An exactly
     zero pivot (lam an exact eigenvalue) is replaced by
     eps * max(||H||_F, 1).  The start vector is fixed, so the result is
     deterministic.

@@ -422,8 +422,11 @@ def obc_central_gap(p):
     """Width of the central line gap of the OBC spectrum, 2*min|E|.
 
     The eigenvalues are solved in the skin-balancing frame, without
-    vectors (model_eigenvalues); the three smallest |E| the result reads
-    are certified by inverse iteration.  On a skin-amplified chain the
+    vectors (model_eigenvalues): on one sublattice when every |E| is far
+    enough from zero for the squared solve, as at FIG3's GBZ closings,
+    and dense when one is not, as for an edge pair near zero.  The three
+    smallest |E| the result reads are certified by inverse iteration.  On
+    a skin-amplified chain the
     raw matrix gives eigenvalue errors larger than the gap itself, which
     the residual gate does not catch: FIG3 at L=200 reads two to three
     times the true 0.00758 at the 0.3468 closing.
@@ -451,9 +454,10 @@ def obc_side_gap(p):
     States are split by |E| at the largest relative jump in the sorted
     magnitudes (excluding the lowest quarter, so mid-gap modes and the
     central closing itself do not capture the split).  The eigenvalues
-    are solved without vectors (model_eigenvalues); the closest
-    central/side pair, which gives the result, is certified by inverse
-    iteration.
+    are solved without vectors (model_eigenvalues, on one sublattice
+    unless a value is too close to zero for the squared solve, then
+    dense); the closest central/side pair, which gives the result, is
+    certified by inverse iteration.
     """
     H, E = model_eigenvalues(p)
     mags = np.sort(np.abs(E))

@@ -11,9 +11,10 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, RECIPROCAL_MODULAR,
                    ParamSpec, SweepSpec, ValidationError, apply_params,
                    build_hamiltonian, cfi, cfim, current_basis,
                    family_state_derivative, find_peak, harness, make_params,
-                   metrology, position_basis, preset,
+                   metrology, params_to_config, position_basis, preset,
                    probe_state, qfi, qfim, run_sweep, skin_frame,
                    state_derivative, state_derivatives, total_variance_bound)
+from nhlab.cli import main
 from nhlab.spectral import participation_ratio
 from nhlab.metrology import QUANTUM
 
@@ -397,3 +398,24 @@ def test_state_derivatives_match_the_per_parameter_calls(name):
     for i, dpsi in enumerate(dpsis):
         single = state_derivative(p, ps, i)
         assert np.linalg.norm(dpsi - single) <= 1e-12 * np.linalg.norm(single)
+
+
+def test_vanishing_bond_reports_a_degenerate_steady_state(tmp_path):
+    # FIG2_SSH at JR=-0.5 has JmP = JR + 0.5 = 0: the modules decouple and
+    # the steady eigenvalue is L-fold degenerate, so inverse iteration
+    # overflows; both failures are typed, not "residual nan"
+    b = preset("FIG2_SSH")
+    p = b.resized(34).with_updates(JR=-0.5)
+    assert p.JmP == 0
+    ps = ParamSpec(("JR",), (-0.5,), (DEFAULT_STEP,))
+    for derivative in (lambda: state_derivatives(p, ps),
+                       lambda: state_derivative(p, ps, 0)):
+        with pytest.raises(DerivativeIllDefinedError, match="degenerate"):
+            derivative()
+    with pytest.raises(ConvergenceError, match="degenerate or defective"):
+        probe_state(p, ps)
+    ini = tmp_path / "ssh.ini"
+    ini.write_text("[model]\n%s\n[metrology]\nlabels = JR\nvalues = -0.5\n"
+                   % "\n".join("%s = %s" % kv
+                               for kv in params_to_config(p).items()))
+    assert main(["qfi", "--config", str(ini)]) == 3

@@ -12,10 +12,10 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, PBC, PRESET_NAMES,
                    CouplingPreset, ParamSpec, ValidationError,
                    build_hamiltonian, cumulative_population, edge_states,
                    full_spectrum, gbz_radius, make_params, model_spectrum,
-                   obc_central_gap, participation_ratio, preset,
+                   obc_central_gap, obc_side_gap, participation_ratio, preset,
                    state_derivatives, steady_state)
 from nhlab.metrology import model_eigenvalues
-from nhlab.spectral import (DEFAULT_TOL_EIG, _order, eigenpair,
+from nhlab.spectral import (DEFAULT_TOL_EIG, _order, _product, eigenpair,
                             sublattice_eigenvalues)
 
 
@@ -227,16 +227,16 @@ def test_all_real_spectrum_gives_complex_vectors(p):
     assert all(np.isfinite(e) and np.isfinite(w) for e, w in edges)
 
 
-def _record_eigvals(monkeypatch):
-    """(shape, dtype) of every matrix handed to scipy.linalg.eigvals."""
+def _record_eigvals(monkeypatch, name="eigvals"):
+    """(shape, dtype) of every matrix handed to scipy.linalg.<name>."""
     seen = []
-    solve = scipy.linalg.eigvals
+    solve = getattr(scipy.linalg, name)
 
     def recorded(a, *args, **kwargs):
         seen.append((a.shape, a.dtype))
         return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigvals", recorded)
+    monkeypatch.setattr(scipy.linalg, name, recorded)
     return seen
 
 
@@ -293,7 +293,8 @@ def test_sublattice_eigenvalues_fall_back_near_zero(monkeypatch):
 
 def test_fisher_point_solves_one_sublattice(monkeypatch):
     # the steady solve hands LAPACK a floor(D/2)-square matrix, real or
-    # complex as the Hamiltonian is; the OBC gaps keep the D x D solve
+    # complex as the Hamiltonian is; so do the OBC gaps, through
+    # full_spectrum, where every eigenvalue passes the squaring gate
     for name, L, dtype in (("FIG4_HN", 34, np.float64),
                            ("FIG5_BOTTOM", 70, np.float64),
                            ("FIG5_TOP", 34, np.complex128)):
@@ -307,4 +308,82 @@ def test_fisher_point_solves_one_sublattice(monkeypatch):
     p = preset("FIG4_HN").resized(34)
     seen = _record_eigvals(monkeypatch)
     obc_central_gap(p)
-    assert seen == [((p.D, p.D), np.float64)]
+    assert seen == [((p.D // 2, p.D // 2), np.float64)]
+
+
+HALF_PATH_CASES = (
+    [("%s_L%d" % (n, L), preset(n).resized(L))
+     for L in (34, 50) for n in PRESET_NAMES]
+    + [("FIG4_HN_PBC", preset("FIG4_HN").resized(34).with_updates(boundary=PBC))])
+
+
+@pytest.mark.parametrize("p", [c[1] for c in HALF_PATH_CASES],
+                         ids=[c[0] for c in HALF_PATH_CASES])
+def test_full_spectrum_solves_one_sublattice(monkeypatch, p):
+    # the matrix every model spectrum solves: the skin-balanced chain
+    H, _ = model_eigenvalues(p)
+    seen = _record_eigvals(monkeypatch, "eig")
+    dec = full_spectrum(H)
+    assert [shape for shape, _ in seen] == [(p.D // 2, p.D // 2)]
+    monkeypatch.undo()
+    ref = scipy.linalg.eigvals(H)
+    ref = ref[_order(ref, DEFAULT_TOL_EIG)]
+    # same values in the same order as the dense solve
+    assert np.all(np.abs(dec.values - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+    V = dec.right_vectors
+    assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-13)
+    # every pair passes the unchanged gate, against H as a whole
+    res = np.linalg.norm(H @ V - V * dec.values, axis=0)
+    assert np.all(res <= DEFAULT_TOL_EIG * np.linalg.norm(H))
+    assert np.allclose(dec.residuals, res, rtol=0, atol=1e-13)
+    # the vectors of +-lambda are images under S = diag((-1)^i) up to phase
+    S = (-1.0) ** np.arange(p.D)
+    for j, lam in enumerate(dec.values):
+        partners = np.flatnonzero(dec.values == -lam)
+        overlaps = np.abs(V[:, partners].conj().T @ (S * V[:, j]))
+        assert np.max(overlaps) >= 1.0 - 1e-12, j
+
+
+def test_full_spectrum_keeps_odd_chains_on_the_dense_solve(monkeypatch):
+    # an odd chain has no half-size eigenvector for its zero mode
+    H, _ = model_eigenvalues(preset("FIG4_HN").resized(35))
+    seen = _record_eigvals(monkeypatch, "eig")
+    dec = full_spectrum(H)
+    assert [shape for shape, _ in seen] == [H.shape]
+    assert np.max(np.abs(full_spectrum(H, vectors=False) - dec.values)) <= 1e-12
+
+
+def test_edge_pair_forces_the_dense_solve(monkeypatch):
+    # FIG3 at L=100, JR=-1: the edge pair at +-1.87e-4 is too close to zero
+    # for the squared solve (eps ||M|| / |lambda| > 1e-12), so edge_states
+    # and obc_side_gap read the dense solve
+    p = preset("FIG3").params.with_updates(L=100, JR=-1.0)
+    seen = _record_eigvals(monkeypatch, "eig")
+    pair = edge_states(p, 0.1)
+    assert [shape for shape, _ in seen] == [(p.D // 2, p.D // 2), (p.D, p.D)]
+    # the values the dense solve gave before the half-size route; the
+    # tolerance is that solve's own accuracy on the pair, which the BLAS
+    # thread count moves
+    want = [(0.0001874849683893995, 0.9985311157496537),
+            (-0.00018748496839376104, 0.9985311157496537)]
+    assert len(pair) == 2
+    for (E, weight), (E0, weight0) in zip(pair, want):
+        assert E.imag == 0 and abs(E.real - E0) <= 1e-10 * abs(E0)
+        assert abs(weight - weight0) <= 1e-10
+    assert abs(obc_side_gap(p) - 1.5369828156494503) <= 1e-12
+    # and exactly the dense solve's eigenvalues
+    H, values = model_eigenvalues(p)
+    ref = scipy.linalg.eigvals(H.real)
+    assert np.array_equal(values, ref[_order(ref, DEFAULT_TOL_EIG)])
+
+
+def test_real_matrix_products_match_the_complex_product():
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((5, 4))
+    W = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+    for x in (W[1::2], W[0::2], np.asfortranarray(W[:4])):
+        got = _product(B, x)
+        assert got.dtype == np.complex128
+        assert np.allclose(got, B.astype(complex) @ x, rtol=1e-15, atol=1e-15)
+    assert np.array_equal(_product(B.astype(complex), W[:4]),
+                          B.astype(complex) @ W[:4])
