@@ -38,10 +38,6 @@ class GbzContour:
         phi = np.linspace(0.0, 2.0 * np.pi, self.n_points, endpoint=False)
         object.__setattr__(self, "points", self.radius * np.exp(1j * phi))
 
-    def refined(self):
-        """Same circle with twice the points."""
-        return GbzContour(radius=self.radius, n_points=2 * self.n_points)
-
 
 def beta_quadratic_coeffs(p):
     """Leading and constant coefficients (a, c) of the bulk beta-quadratic.
@@ -122,8 +118,8 @@ def gbz_contour(p, n_points=DEFAULT_CONTOUR_POINTS):
     """GBZ circle for the model, clamped away from zero radius.
 
     Degenerate couplings (JR = 0 or JmP = 0) collapse the analytic radius
-    to zero; the clamp keeps the contour usable for winding integrals,
-    where any positive radius encircles the origin the same way.
+    to zero; the clamp keeps the contour usable for windings, where any
+    positive radius encircles the origin the same way.
     """
     return GbzContour(radius=max(gbz_radius(p), MIN_CONTOUR_RADIUS),
                       n_points=n_points)

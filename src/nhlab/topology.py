@@ -2,7 +2,10 @@
 
 Spectral (point-gap) topology is probed by the winding of
 det(H_k - Eref) around the Brillouin zone; band (line-gap) topology by
-the winding of det(h_beta^+) around the GBZ.  Closed-form gap-closing
+the winding of det(h_beta^+) around the GBZ.  Both determinants are
+Laurent polynomials in beta whose only pole is a simple one at the
+origin, so each winding is an exact root count (argument principle):
+zeros inside the contour minus one.  Closed-form gap-closing
 solvers are provided for the two-band-per-site, two-site-per-module
 family with shifted modular couplings, where the characteristic
 polynomial factorizes through eta_1 = 2 J0^2 + Jm JmP + JL JR and
@@ -18,41 +21,37 @@ from scipy.spatial import cKDTree
 
 from .errors import (AtTransitionError, NumericalError, UnsupportedStructureError,
                      ValidationError)
-from .gbz import gbz_contour
+from .gbz import beta_polynomial, gbz_contour
 from .metrology import model_eigenvalues, model_spectrum
 from .model import SHIFTED, build_bloch, build_generalized_bloch, chiral_blocks
 from .spectral import DEFAULT_TOL_EIG, certify
 
-POINT_GAP = "POINT_GAP"
 LINE_GAP_CENTRAL = "LINE_GAP_CENTRAL"
 LINE_GAP_SIDE = "LINE_GAP_SIDE"
 
 DEFAULT_TOL_GAP = 1e-6
-TRANSITION_SOLVER_TOL = 5e-4
-WINDING_INTEGER_TOL = 0.05
-WINDING_K_POINTS = 1024
 LINE_GAP_K_POINTS = 512
+BAND_MINIMUM_K_POINTS = 4096
 LOOP_K_POINTS = 2048
 LOOP_RESOLUTION = 1e-2
 ROOT_DEDUPE_TOL = 1e-9  # gap-closing roots closer than this are one root
 
 
 class IllConditionedContourError(NumericalError):
-    """Reference energy too close to the spectrum for a winding integral."""
+    """Reference energy too close to the spectrum for a winding."""
 
 
 @dataclass(frozen=True)
 class WindingResult:
-    """Integer winding value plus the raw accumulated phase / 2 pi.
+    """Integer winding value plus the signed count it came from.
 
-    Spectral windings are signed; band windings report the magnitude of
-    the rounded phase (raw_phase always keeps the sign).  The contour
-    field records what the integral ran over.
+    Both windings are exact root counts: zeros inside the contour minus
+    the pole at the origin.  Spectral windings are signed; band windings
+    report the count's magnitude.  raw_phase is the signed count, a float.
     """
 
     value: int
     raw_phase: float
-    contour: object
 
 
 @dataclass(frozen=True)
@@ -63,100 +62,49 @@ class GapReport:
     closed: bool
 
 
-def _loop_phase(samples):
-    """Total phase accumulated by a closed discrete loop, in turns.
+def spectral_winding(p, Eref):
+    """Winding of det(H_k - Eref) as k sweeps the Brillouin zone.
 
-    Returns (turns, max_step).  Each successive phase difference is
-    wrapped to (-pi, pi]; the loop closes from the last sample back to
-    the first.
+    det(H_beta - Eref) has one pole, at beta = 0, and the zeros of the
+    quadratic beta_polynomial, so the winding is the number of those roots
+    inside the unit circle minus one.  Raises IllConditionedContourError
+    when the Bloch spectrum at a root's k (or at k = 0, which catches a det
+    that vanishes for every beta) lies within DEFAULT_TOL_GAP of Eref.
     """
-    ang = np.angle(samples)
-    diffs = np.diff(np.concatenate([ang, ang[:1]]))
-    diffs = (diffs + np.pi) % (2.0 * np.pi) - np.pi
-    return float(np.sum(diffs) / (2.0 * np.pi)), float(np.max(np.abs(diffs)))
-
-
-def _check_crossings(p, Eref):
-    """Raise IllConditionedContourError where the Bloch spectrum passes
-    within DEFAULT_TOL_GAP of Eref, wherever the k-grid falls.
-
-    The corner bonds JmP/beta and Jm beta make beta det(H_beta - Eref) a
-    quadratic in beta; its coefficients are the discrete Fourier
-    transform of three samples on the unit circle.  The spectrum reaches
-    Eref only at the k of a root on |beta| = 1, so the Bloch spectrum is
-    checked at each root's k.
-    """
-    eye = np.eye(p.r * p.d)
-    beta = np.exp(2j * np.pi * np.arange(3) / 3.0)
-    dets = beta * np.linalg.det(build_generalized_bloch(p, beta) - Eref * eye)
-    coeffs = np.fft.fft(dets) / 3.0  # coefficients of beta^0, beta^1, beta^2
-    roots = np.roots(coeffs[::-1])
-    if len(roots) == 0:
-        return
-    evs = np.linalg.eigvals(build_bloch(p, np.angle(roots)))
+    Eref = complex(Eref)
+    roots = np.roots(beta_polynomial(p, Eref))
+    evs = np.linalg.eigvals(build_bloch(p, np.append(np.angle(roots), 0.0)))
     dist = float(np.min(np.abs(evs - Eref)))
     if dist <= DEFAULT_TOL_GAP:
         raise IllConditionedContourError(
             "Eref within %.2e of the PBC spectrum" % dist)
-
-
-def spectral_winding(p, Eref):
-    """Winding of det(H_k - Eref) as k sweeps the Brillouin zone.
-
-    Eref must stay farther than DEFAULT_TOL_GAP from the PBC spectrum;
-    that is checked where the spectrum crosses Eref (_check_crossings)
-    before any sampling, and on every k-grid.  The k-grid starts at
-    WINDING_K_POINTS samples and doubles, up to seven times, until the
-    phase steps are small.  Returns a WindingResult with a signed
-    integer value.
-    """
-    Eref = complex(Eref)
-    eye = np.eye(p.r * p.d)
-    _check_crossings(p, Eref)
-    n = WINDING_K_POINTS
-    for _ in range(8):
-        Hk = _contour_blochs(p, False, n)
-        dets = np.linalg.det(Hk - Eref * eye)
-        dist = np.min(np.abs(np.linalg.eigvals(Hk) - Eref))
-        if dist <= DEFAULT_TOL_GAP:
-            raise IllConditionedContourError(
-                "Eref within %.2e of the PBC spectrum" % dist)
-        turns, max_step = _loop_phase(dets)
-        if max_step <= 0.5 * np.pi and abs(turns - round(turns)) < WINDING_INTEGER_TOL:
-            return WindingResult(value=int(round(turns)), raw_phase=turns,
-                                 contour={"kind": "k-grid", "n": n})
-        n *= 2
-    raise NumericalError("spectral winding did not stabilize after refinement")
+    count = int(np.sum(np.abs(roots) < 1.0)) - 1
+    return WindingResult(value=count, raw_phase=float(count))
 
 
 def band_winding(p, contour):
     """Winding of det(h_beta^+) along the GBZ contour, counter-clockwise.
 
-    The corner 1/beta term makes det(h_beta^+) meromorphic with a pole
-    at the origin, so the accumulated phase counts zeros inside the
-    contour minus the pole order; the magnitude of that count is the
-    reported value (1 in the edge-state phase, 0 in the trivial phase,
-    consistent with the mid-gap edge-state count), and the signed
-    accumulated phase is kept in raw_phase.
+    Only the corner bond JmP/beta enters h_beta^+, so det(h_beta^+) =
+    A + B/beta, read off at beta = +-R with R the contour radius.  Its
+    zero -B/A and its pole at 0 give the signed winding [|B/A| < R] - 1,
+    kept in raw_phase; value is its magnitude (1 in the edge-state phase,
+    0 in the trivial one, matching the mid-gap edge-state count).
 
     Raises
     ------
     AtTransitionError
-        If det(h_beta^+) vanishes on the contour (winding undefined).
+        If det(h_beta^+) vanishes on the contour: its minimum modulus
+        there, ||A| - |B|/R|, is below 1e-12 of its maximum, |A| + |B|/R.
     """
-    cont = contour
-    for _ in range(6):
-        dets = np.linalg.det(chiral_blocks(p, cont.points)[0])
-        mags = np.abs(dets)
-        if np.min(mags) <= 1e-12 * max(np.max(mags), 1e-300):
-            raise AtTransitionError(
-                "det(h+) vanishes on the contour; at a band transition")
-        turns, max_step = _loop_phase(dets)
-        if max_step <= 0.5 * np.pi and abs(turns - round(turns)) < WINDING_INTEGER_TOL:
-            return WindingResult(value=abs(int(round(turns))), raw_phase=turns,
-                                 contour=cont)
-        cont = cont.refined()
-    raise NumericalError("band winding did not stabilize after contour refinement")
+    R = contour.radius
+    plus, minus = np.linalg.det(chiral_blocks(p, np.array([R, -R]))[0])
+    A, B = 0.5 * (plus + minus), 0.5 * R * (plus - minus)
+    if abs(abs(A) - abs(B) / R) <= 1e-12 * (abs(A) + abs(B) / R):
+        raise AtTransitionError(
+            "det(h+) vanishes on the contour; at a band transition")
+    count = int(abs(B) < R * abs(A)) - 1
+    return WindingResult(value=abs(count), raw_phase=float(count))
 
 
 # -- closed-form gap-closing solvers (d=2, r=2, SHIFTED family) -------------
@@ -345,17 +293,16 @@ def line_gap_minima(p, use_gbz=False):
     return _gap_reports(p, bands)
 
 
-def direct_band_minimum(p, use_gbz=False, grid_size=512):
+def direct_band_minimum(p, use_gbz=False):
     """Smallest distance between distinct eigenvalues over the contour.
 
     Label-free touching detector: a band closing means two eigenvalues of
     the same Bloch (or generalized-Bloch) matrix coincide, so no band
     bookkeeping is needed.  Complements line_gap_minima, whose per-pair
-    reports depend on how bands are ordered.
+    reports depend on how bands are ordered.  The contour is sampled at
+    BAND_MINIMUM_K_POINTS points.
     """
-    if grid_size < 128:
-        raise ValidationError("grid_size must be >= 128")
-    ev = np.linalg.eigvals(_contour_blochs(p, use_gbz, int(grid_size)))
+    ev = np.linalg.eigvals(_contour_blochs(p, use_gbz, BAND_MINIMUM_K_POINTS))
     d = np.abs(ev[:, :, None] - ev[:, None, :])
     i = np.arange(ev.shape[1])
     d[:, i, i] = np.inf

@@ -119,7 +119,7 @@ def test_criterion_04_bloch_gap_closings(report):
     for target in (0.6008, -2.6008, -1.3822):
         r = nearest(roots, target)
         err = abs(r - target)
-        m = direct_band_minimum(fig3(r), grid_size=4096)
+        m = direct_band_minimum(fig3(r))
         checks.append((err < 5e-4 and m < 1e-3,
                        "closing %.6f (err %.1e, band minimum %.1e)"
                        % (r, err, m)))
@@ -134,7 +134,7 @@ def test_criterion_05_gbz_gap_closings(report):
     for target in targets:
         r = nearest(roots, target)
         err = abs(r - target)
-        m = direct_band_minimum(fig3(r), use_gbz=True, grid_size=4096)
+        m = direct_band_minimum(fig3(r), use_gbz=True)
         matched.append(r)
         checks.append((err < 5e-4 and m < 1e-3,
                        "closing %.6f (err %.1e, gbz minimum %.1e)"

@@ -136,6 +136,15 @@ def test_winding_band(tmp_path, capsys):
     assert rows[0][0] == "band" and rows[0][1] == "0"
 
 
+def test_winding_band_at_a_transition_exits_3(tmp_path, capsys):
+    # the non-modular two-site chain's det(h+) vanishes on its GBZ circle
+    ini = write(tmp_path, HN.replace("r = 3", "r = 2").replace("L = 8", "L = 20")
+                .replace("JR_re = -2.5", "JR_re = 1.5\nJR_im = -0.5")
+                .replace("RECIPROCAL_MODULAR\nJ_re = 2.0", "NON_MODULAR"))
+    assert main(["winding", "--config", ini, "--kind", "band"]) == 3
+    assert "at a band transition" in capsys.readouterr().err
+
+
 def test_winding_spectral(tmp_path, capsys):
     ini = write(tmp_path, HN.replace("L = 8", "L = 8\nboundary = PBC")
                 + "\n[topology]\nkind = spectral\neref_re = 0.0\neref_im = 0.0\n")

@@ -89,9 +89,6 @@ def test_contour_geometry():
     assert np.max(np.abs(np.abs(pts) - cont.radius)) < 1e-12
     phases = np.angle(pts * np.exp(-1j * np.angle(pts[0])))
     assert np.all(np.diff(np.unwrap(phases)) > 0)
-    fine = cont.refined()
-    assert len(fine.points) == 2 * len(pts)
-    assert fine.radius == cont.radius
 
 
 def test_reciprocal_couplings_sit_on_unit_circle():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nhlab import (PBC, RECIPROCAL_MODULAR, SHIFTED, ConvergenceError,
-                   CouplingPreset, NumericalError, UnsupportedStructureError,
-                   ValidationError, band_winding, build_bloch, build_hamiltonian,
+from nhlab import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED,
+                   AtTransitionError, ConvergenceError, CouplingPreset,
+                   NumericalError, UnsupportedStructureError, ValidationError,
+                   band_winding, build_bloch, build_hamiltonian, chiral_blocks,
                    count_spectral_loops, direct_band_minimum, edge_states,
                    gbz_contour, gbz_radius, gbz_zero_gap_solutions,
                    line_gap_minima, make_params, metrology, obc_central_gap,
@@ -40,7 +41,7 @@ def test_pbc_closing_solver_contains_known_roots():
         assert abs(nearest(roots, want) - want) < 5e-4
     # every returned root is an actual band touching of the Bloch family
     for v in roots:
-        assert direct_band_minimum(shifted(v), grid_size=4096) < 1e-3
+        assert direct_band_minimum(shifted(v)) < 1e-3
 
 
 def test_gbz_closing_solver_contains_known_roots():
@@ -49,7 +50,7 @@ def test_gbz_closing_solver_contains_known_roots():
         assert abs(nearest(roots, want) - want) < 5e-4
     for v in roots:
         q = shifted(v)
-        assert direct_band_minimum(q, use_gbz=True, grid_size=4096) < 1e-3
+        assert direct_band_minimum(q, use_gbz=True) < 1e-3
 
 
 def test_solvers_require_the_two_band_structure():
@@ -206,6 +207,61 @@ def test_band_winding_needs_bipartite_structure():
         band_winding(p, gbz_contour(p))
 
 
+def test_band_winding_at_a_structural_transition_is_typed():
+    # h+ = JL + JR/beta vanishes at |beta| = |JR/JL|, which is the GBZ
+    # radius of every non-modular two-site chain
+    p = make_params(1, 2, 20, JL=1.0, JR=1.5 - 0.5j,
+                    preset=CouplingPreset(NON_MODULAR))
+    with pytest.raises(AtTransitionError):
+        band_winding(p, gbz_contour(p))
+
+
+def phase_turns(dets):
+    """Phase of a closed loop of samples, unwrapped, in turns."""
+    return np.sum(np.diff(np.unwrap(np.angle(np.append(dets, dets[0]))))) / (2 * np.pi)
+
+
+def test_windings_match_a_sampled_phase_integral():
+    # reference: the phase of det unwrapped over 8192 points, trusted
+    # only where it lands within 0.05 of an integer
+    phi = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
+    rng = np.random.default_rng(3)
+    shapes = [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 2)]
+    kinds = [RECIPROCAL_MODULAR, SHIFTED, NON_MODULAR]
+    compared = {"spectral": 0, "band": 0}
+    for i in range(42):
+        d, r = shapes[i % len(shapes)]
+        jr = 1.5 * rng.normal() + (1j * rng.normal() if rng.random() < 0.3 else 0.0)
+        p = make_params(d, r, 10, J0=abs(rng.normal()) + 0.2 if d > 1 else 0.0,
+                        JL=rng.normal(), JR=jr,
+                        preset=CouplingPreset(kinds[i % 3], rng.normal() + 0.1))
+        eye = np.eye(r * d)
+        for eref in (0j, complex(rng.normal(), rng.normal()), 50.0 + 0j):
+            ref = phase_turns(np.linalg.det(build_bloch(p, phi) - eref * eye))
+            try:
+                res = spectral_winding(p, eref)
+            except IllConditionedContourError:
+                continue
+            assert res.raw_phase == res.value
+            if abs(ref - round(ref)) < 0.05:
+                assert res.value == round(ref)
+                compared["spectral"] += 1
+        if r * d % 2:
+            continue
+        cont = gbz_contour(p)
+        ref = phase_turns(np.linalg.det(
+            chiral_blocks(p, cont.radius * np.exp(1j * phi))[0]))
+        try:
+            res = band_winding(p, cont)
+        except AtTransitionError:
+            continue
+        assert res.value == abs(res.raw_phase) and res.raw_phase == round(res.raw_phase)
+        if abs(ref - round(ref)) < 0.05:
+            assert res.raw_phase == round(ref)
+            compared["band"] += 1
+    assert compared["spectral"] >= 100 and compared["band"] >= 15, compared
+
+
 def test_spectral_winding_signed_loops():
     p = hn(-2.5, boundary=PBC)
     w0 = spectral_winding(p, 0j)
@@ -220,6 +276,11 @@ def test_spectral_winding_rejects_reference_on_spectrum():
     E = np.linalg.eigvals(build_hamiltonian(p))[0]
     with pytest.raises(IllConditionedContourError):
         spectral_winding(p, complex(E))
+    # JL = JR = 0 isolates each module's middle site: a flat band at 0,
+    # where det vanishes for every beta and has no roots to look at
+    flat = make_params(1, 3, 8, JL=0, JR=0, Jm=1.0, JmP=0.5, boundary=PBC)
+    with pytest.raises(IllConditionedContourError):
+        spectral_winding(flat, 0j)
 
 
 def test_spectral_winding_fails_fast_between_grid_points():
