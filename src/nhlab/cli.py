@@ -17,7 +17,7 @@ import numpy as np
 
 from . import harness
 from .errors import NumericalError, ValidationError
-from .gbz import gbz_contour, point_gap_residual
+from .gbz import point_gap_residual
 from .metrology import (DEFAULT_STEP, ParamSpec, cfi, cfim, current_basis,
                         model_spectrum, position_basis, qfi, qfim,
                         state_derivatives, total_variance_bound)
@@ -229,7 +229,7 @@ def cmd_winding(args, cfg):
     top = cfg.get("topology", {})
     kind = str(top.get("kind", args.kind)).strip().lower()
     if kind == "band":
-        res = band_winding(p, gbz_contour(p))
+        res = band_winding(p)
         eref = 0j
     elif kind == "spectral":
         eref = complex(_float("topology", top, "eref_re", 0.0),

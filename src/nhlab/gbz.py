@@ -114,15 +114,19 @@ def point_gap_residual(p):
     return abs(rho * rho - 1.0)
 
 
-def gbz_contour(p, n_points=DEFAULT_CONTOUR_POINTS):
-    """GBZ circle for the model, clamped away from zero radius.
+def contour_radius(p):
+    """GBZ radius clamped away from zero: max(gbz_radius, MIN_CONTOUR_RADIUS).
 
     Degenerate couplings (JR = 0 or JmP = 0) collapse the analytic radius
-    to zero; the clamp keeps the contour usable for windings, where any
+    to zero; the clamp keeps the circle usable for windings, where any
     positive radius encircles the origin the same way.
     """
-    return GbzContour(radius=max(gbz_radius(p), MIN_CONTOUR_RADIUS),
-                      n_points=n_points)
+    return max(gbz_radius(p), MIN_CONTOUR_RADIUS)
+
+
+def gbz_contour(p, n_points=DEFAULT_CONTOUR_POINTS):
+    """GBZ circle for the model, of radius contour_radius(p)."""
+    return GbzContour(radius=contour_radius(p), n_points=n_points)
 
 
 def skin_frame(p):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DerivativeIllDefinedError, NumericalError, ValidationError
-from .gbz import gbz_contour, point_gap_residual
+from .gbz import point_gap_residual
 from .metrology import (DEFAULT_STEP, PARAM_LABELS, ParamSpec, apply_params,
                         cfi, current_basis, model_spectrum, position_basis,
                         probe_state, qfi, qfim, state_derivatives,
@@ -166,7 +166,7 @@ def _point_values(spec, x, names, basis=None):
             if name == GAP_RESIDUAL:
                 values[name] = point_gap_residual(q)
             elif name == WINDING_BAND:
-                values[name] = float(band_winding(q, gbz_contour(q)).value)
+                values[name] = float(band_winding(q).value)
             elif name == WINDING_SPECTRAL:
                 values[name] = float(spectral_winding(q, 0j).value)
             elif name == SLOPE:

@@ -9,13 +9,21 @@ iteration for the steady eigenvalue's right and left vectors
 (spectral.eigenpair; spectral.certify holds the eigenvalues the guards
 read to the same gate).  Parameter derivatives are analytic: the steady
 eigenvalue moves by l^+ H' r / l^+ r, and a bordered linear system gives
-the right vector's derivative (Nelson's method), one right-hand side per
-parameter, so state_derivatives gives the state and every derivative of
-a point from one solve.  family_state_derivative, one gauge-aligned
-central difference of the steady state at a fixed step, is kept as an
-independent oracle.  Quantum and classical Fisher informations (scalar
-and matrix) follow from the derivatives.  All bounds are per
-measurement shot.
+the right vector's derivative (Nelson's method, spectral.bordered_solve),
+one right-hand side per parameter, so state_derivatives gives the state
+and every derivative of a point from one solve.
+
+On an open chain the point runs on the chain's two bands
+(model.chain_bands): H, H' and their norms are bands, and every
+factorization is a tridiagonal ?gttrf, so a point costs one
+(D/2)-square ?geev plus O(D) work and builds no D x D matrix.  A PBC
+ring keeps the dense path: its H is built once, factored by LU, and its
+bordered system solved densely.
+
+family_state_derivative, one gauge-aligned central difference of the
+steady state at a fixed step, is kept as an independent oracle.  Quantum
+and classical Fisher informations (scalar and matrix) follow from the
+derivatives.  All bounds are per measurement shot.
 """
 
 from dataclasses import dataclass
@@ -25,10 +33,12 @@ import numpy as np
 from .errors import (BoundUndefinedError, DerivativeIllDefinedError,
                      NumericalError, ValidationError)
 from .gbz import gbz_radius, skin_frame
-from .model import build_current_operator, build_hamiltonian
-from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, certify,
-                       eigenpair, full_spectrum, phase_fixed, residuals,
-                       steady_neighbours, steady_state, sublattice_eigenvalues)
+from .model import (ChainBands, build_current_operator, build_hamiltonian,
+                    chain_bands)
+from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, bordered_solve,
+                       certify, eigenpair, full_spectrum, phase_fixed,
+                       residuals, steady_neighbours, steady_state,
+                       sublattice_eigenvalues)
 
 QUANTUM = "QUANTUM"
 CLASSICAL = "CLASSICAL"
@@ -159,7 +169,7 @@ def apply_params(p, ps, shift=None):
     return p.with_updates(**updates)
 
 
-def _skin_balanced(q):
+def _skin_balanced(q, build=build_hamiltonian):
     """Hamiltonian of model q in its skin-balancing frame: (H, rho, frame).
 
     Conjugating the chain by S = diag(rho^n), n the module index and rho
@@ -167,11 +177,12 @@ def _skin_balanced(q):
     the module bonds (Jm, JmP) to (Jm rho, JmP / rho), so S^-1 H S is the
     same model with those couplings (_rebalanced).  frame is skin_frame's
     ln s; on PBC rings and unbalanced chains it is None, rho is 1 and H
-    is the raw Hamiltonian.
+    is the raw Hamiltonian.  build makes H from the rebalanced model:
+    build_hamiltonian gives the dense matrix, chain_bands its bands.
     """
     frame = skin_frame(q)
     rho = 1.0 if frame is None else gbz_radius(q)
-    return build_hamiltonian(_rebalanced(q, rho)), rho, frame
+    return build(_rebalanced(q, rho)), rho, frame
 
 
 def _rebalanced(q, rho):
@@ -282,9 +293,10 @@ def _check_isolated(lam, motion, step):
         "steady eigenvalue not isolated at step %.3e" % step)
 
 
-def _check_resolved(H, lam, r, l):
-    """Raise unless the steady eigenvalue lam[0] of H is resolved by the
-    solve (r and l its right and left vectors).
+def _check_resolved(norm, lam, r, l):
+    """Raise unless the steady eigenvalue lam[0] of a matrix of Frobenius
+    norm norm is resolved by the solve (r and l its right and left
+    vectors).
 
     A defective eigenvalue comes out of the solver as a cluster split by
     rounding, with nearly parallel left and right vectors; its state has
@@ -293,7 +305,7 @@ def _check_resolved(H, lam, r, l):
     if len(lam) == 1:
         return
     dist = float(np.min(np.abs(lam[1:] - lam[0])))
-    uncertainty = np.finfo(float).eps * float(np.linalg.norm(H))
+    uncertainty = np.finfo(float).eps * norm
     overlap = abs(np.vdot(l, r))
     if not uncertainty < UNRESOLVED_FRACTION * dist * overlap:
         raise DerivativeIllDefinedError(
@@ -338,11 +350,13 @@ def family_state_derivative(p, ps, i, step):
 
 
 def _central_difference(p, ps, i, rho=1.0):
-    """dH/dtheta_i: the central difference of the Hamiltonian at parameter
-    i's step, with every stencil model's module bonds scaled by rho."""
+    """dH/dtheta_i as ChainBands: the central difference of the chain's
+    bands at parameter i's step, with every stencil model's module bonds
+    scaled by rho; entry for entry the difference of the dense matrices."""
     h = ps.steps[i]
-    plus, minus = (_rebalanced(_shifted(p, ps, i, s), rho) for s in (h, -h))
-    return (build_hamiltonian(plus) - build_hamiltonian(minus)) / (2.0 * h)
+    plus, minus = (chain_bands(_rebalanced(_shifted(p, ps, i, s), rho))
+                   for s in (h, -h))
+    return ChainBands(*((a - b) / (2.0 * h) for a, b in zip(plus, minus)))
 
 
 def _steady_derivatives(p, ps, indices):
@@ -365,13 +379,23 @@ def _steady_derivatives(p, ps, indices):
     difference has no limit, raises DerivativeIllDefinedError, as the
     oracle family_state_derivative does.  The bordered system
     [[H - lambda, r], [l^+, 0]] gives r's derivatives, one right-hand side
-    per parameter, with H' built in the frame of the base point.  All
-    vectors are mapped back with one scale, and each state derivative is
-    (1 - psi psi^+) dr / ||r||.
+    per parameter, with H' built in the frame of the base point
+    (spectral.bordered_solve).  All vectors are mapped back with one
+    scale, and each state derivative is (1 - psi psi^+) dr / ||r||.
+
+    An open chain runs on its two bands (model.chain_bands) and no D x D
+    matrix is built or factored: the half-size blocks are cut from the
+    bands, eigenpair, certify and the bordered solve (Nelson's deletion)
+    factor tridiagonals with ?gttrf, and H, H' and their norms are bands,
+    so a point costs one (D/2)-square ?geev plus O(D) work.  A PBC ring,
+    whose corners break the tridiagonal form, builds its dense H once and
+    takes the dense LUs and bordered solve; so does the dense fallback of
+    sublattice_eigenvalues, only when it is taken.
     """
     if any(not 0 <= i < ps.l for i in indices):
         raise ValidationError("parameter index out of range")
-    H, rho, frame = _skin_balanced(apply_params(p, ps))
+    bands, rho, frame = _skin_balanced(apply_params(p, ps), chain_bands)
+    H = bands.dense() if bands.corners.any() else bands
     values = sublattice_eigenvalues(H)
     if indices:
         # before the inverse iteration, which diverges on a degenerate lam
@@ -379,29 +403,25 @@ def _steady_derivatives(p, ps, indices):
     lam = values[0]
     r, l = eigenpair(H, lam, left=True)
     certify(H, values[steady_neighbours(values)])
+    norm = float(np.linalg.norm(bands.entries))
     rhs = []
     for i in indices:
         dH = _central_difference(p, ps, i)
-        if dH.any():  # a parameter H does not depend on has derivative 0
-            _check_resolved(H, values, r, l)
+        if dH.entries.any():  # a parameter H does not depend on has derivative 0
+            _check_resolved(norm, values, r, l)
         smallest = ps.steps[i] * ISOLATION_SCALE
-        _check_isolated(values, 10.0 * smallest * float(np.linalg.norm(dH)),
+        _check_isolated(values,
+                        10.0 * smallest * float(np.linalg.norm(dH.entries)),
                         smallest)
         if rho != 1.0:
             dH = _central_difference(p, ps, i, rho)
         dHr = dH @ r
         dlam = np.vdot(l, dHr) / np.vdot(l, r)
-        rhs.append(np.append(dlam * r - dHr, 0.0))
+        rhs.append(dlam * r - dHr)
     if not rhs:
         return phase_fixed(*_unbalance(frame, r)), ()
-    D = len(r)
-    border = np.zeros((D + 1, D + 1), dtype=complex)
-    border[:D, :D] = H
-    border[np.arange(D), np.arange(D)] -= lam
-    border[:D, D] = r
-    border[D, :D] = l.conj()
     try:
-        dr = np.linalg.solve(border, np.array(rhs).T)[:D]
+        dr = bordered_solve(H, lam, r, l, np.array(rhs).T)
     except np.linalg.LinAlgError as exc:
         raise DerivativeIllDefinedError("bordered system is singular: %s" % exc)
     psi, *dpsis = phase_fixed(*_unbalance(frame, r,

@@ -14,6 +14,7 @@ flat index of ``(n, mu, nu)`` with 1-based labels is
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,16 +184,58 @@ def _bond_table(p):
     return upper, lower, p.Jm, p.JmP
 
 
-def _chain(p, upper, lower, Jm, JmP):
-    """Dense D x D chain repeating the module bond table; PBC adds two corners."""
-    i = np.arange(p.D - 1)
-    H = np.zeros((p.D, p.D), dtype=complex)
-    H[i, i + 1] += np.tile(np.append(upper, Jm), p.L)[:-1]
-    H[i + 1, i] += np.tile(np.append(lower, JmP), p.L)[:-1]
-    if p.boundary == PBC:
-        H[-1, 0] += Jm
-        H[0, -1] += JmP
-    return H
+class ChainBands(NamedTuple):
+    """A nearest-neighbour chain by its bands; the main diagonal is zero.
+
+    upper[i] = H[i, i+1] and lower[i] = H[i+1, i] (D-1 entries each);
+    corners = (H[D-1, 0], H[0, D-1]), (Jm, JmP) on a PBC ring and zero on
+    an open chain, whose matrix is then exactly tridiagonal.
+    """
+
+    upper: np.ndarray
+    lower: np.ndarray
+    corners: np.ndarray
+
+    @property
+    def entries(self):
+        """Every entry the bands can hold, as one flat array."""
+        return np.concatenate(self)
+
+    def dense(self):
+        """The D x D matrix."""
+        D = len(self.upper) + 1
+        i = np.arange(D - 1)
+        H = np.zeros((D, D), dtype=complex)
+        H[i, i + 1] += self.upper
+        H[i + 1, i] += self.lower
+        H[-1, 0] += self.corners[0]
+        H[0, -1] += self.corners[1]
+        return H
+
+    def __matmul__(self, x):
+        """H x for a vector x."""
+        y = np.zeros(len(x), dtype=complex)
+        y[:-1] += self.upper * x[1:]
+        y[1:] += self.lower * x[:-1]
+        y[[-1, 0]] += self.corners * x[[0, -1]]
+        return y
+
+
+def _bands(p, upper, lower, Jm, JmP):
+    """ChainBands repeating a module bond table; PBC adds the two corners."""
+    corners = [Jm, JmP] if p.boundary == PBC else [0.0, 0.0]
+    return ChainBands(np.tile(np.append(upper, Jm), p.L)[:-1],
+                      np.tile(np.append(lower, JmP), p.L)[:-1],
+                      np.array(corners, dtype=complex))
+
+
+def chain_bands(p, dim_cap=DEFAULT_DIM_CAP):
+    """The chain's Hamiltonian as ChainBands, the one source of
+    build_hamiltonian's dense matrix; dim_cap as there."""
+    if p.D > dim_cap:
+        raise DimensionCapError(
+            "dimension D=%d exceeds cap %d" % (p.D, dim_cap))
+    return _bands(p, *_bond_table(p))
 
 
 def build_hamiltonian(p, dim_cap=DEFAULT_DIM_CAP):
@@ -208,10 +251,7 @@ def build_hamiltonian(p, dim_cap=DEFAULT_DIM_CAP):
     -------
     ndarray of shape (D, D), complex
     """
-    if p.D > dim_cap:
-        raise DimensionCapError(
-            "dimension D=%d exceeds cap %d" % (p.D, dim_cap))
-    return _chain(p, *_bond_table(p))
+    return chain_bands(p, dim_cap).dense()
 
 
 def build_bloch(p, k):
@@ -294,7 +334,7 @@ def build_current_operator(p):
     ndarray of shape (D, D), complex Hermitian
     """
     m = p.r * p.d
-    T = _chain(p, np.ones(m - 1), np.zeros(m - 1), 1.0, 0.0)
+    T = _bands(p, np.ones(m - 1), np.zeros(m - 1), 1.0, 0.0).dense()
     return 1j * (T - T.conj().T)
 
 

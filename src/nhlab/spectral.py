@@ -1,18 +1,30 @@
-"""Dense non-normal eigenproblems and skin-effect diagnostics.
+"""Non-normal eigenproblems on dense matrices and chain bands, and
+skin-effect diagnostics.
 
 full_spectrum solves for every eigenvalue, with the right eigenvectors
 unless only the values are asked for; eigenpair computes one right
 eigenvector (and the left one on request) by inverse iteration from a
 computed eigenvalue.  Both hold a vector to the same residual gate.
 A result that reads a few eigenpairs pays for one eigenvalue solve and
-one LU factorization per pair: the steady state and its derivative
-(metrology._steady_derivatives) read the steady eigenvalue's right and
-left vectors, the OBC gaps (topology) only eigenvalues; certify holds
-every other eigenvalue a result reads to the gate with one
-inverse-iteration vector each.  Model spectra are solved in the
-skin-balancing frame (metrology.model_spectrum over full_spectrum); a raw
-solve of a skin-amplified chain loses eigenvalues to pseudospectral
-error that the residual gate does not see.
+one factorization of H - lambda per pair: the steady state and its
+derivative (metrology._steady_derivatives) read the steady eigenvalue's
+right and left vectors, the OBC gaps (topology) only eigenvalues; certify
+holds every other eigenvalue a result reads to the gate with one
+inverse-iteration vector each, and bordered_solve gives the steady
+vector's derivatives.  Model spectra are solved in the skin-balancing
+frame (metrology.model_spectrum over full_spectrum); a raw solve of a
+skin-amplified chain loses eigenvalues to pseudospectral error that the
+residual gate does not see.
+
+What runs on bands: an open chain is exactly tridiagonal, so eigenpair,
+certify and bordered_solve factor H - lambda with LAPACK ?gttrf and solve
+with ?gttrs in O(D) work, whether H comes as model.ChainBands or as a
+dense matrix of that shape (the OBC gaps); sublattice_eigenvalues cuts an
+open chain's half-size blocks from its bands.  The Fisher point therefore
+builds and factors no D x D matrix.  What stays dense: a PBC ring, whose
+two corners break the tridiagonal form, takes the LU ?getrf / ?getrs and
+the dense bordered system, and the squaring gate's fall-back (below)
+builds the dense matrix from the bands, only when it is taken.
 
 Both eigensolvers work on one sublattice where they can: every chain here
 couples even to odd positions only, so the eigenvalues are +-sqrt of
@@ -41,6 +53,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, ValidationError
+from .model import ChainBands
 
 DEFAULT_TOL_EIG = 1e-9
 # inverse iteration stops at the first iterate that passes the gate, after
@@ -75,12 +88,19 @@ class SpectralDecomposition:
 
 
 def _checked(H):
+    if isinstance(H, ChainBands):
+        H = H.dense()
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationError("matrix must be square")
     if not np.all(np.isfinite(H)):
         raise ValidationError("matrix entries must be finite")
     return H
+
+
+def _real_if_possible(H):
+    """H, or its real part when its imaginary part is all zero."""
+    return H if np.any(H.imag) else H.real
 
 
 def _order(values, tol_eig):
@@ -123,7 +143,7 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
         tol_eig * max(||H||_F, 1).
     """
     H = _checked(H)
-    A = H if np.any(H.imag) else H.real
+    A = _real_if_possible(H)
     blocks = _bipartite_blocks(A)
     half = None if blocks is None else _half_solve(blocks, tol_eig, vectors)
     if not vectors:
@@ -173,6 +193,23 @@ def _bipartite_blocks(A):
         return None
     return (np.ascontiguousarray(A[0::2, 1::2]),
             np.ascontiguousarray(A[1::2, 0::2]))
+
+
+def _band_blocks(upper, lower):
+    """(H_eo, H_oe) of the open chain with bands upper and lower, the
+    blocks _bipartite_blocks cuts from its dense matrix: H_eo[k, k] =
+    H[2k, 2k+1] and H_eo[k+1, k] = H[2k+2, 2k+1]; H_oe[k, k] = H[2k+1, 2k]
+    and H_oe[k, k+1] = H[2k+1, 2k+2]."""
+    odd = (len(upper) + 1) // 2  # floor(D/2)
+    even = len(upper) + 1 - odd
+    eo = np.zeros((even, odd), dtype=upper.dtype)
+    oe = np.zeros((odd, even), dtype=upper.dtype)
+    k, j = np.arange(odd), np.arange(even - 1)
+    eo[k, k] = upper[0::2]
+    eo[j + 1, j] = lower[1::2]
+    oe[k, k] = lower[0::2]
+    oe[j, j + 1] = upper[1::2]
+    return eo, oe
 
 
 def _squaring_ok(values, error):
@@ -263,8 +300,7 @@ def residuals(H, vecs, values):
     """Per-pair ||H v - lambda v||_2 of the columns of vecs, as
     full_spectrum takes them (real arithmetic for a real H, the two
     nonzero blocks of a bipartite one)."""
-    H = _checked(H)
-    A = H if np.any(H.imag) else H.real
+    A = _real_if_possible(_checked(H))
     return _residuals(A, _bipartite_blocks(A), vecs, values)
 
 
@@ -279,23 +315,28 @@ def steady_neighbours(values):
 def sublattice_eigenvalues(H):
     """Sorted eigenvalues of a bipartite matrix from a half-size solve.
 
-    H is bipartite when its even-even and odd-odd blocks are zero, as on
-    every open chain and even ring here; then S H S = -H for
-    S = diag((-1)^i), and _half_solve gives the eigenvalues from the
-    floor(D/2)-square product H_oe H_eo (H_oe = H[1::2, 0::2],
-    H_eo = H[0::2, 1::2]), in real arithmetic when H is real, as
-    full_spectrum does.  The output is exactly symmetric under E -> -E
-    and sorted as full_spectrum sorts.
+    H is a dense matrix or model.ChainBands.  It is bipartite when its
+    even-even and odd-odd blocks are zero, as on every open chain and even
+    ring here; then S H S = -H for S = diag((-1)^i), and _half_solve gives
+    the eigenvalues from the floor(D/2)-square product H_oe H_eo
+    (H_oe = H[1::2, 0::2], H_eo = H[0::2, 1::2]), in real arithmetic when
+    H is real, as full_spectrum does.  An open chain's blocks are cut
+    from its bands (_band_blocks), so no D x D matrix is built.  The
+    output is exactly symmetric under E -> -E and sorted as full_spectrum
+    sorts.
 
     Only the values a steady solve reads (values[0] and
     steady_neighbours) are held to the squaring gate.  Where one of them
     fails it, and for any matrix that is not bipartite, this returns the
     dense solve's eigenvalues instead, as full_spectrum(H, vectors=False)
-    would, without a second half solve.
+    would, without a second half solve; only then are an open chain's
+    bands made dense.
     """
-    H = _checked(H)
-    A = H if np.any(H.imag) else H.real
-    blocks = _bipartite_blocks(A)
+    if isinstance(H, ChainBands) and not H.corners.any():
+        blocks = _band_blocks(*_real_if_possible(
+            np.stack([_finite(H.upper), _finite(H.lower)])))
+    else:
+        blocks = _bipartite_blocks(_real_if_possible(_checked(H)))
     half = None if blocks is None else _half_solve(blocks, DEFAULT_TOL_EIG,
                                                    vectors=False)
     if half is not None:
@@ -303,7 +344,14 @@ def sublattice_eigenvalues(H):
         read = [0] + steady_neighbours(values)
         if _squaring_ok(values[read], error[read]):
             return values
-    return _dense_solve(A, DEFAULT_TOL_EIG, vectors=False)
+    return _dense_solve(_real_if_possible(_checked(H)), DEFAULT_TOL_EIG,
+                        vectors=False)
+
+
+def _finite(band):
+    if not np.all(np.isfinite(band)):
+        raise ValidationError("matrix entries must be finite")
+    return band
 
 
 def _inverse_iterate(solve, residual, bound, start):
@@ -334,53 +382,185 @@ def _inverse_iterate(solve, residual, bound, start):
         % (res, bound, len(x)))
 
 
-def eigenpair(H, lam, left=False):
-    """Unit eigenvector(s) of H for a computed eigenvalue lam.
+def _tridiagonal(H):
+    """(lower, diag, upper), complex, of a matrix with no nonzero entry off
+    its three central diagonals (an open chain's ChainBands, or a dense
+    matrix so shaped), else None.  Also None below D = 3, where scipy's
+    ?gttrf wrapper rejects the empty second superdiagonal."""
+    if isinstance(H, ChainBands):
+        if H.corners.any():
+            return None
+        bands = (_finite(H.lower), np.zeros(len(H.upper) + 1), _finite(H.upper))
+    else:
+        H = _checked(H)
+        bands = tuple(np.diagonal(H, k) for k in (-1, 0, 1))
+        if np.count_nonzero(H) > sum(np.count_nonzero(b) for b in bands):
+            return None
+    if len(bands[1]) < 3:
+        return None
+    return tuple(np.asarray(b, dtype=complex) for b in bands)
 
-    One LU factorization of H - lam I drives inverse iteration for the
-    right vector r (H r = lam r) and, with left=True, the left vector l
-    (l^H H = lam l^H), returned as (r, l).  Each vector is kept only if
-    its residual is at most DEFAULT_TOL_EIG * max(||H||_F, 1),
-    full_spectrum's default gate, so a value lam that is not an
-    eigenvalue of H to that accuracy raises ConvergenceError, as does a
-    degenerate or defective lam whose solve overflows.  An exactly
-    zero pivot (lam an exact eigenvalue) is replaced by
-    eps * max(||H||_F, 1).  The start vector is fixed, so the result is
-    deterministic.
-    """
-    H = _checked(H)
-    D = H.shape[0]
-    scale = max(float(np.linalg.norm(H, "fro")), 1.0)
-    diag = np.arange(D)
-    A = H.copy()
-    A[diag, diag] -= lam
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (A,))
+
+def _tri_matvec(lower, diag, upper, x):
+    """H x for the tridiagonal H with these bands."""
+    y = diag * x
+    y[:-1] += upper * x[1:]
+    y[1:] += lower * x[:-1]
+    return y
+
+
+def _operator(H):
+    """(bands, A, scale) for inverse iteration on H: bands is
+    _tridiagonal(H); where that is None, A is H as a checked dense
+    matrix.  scale is max(||H||_F, 1)."""
+    bands = _tridiagonal(H)
+    if bands is None:
+        A = _checked(H)
+        return None, A, max(float(np.linalg.norm(A, "fro")), 1.0)
+    return bands, None, max(float(np.linalg.norm(np.concatenate(bands))), 1.0)
+
+
+def _dense_shifted(A, lam, pivot):
+    """(solve_r, solve_l, res_r, res_l) for A - lam from one dense LU
+    (?getrf): solve_r applies its inverse and solve_l that of its
+    conjugate transpose; res_r(x) = (A - lam) x and res_l(x) =
+    x^H (A - lam).  Exactly zero pivots are replaced by pivot."""
+    diag = np.arange(len(A))
+    S = A.copy()
+    S[diag, diag] -= lam
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (S,))
     # getrf reports an exactly zero pivot through info > 0 (lu_factor
     # turns that into a warning) and still completes the factorization
-    lu, piv, _ = getrf(A, overwrite_a=True)
+    lu, piv, _ = getrf(S, overwrite_a=True)
     zero = diag[lu[diag, diag] == 0]
-    lu[zero, zero] = np.finfo(float).eps * scale
-    rng = np.random.default_rng(0)
-    start = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-    start /= np.linalg.norm(start)
-    bound = DEFAULT_TOL_EIG * scale
+    lu[zero, zero] = pivot
 
     def solver(trans):
         return lambda b: getrs(lu, piv, b, trans=trans)[0]
 
-    r = _inverse_iterate(solver(0), lambda x: H @ x - lam * x, bound, start)
+    def res_r(x):
+        return A @ x - lam * x
+
+    def res_l(x):
+        return x.conj() @ A - lam * x.conj()
+
+    return solver(0), solver(2), res_r, res_l
+
+
+def _band_shifted(bands, lam, pivot):
+    """_dense_shifted for a tridiagonal matrix given by its bands: one
+    ?gttrf factorization, ?gttrs solves and tridiagonal products, O(D)
+    work and memory."""
+    lower, diag, upper = bands
+    gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+    # like getrf, gttrf completes the factorization past a zero pivot
+    dl, d, du, du2, ipiv, _ = gttrf(lower, diag - lam, upper)
+    d[d == 0] = pivot
+
+    def solver(trans):
+        return lambda b: gttrs(dl, d, du, du2, ipiv, b, trans=trans)[0]
+
+    def res_r(x):
+        return _tri_matvec(lower, diag, upper, x) - lam * x
+
+    def res_l(x):
+        return (_tri_matvec(upper.conj(), diag.conj(), lower.conj(), x)
+                - np.conj(lam) * x)
+
+    return solver("N"), solver("C"), res_r, res_l
+
+
+def _eigenpair(op, lam, left):
+    bands, A, scale = op
+    pivot = np.finfo(float).eps * scale
+    if bands is None:
+        solve_r, solve_l, res_r, res_l = _dense_shifted(A, lam, pivot)
+    else:
+        solve_r, solve_l, res_r, res_l = _band_shifted(bands, lam, pivot)
+    rng = np.random.default_rng(0)
+    D = len(A) if bands is None else len(bands[1])
+    start = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    start /= np.linalg.norm(start)
+    bound = DEFAULT_TOL_EIG * scale
+    r = _inverse_iterate(solve_r, res_r, bound, start)
     if not left:
         return r
-    l = _inverse_iterate(solver(2),
-                         lambda x: x.conj() @ H - lam * x.conj(), bound, start)
-    return r, l
+    return r, _inverse_iterate(solve_l, res_l, bound, start)
+
+
+def eigenpair(H, lam, left=False):
+    """Unit eigenvector(s) of H for a computed eigenvalue lam.
+
+    One factorization of H - lam I drives inverse iteration for the right
+    vector r (H r = lam r) and, with left=True, the left vector l
+    (l^H H = lam l^H), returned as (r, l).  H is a dense matrix or
+    model.ChainBands.  A tridiagonal H (every open chain, as bands or
+    dense) is factored by LAPACK ?gttrf and solved by ?gttrs, trans 'N'
+    for r and 'C' for l, in O(D) work, with residuals from a tridiagonal
+    product; any other H (a PBC ring) takes the dense LU, ?getrf and
+    ?getrs.  Each vector is kept only if its residual is at most
+    DEFAULT_TOL_EIG * max(||H||_F, 1), full_spectrum's default gate, so a
+    value lam that is not an eigenvalue of H to that accuracy raises
+    ConvergenceError, as does a degenerate or defective lam whose solve
+    overflows.  An exactly zero pivot (lam an exact eigenvalue) is
+    replaced by eps * max(||H||_F, 1).  The start vector is fixed, so the
+    result is deterministic.
+    """
+    return _eigenpair(_operator(H), lam, left)
 
 
 def certify(H, values):
     """Raise ConvergenceError unless each value is an eigenvalue of H to
-    full_spectrum's residual gate (one inverse-iteration vector each)."""
+    full_spectrum's residual gate: one inverse-iteration vector each,
+    from one factorization of H - lambda each, on the bands of a
+    tridiagonal H as in eigenpair."""
+    op = _operator(H)
     for lam in values:
-        eigenpair(H, lam)
+        _eigenpair(op, lam, left=False)
+
+
+def bordered_solve(H, lam, r, l, rhs):
+    """Columns x of (H - lam) x = b, l^H x = 0 for the columns b of rhs.
+
+    lam is a simple eigenvalue of H with right and left vectors r and l,
+    and each b satisfies l^H b = 0: the bordered system [[H - lam, r],
+    [l^H, 0]] of Nelson's method.  A tridiagonal H (see eigenpair) takes
+    Nelson's deletion in O(D) work: the (k, k) cofactor of H - lam is
+    proportional to r_k l_k^*, so for k = argmax |r_k l_k| the matrix
+    without row and column k, a (D-1)-square tridiagonal whose coupling
+    across k is zero, has the largest determinant of any such deletion.
+    One ?gttrf factorization solves it for every b with x_k = 0 (row k of
+    the full system is a combination of the others, with weights from
+    l), and the r component is projected out so that l^H x = 0.  Any
+    other H (a PBC ring) takes the dense (D+1)-square bordered system.  A
+    singular system raises numpy.linalg.LinAlgError.
+    """
+    bands = _tridiagonal(H)
+    D = len(r)
+    if bands is None:
+        border = np.zeros((D + 1, D + 1), dtype=complex)
+        border[:D, :D] = _checked(H)
+        border[np.arange(D), np.arange(D)] -= lam
+        border[:D, D] = r
+        border[D, :D] = l.conj()
+        return np.linalg.solve(border, np.vstack([rhs, np.zeros(rhs.shape[1])]))[:D]
+    lower, diag, upper = bands
+    k = int(np.argmax(np.abs(r * l)))
+    keep = np.arange(D) != k
+
+    def cut(band):
+        # drop the couplings to k; k-1 and k+1 become uncoupled neighbours
+        gap = [0.0] if 0 < k < D - 1 else []
+        return np.concatenate([band[:max(k - 1, 0)], gap, band[k + 1:]])
+
+    gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+    dl, d, du, du2, ipiv, info = gttrf(cut(lower), diag[keep] - lam, cut(upper))
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            "exactly zero pivot %d in the reduced system" % info)
+    x = np.zeros((D, rhs.shape[1]), dtype=complex)
+    x[keep] = gttrs(dl, d, du, du2, ipiv, rhs[keep])[0]
+    return x - np.outer(r, l.conj() @ x) / np.vdot(l, r)
 
 
 def phase_fixed(r, *drs):

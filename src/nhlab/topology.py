@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (AtTransitionError, NumericalError, UnsupportedStructureError,
                      ValidationError)
-from .gbz import beta_polynomial, gbz_contour
+from .gbz import beta_polynomial, contour_radius, gbz_contour
 from .metrology import model_eigenvalues, model_spectrum
 from .model import SHIFTED, build_bloch, build_generalized_bloch, chiral_blocks
 from .spectral import DEFAULT_TOL_EIG, certify
@@ -82,14 +82,15 @@ def spectral_winding(p, Eref):
     return WindingResult(value=count, raw_phase=float(count))
 
 
-def band_winding(p, contour):
-    """Winding of det(h_beta^+) along the GBZ contour, counter-clockwise.
+def band_winding(p):
+    """Winding of det(h_beta^+) along the GBZ circle, counter-clockwise.
 
     Only the corner bond JmP/beta enters h_beta^+, so det(h_beta^+) =
-    A + B/beta, read off at beta = +-R with R the contour radius.  Its
-    zero -B/A and its pole at 0 give the signed winding [|B/A| < R] - 1,
-    kept in raw_phase; value is its magnitude (1 in the edge-state phase,
-    0 in the trivial one, matching the mid-gap edge-state count).
+    A + B/beta, read off at beta = +-R with R = gbz.contour_radius(p), the
+    radius of gbz_contour(p).  Its zero -B/A and its pole at 0 give the
+    signed winding [|B/A| < R] - 1, kept in raw_phase; value is its
+    magnitude (1 in the edge-state phase, 0 in the trivial one, matching
+    the mid-gap edge-state count).
 
     Raises
     ------
@@ -97,7 +98,7 @@ def band_winding(p, contour):
         If det(h_beta^+) vanishes on the contour: its minimum modulus
         there, ||A| - |B|/R|, is below 1e-12 of its maximum, |A| + |B|/R.
     """
-    R = contour.radius
+    R = contour_radius(p)
     plus, minus = np.linalg.det(chiral_blocks(p, np.array([R, -R]))[0])
     A, B = 0.5 * (plus + minus), 0.5 * R * (plus - minus)
     if abs(abs(A) - abs(B) / R) <= 1e-12 * (abs(A) + abs(B) / R):

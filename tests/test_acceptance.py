@@ -19,7 +19,7 @@ from nhlab import (CouplingPreset, NumericalError, ParamSpec, PBC,
                    cfi, cfim, count_spectral_loops, coupling_scaling,
                    cumulative_population, direct_band_minimum, edge_states,
                    exponent_vs_delta, find_peak, fit_power_law, full_spectrum,
-                   gbz_contour, gbz_radius, gbz_zero_gap_solutions,
+                   gbz_radius, gbz_zero_gap_solutions,
                    make_params, matrix_size_scaling, obc_central_gap,
                    pbc_zero_gap_solutions, point_gap_residual, position_basis,
                    preset, probe_state, qfi, qfim, run_sweep, size_scaling,
@@ -155,7 +155,7 @@ def test_criterion_05_gbz_gap_closings(report):
         # minimality is one-sided: on the winding-1 side the gap is the
         # splitting of a not yet localized edge pair, below the bulk gap
         step = next(s for s in (-0.01, 0.01)
-                    if band_winding(fig3(r + s), gbz_contour(fig3(r + s))).value == 0)
+                    if band_winding(fig3(r + s)).value == 0)
         beside = [(g, obc_central_gap(fig3(r + step, L)))
                   for L, g in zip(Ls, gaps) if L in (50, 200)]
         local = all(gs > g for g, gs in beside)
@@ -196,7 +196,7 @@ def test_criterion_06_winding_alternation(report):
     checks, got = [], []
     for x, w in zip(mids, want):
         p = fig3(x)
-        res = band_winding(p, gbz_contour(p))
+        res = band_winding(p)
         quantized = abs(abs(res.raw_phase) - res.value) < 0.05
         edges = len(edge_states(p, 0.2))
         got.append(int(res.value))

@@ -1,11 +1,13 @@
 """Fisher information: analytic pins, exact chain oracle, dominance."""
 
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nhlab import (DEFAULT_STEP, NON_MODULAR, RECIPROCAL_MODULAR,
+from nhlab import (DEFAULT_STEP, NON_MODULAR, PRESET_NAMES, RECIPROCAL_MODULAR,
                    BoundUndefinedError, ConvergenceError, CouplingPreset,
                    DerivativeIllDefinedError, FisherMatrix, NumericalError,
                    ParamSpec, SweepSpec, ValidationError, apply_params,
@@ -15,7 +17,10 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, RECIPROCAL_MODULAR,
                    probe_state, qfi, qfim, run_sweep, skin_frame,
                    state_derivative, state_derivatives, total_variance_bound)
 from nhlab.cli import main
-from nhlab.spectral import participation_ratio
+from nhlab.model import ChainBands, chain_bands
+from nhlab.spectral import (bordered_solve, eigenpair, participation_ratio,
+                            phase_fixed, steady_neighbours,
+                            sublattice_eigenvalues)
 from nhlab.metrology import QUANTUM
 
 
@@ -419,3 +424,194 @@ def test_vanishing_bond_reports_a_degenerate_steady_state(tmp_path):
                    % "\n".join("%s = %s" % kv
                                for kv in params_to_config(p).items()))
     assert main(["qfi", "--config", str(ini)]) == 3
+
+
+def dense_state_derivatives(p, ps):
+    """state_derivatives on dense matrices: the reference for the banded
+    point.  Inverse iteration from one dense LU of H - lambda gives r and
+    l, H' is the difference of the dense stencil Hamiltonians, and the
+    (D+1)-square bordered system [[H - lambda, r], [l^+, 0]] goes to
+    np.linalg.solve."""
+    q = apply_params(p, ps)
+    H, rho, frame = metrology._skin_balanced(q)
+    lam = sublattice_eigenvalues(H)[0]
+    D = len(H)
+    lu = scipy.linalg.lu_factor(H - lam * np.eye(D))
+    start = np.random.default_rng(0).standard_normal(D) + 0j
+    vecs = []
+    for trans in (0, 2):
+        x = start
+        for _ in range(2):
+            x = scipy.linalg.lu_solve(lu, x, trans=trans)
+            x /= np.linalg.norm(x)
+        vecs.append(x)
+    r, l = vecs
+    border = np.zeros((D + 1, D + 1), dtype=complex)
+    border[:D, :D] = H - lam * np.eye(D)
+    border[:D, D] = r
+    border[D, :D] = l.conj()
+    dr = []
+    for i in range(ps.l):
+        h = ps.steps[i]
+        plus, minus = (build_hamiltonian(metrology._rebalanced(
+            metrology._shifted(p, ps, i, s), rho)) for s in (h, -h))
+        dHr = (plus - minus) @ r / (2.0 * h)
+        dlam = np.vdot(l, dHr) / np.vdot(l, r)
+        dr.append(np.linalg.solve(border, np.append(dlam * r - dHr, 0.0))[:D])
+    psi, *dpsis = phase_fixed(*metrology._unbalance(frame, r, *dr))
+    return psi, dpsis
+
+
+def fisher_entries(p, ps, psi, dpsis):
+    return np.concatenate([qfim(psi, dpsis).entries.ravel(),
+                           cfim(psi, dpsis, position_basis(p.D)).entries.ravel()])
+
+
+BANDED_CASES = [(name, L) for name in PRESET_NAMES for L in (34, 100, 200)]
+
+
+@pytest.mark.parametrize("name, L", BANDED_CASES,
+                         ids=["%s-%d" % c for c in BANDED_CASES])
+def test_banded_point_matches_the_dense_bordered_solve(name, L):
+    b = preset(name)
+    labels = b.param_labels
+    # FIG3 lists its four gap closings along one label; take the first
+    ps = ParamSpec(labels, b.critical[:len(labels)],
+                   (DEFAULT_STEP,) * len(labels))
+    p = b.resized(L)
+    got = fisher_entries(p, ps, *state_derivatives(p, ps))
+    want = fisher_entries(p, ps, *dense_state_derivatives(p, ps))
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Count the LAPACK routines fetched through scipy.linalg.get_lapack_funcs
+    (by name, without the type prefix), the np.linalg.solve calls and the
+    D x D matrices built from bands."""
+    counts = Counter()
+    fetch = scipy.linalg.get_lapack_funcs
+
+    def counted_fetch(names, arrays=(), **kwargs):
+        funcs = fetch(names, arrays, **kwargs)
+        if isinstance(names, str):
+            return funcs
+
+        def counted(name, fn):
+            def call(*args, **kw):
+                counts[name] += 1
+                return fn(*args, **kw)
+            return call
+        return tuple(counted(n, f) for n, f in zip(names, funcs))
+
+    solve, dense = np.linalg.solve, ChainBands.dense
+
+    def counted_solve(*args, **kwargs):
+        counts["np.linalg.solve"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_dense(self):
+        counts["dense"] += 1
+        return dense(self)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_fetch)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(ChainBands, "dense", counted_dense)
+    return counts
+
+
+def certified_count(p, ps):
+    """How many eigenvalues besides the steady one a point certifies."""
+    bands = metrology._skin_balanced(apply_params(p, ps), chain_bands)[0]
+    return len(steady_neighbours(sublattice_eigenvalues(bands)))
+
+
+@pytest.mark.parametrize("name", ["FIG4_HN", "FIG5_TOP", "FIG5_BOTTOM",
+                                  "FIG2_HN"])
+def test_open_chain_point_runs_on_the_bands(lapack_calls, name):
+    p, ps = preset_point(name, 70)
+    certified = certified_count(p, ps)
+    lapack_calls.clear()
+    state_derivatives(p, ps)
+    # one factorization for r and l, one per certified eigenvalue, one for
+    # the bordered solve; no dense LU, no dense solve, no D x D matrix
+    assert lapack_calls["gttrf"] == 1 + certified + 1
+    assert lapack_calls["getrf"] == 0
+    assert lapack_calls["np.linalg.solve"] == 0
+    assert lapack_calls["dense"] == 0
+    lapack_calls.clear()
+    probe_state(p, ps)
+    assert lapack_calls["gttrf"] == 1 + certified
+    assert lapack_calls["dense"] == 0
+
+
+def test_even_ring_takes_the_dense_path(lapack_calls):
+    p = preset("FIG4_HN").resized(34).with_updates(boundary="PBC")
+    ps = ParamSpec(("JR",), (-0.4,), (DEFAULT_STEP,))
+    certified = certified_count(p, ps)
+    lapack_calls.clear()
+    got = state_derivatives(p, ps)
+    assert lapack_calls["gttrf"] == 0
+    assert lapack_calls["getrf"] == 1 + certified
+    assert lapack_calls["np.linalg.solve"] == 1
+    assert lapack_calls["dense"] == 1
+    want = fisher_entries(p, ps, *dense_state_derivatives(p, ps))
+    got = fisher_entries(p, ps, *got)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def one_way_blocks():
+    """A tridiagonal H whose eigenvalue 1 has r largest where l vanishes.
+
+    Two blocks [[0, 1], [1, 0]] and [[0, t], [t, 0]], with a one-way bond
+    c from the first into the second: l lives on the first block only,
+    while r leaks into the second, amplified by 1 / (1 - t^2).  Without
+    row and column 2, where |r| peaks, the first block of H - 1 is
+    [[-1, 1], [1, -1]], exactly singular.
+    """
+    t, c = 0.9, 10.0
+    H = np.zeros((4, 4), dtype=complex)
+    H[0, 1] = H[1, 0] = 1.0
+    H[2, 3] = H[3, 2] = t
+    H[2, 1] = c
+    return H
+
+
+def test_bordered_deletion_index_maximizes_r_times_l():
+    H = one_way_blocks()
+    r, l = eigenpair(H, 1.0, left=True)
+    assert int(np.argmax(np.abs(r))) == 2
+    assert int(np.argmax(np.abs(r * l))) != 2
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    b -= np.outer(r, l.conj() @ b) / np.vdot(l, r)  # l^+ b = 0
+    x = bordered_solve(H, 1.0, r, l, b)
+    A = H - np.eye(4)
+    # backward errors at rounding level
+    assert np.linalg.norm(A @ x - b) <= 1e-14 * np.linalg.norm(A) * np.linalg.norm(x)
+    assert np.linalg.norm(l.conj() @ x) <= 1e-14 * np.linalg.norm(x)
+    # the deletion the solve makes is the one the bordered system implies
+    border = np.zeros((5, 5), dtype=complex)
+    border[:4, :4] = A
+    border[:4, 4] = r
+    border[4, :4] = l.conj()
+    ref = np.linalg.solve(border, np.vstack([b, np.zeros((1, 2))]))[:4]
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_zero_pivot_in_the_reduced_system_is_typed(monkeypatch):
+    # a left vector on index 2 alone makes the solve delete row and column
+    # 2, which leaves an exactly singular block
+    H = one_way_blocks()
+    r = eigenpair(H, 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+        bordered_solve(H, 1.0, r, np.eye(4)[2], np.zeros((4, 1)))
+    # and the Fisher point reports it as an ill-defined derivative
+    def singular(*args):
+        raise np.linalg.LinAlgError("exactly zero pivot 1 in the reduced system")
+
+    monkeypatch.setattr(metrology, "bordered_solve", singular)
+    p, ps = preset_point("FIG4_HN", 34)
+    with pytest.raises(DerivativeIllDefinedError,
+                       match="bordered system is singular"):
+        state_derivatives(p, ps)

@@ -65,17 +65,10 @@ def test_band_winding_alternates_and_matches_edge_counts():
     expected = {-3.0: 1, -2.0: 0, -1.0: 1, 0.0: 0, 0.7: 1}
     for jr, w in expected.items():
         p = shifted(jr)
-        res = band_winding(p, gbz_contour(p))
+        res = band_winding(p)
         assert res.value == w, "winding at JR=%g" % jr
         assert abs(res.raw_phase - round(res.raw_phase)) < 0.05
         assert len(edge_states(p, 0.2)) == 2 * w
-
-
-def test_band_winding_stable_under_contour_refinement():
-    p = shifted(-1.0)
-    coarse = band_winding(p, gbz_contour(p, n_points=512))
-    fine = band_winding(p, gbz_contour(p, n_points=1024))
-    assert coarse.value == fine.value == 1
 
 
 def test_band_winding_flip_marker():
@@ -204,7 +197,7 @@ def test_obc_central_gap_keeps_the_fig3_closing_values():
 def test_band_winding_needs_bipartite_structure():
     p = hn(-2.5)
     with pytest.raises(UnsupportedStructureError):
-        band_winding(p, gbz_contour(p))
+        band_winding(p)
 
 
 def test_band_winding_at_a_structural_transition_is_typed():
@@ -213,7 +206,7 @@ def test_band_winding_at_a_structural_transition_is_typed():
     p = make_params(1, 2, 20, JL=1.0, JR=1.5 - 0.5j,
                     preset=CouplingPreset(NON_MODULAR))
     with pytest.raises(AtTransitionError):
-        band_winding(p, gbz_contour(p))
+        band_winding(p)
 
 
 def phase_turns(dets):
@@ -252,7 +245,7 @@ def test_windings_match_a_sampled_phase_integral():
         ref = phase_turns(np.linalg.det(
             chiral_blocks(p, cont.radius * np.exp(1j * phi))[0]))
         try:
-            res = band_winding(p, cont)
+            res = band_winding(p)
         except AtTransitionError:
             continue
         assert res.value == abs(res.raw_phase) and res.raw_phase == round(res.raw_phase)
