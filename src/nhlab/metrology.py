@@ -13,12 +13,10 @@ the right vector's derivative (Nelson's method, spectral.bordered_solve),
 one right-hand side per parameter, so state_derivatives gives the state
 and every derivative of a point from one solve.
 
-On an open chain the point runs on the chain's two bands
-(model.chain_bands): H, H' and their norms are bands, and every
-factorization is a tridiagonal ?gttrf, so a point costs one
-(D/2)-square ?geev plus O(D) work and builds no D x D matrix.  A PBC
-ring keeps the dense path: its H is built once, factored by LU, and its
-bordered system solved densely.
+The point runs on the chain's bands (model.chain_bands), open chain or
+ring: H, H' and their norms are bands, and every factorization is a
+tridiagonal ?gttrf, so a point costs one (D/2)-square ?geev plus O(D)
+work and builds no D x D matrix.
 
 family_state_derivative, one gauge-aligned central difference of the
 steady state at a fixed step, is kept as an independent oracle.  Quantum
@@ -33,8 +31,7 @@ import numpy as np
 from .errors import (BoundUndefinedError, DerivativeIllDefinedError,
                      NumericalError, ValidationError)
 from .gbz import gbz_radius, skin_frame
-from .model import (ChainBands, build_current_operator, build_hamiltonian,
-                    chain_bands)
+from .model import ChainBands, build_current_operator, chain_bands
 from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, bordered_solve,
                        certify, eigenpair, full_spectrum, phase_fixed,
                        residuals, steady_neighbours, steady_state,
@@ -169,20 +166,20 @@ def apply_params(p, ps, shift=None):
     return p.with_updates(**updates)
 
 
-def _skin_balanced(q, build=build_hamiltonian):
-    """Hamiltonian of model q in its skin-balancing frame: (H, rho, frame).
+def _skin_balanced(q):
+    """Hamiltonian of model q in its skin-balancing frame, as its bands
+    (model.chain_bands): (H, rho, frame).
 
     Conjugating the chain by S = diag(rho^n), n the module index and rho
     the GBZ radius, leaves every bond inside a module alone and rescales
     the module bonds (Jm, JmP) to (Jm rho, JmP / rho), so S^-1 H S is the
     same model with those couplings (_rebalanced).  frame is skin_frame's
     ln s; on PBC rings and unbalanced chains it is None, rho is 1 and H
-    is the raw Hamiltonian.  build makes H from the rebalanced model:
-    build_hamiltonian gives the dense matrix, chain_bands its bands.
+    is the raw Hamiltonian.
     """
     frame = skin_frame(q)
     rho = 1.0 if frame is None else gbz_radius(q)
-    return build(_rebalanced(q, rho)), rho, frame
+    return chain_bands(_rebalanced(q, rho)), rho, frame
 
 
 def _rebalanced(q, rho):
@@ -204,13 +201,12 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
     shifted so each column peaks at 1, so no component overflows however
     large s grows.  The mapping is an exact similarity, so this changes
     rounding behavior only; the residuals are taken against the raw
-    Hamiltonian (spectral.residuals).
+    Hamiltonian's bands (spectral.residuals).
     """
     Hb, _, ln_s = _skin_balanced(p)
     dec = full_spectrum(Hb, tol_eig)
     if ln_s is None:
         return dec
-    del Hb  # keeps the back-mapping below the solve's own peak memory
     values, vecs = dec.values, dec.right_vectors
     del dec
     # ln v = ln|v| + i arg v, mapped back in place; components far below
@@ -221,7 +217,7 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
         vecs -= vecs.real.max(axis=0)
         np.exp(vecs, out=vecs)
         vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-        res = residuals(build_hamiltonian(p), vecs, values)
+        res = residuals(chain_bands(p), vecs, values)
     return SpectralDecomposition(values=values, right_vectors=vecs,
                                  residuals=res)
 
@@ -229,11 +225,12 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
 def model_eigenvalues(p):
     """Eigenvalues of the model in its skin-balancing frame, no vectors.
 
-    Returns (H, values): the balanced Hamiltonian and its eigenvalues,
-    sorted at DEFAULT_TOL_EIG's resolution, from full_spectrum's
-    values-only solve (on one sublattice unless a value is too close to
-    zero for the squared solve).  Nothing here checks a residual; certify
-    each eigenvalue a result reads with spectral.certify(H, values).
+    Returns (H, values): the balanced Hamiltonian's bands and its
+    eigenvalues, sorted at DEFAULT_TOL_EIG's resolution, from
+    full_spectrum's values-only solve (on one sublattice unless a value
+    is too close to zero for the squared solve).  Nothing here checks a
+    residual; certify each eigenvalue a result reads with
+    spectral.certify(H, values).
     """
     H = _skin_balanced(p)[0]
     return H, full_spectrum(H, vectors=False)
@@ -330,7 +327,7 @@ def family_state_derivative(p, ps, i, step):
     _check_nondegenerate(dec0.values)
     plus, minus = _shifted(p, ps, i, step), _shifted(p, ps, i, -step)
     motion = 10.0 * float(np.linalg.norm(
-        build_hamiltonian(plus) - build_hamiltonian(minus))) / 2.0
+        chain_bands(plus).entries - chain_bands(minus).entries)) / 2.0
     aligned = []
     try:
         _check_isolated(dec0.values, motion, step)
@@ -383,19 +380,17 @@ def _steady_derivatives(p, ps, indices):
     (spectral.bordered_solve).  All vectors are mapped back with one
     scale, and each state derivative is (1 - psi psi^+) dr / ||r||.
 
-    An open chain runs on its two bands (model.chain_bands) and no D x D
-    matrix is built or factored: the half-size blocks are cut from the
-    bands, eigenpair, certify and the bordered solve (Nelson's deletion)
-    factor tridiagonals with ?gttrf, and H, H' and their norms are bands,
-    so a point costs one (D/2)-square ?geev plus O(D) work.  A PBC ring,
-    whose corners break the tridiagonal form, builds its dense H once and
-    takes the dense LUs and bordered solve; so does the dense fallback of
-    sublattice_eigenvalues, only when it is taken.
+    The chain, open or ring, runs on its bands (model.chain_bands) and no
+    D x D matrix is built or factored: the half-size blocks are cut from
+    the bands, eigenpair, certify and the bordered solve (Nelson's
+    deletion) factor tridiagonals with ?gttrf, and H, H' and their norms
+    are bands, so a point costs one (D/2)-square ?geev plus O(D) work.
+    Only the dense fall-back of sublattice_eigenvalues builds H, when it
+    is taken (an odd ring always takes it).
     """
     if any(not 0 <= i < ps.l for i in indices):
         raise ValidationError("parameter index out of range")
-    bands, rho, frame = _skin_balanced(apply_params(p, ps), chain_bands)
-    H = bands.dense() if bands.corners.any() else bands
+    H, rho, frame = _skin_balanced(apply_params(p, ps))
     values = sublattice_eigenvalues(H)
     if indices:
         # before the inverse iteration, which diverges on a degenerate lam
@@ -403,7 +398,7 @@ def _steady_derivatives(p, ps, indices):
     lam = values[0]
     r, l = eigenpair(H, lam, left=True)
     certify(H, values[steady_neighbours(values)])
-    norm = float(np.linalg.norm(bands.entries))
+    norm = float(np.linalg.norm(H.entries))
     rhs = []
     for i in indices:
         dH = _central_difference(p, ps, i)

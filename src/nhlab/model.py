@@ -217,7 +217,8 @@ class ChainBands(NamedTuple):
         y = np.zeros(len(x), dtype=complex)
         y[:-1] += self.upper * x[1:]
         y[1:] += self.lower * x[:-1]
-        y[[-1, 0]] += self.corners * x[[0, -1]]
+        y[-1] += self.corners[0] * x[0]
+        y[0] += self.corners[1] * x[-1]
         return y
 
 

@@ -16,21 +16,24 @@ frame (metrology.model_spectrum over full_spectrum); a raw solve of a
 skin-amplified chain loses eigenvalues to pseudospectral error that the
 residual gate does not see.
 
-What runs on bands: an open chain is exactly tridiagonal, so eigenpair,
-certify and bordered_solve factor H - lambda with LAPACK ?gttrf and solve
-with ?gttrs in O(D) work, whether H comes as model.ChainBands or as a
-dense matrix of that shape (the OBC gaps); sublattice_eigenvalues cuts an
-open chain's half-size blocks from its bands.  The Fisher point therefore
-builds and factors no D x D matrix.  What stays dense: a PBC ring, whose
-two corners break the tridiagonal form, takes the LU ?getrf / ?getrs and
-the dense bordered system, and the squaring gate's fall-back (below)
-builds the dense matrix from the bands, only when it is taken.
+Every chain here, open or ring, comes as model.ChainBands, and eigenpair,
+certify and bordered_solve take nothing else: an open chain is exactly
+tridiagonal, so H - lambda is factored by LAPACK ?gttrf and solved by
+?gttrs in O(D) work; a PBC ring is the same tridiagonal plus its two
+corners, a rank-1 correction (Sherman-Morrison) to that one
+factorization; and the bordered solve deletes one site of either, which
+leaves an open chain.  full_spectrum, residuals and
+sublattice_eigenvalues cut a chain's half-size blocks from its bands
+(_band_blocks) and also accept a dense matrix.  A D x D matrix is built
+only for what has no half-size path: the eigenvalues of an odd ring
+(not bipartite), the vectors of an odd D, and the squaring gate's
+fall-back (below), each only when it runs.
 
-Both eigensolvers work on one sublattice where they can: every chain here
-couples even to odd positions only, so the eigenvalues are +-sqrt of
-those of the (D/2)-square product of the two off-diagonal blocks, about
-1/8 of the flops (_half_solve), and the eigenvectors follow from the
-product's.  full_spectrum (model spectra, skin profiles, edge states,
+Both eigensolvers work on one sublattice where they can: every open
+chain and even ring couples even to odd positions only, so the
+eigenvalues are +-sqrt of those of the (D/2)-square product of the two
+off-diagonal blocks, about 1/8 of the flops (_half_solve), and the
+eigenvectors follow from the product's.  full_spectrum (model spectra, skin profiles, edge states,
 the OBC gaps) and sublattice_eigenvalues (the steady solve, no vectors)
 share that solve.  Squaring loses absolute accuracy near zero
 (eps ||H||^2 / |lambda| instead of eps ||H||), so each value is held to
@@ -88,8 +91,6 @@ class SpectralDecomposition:
 
 
 def _checked(H):
-    if isinstance(H, ChainBands):
-        H = H.dense()
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationError("matrix must be square")
@@ -103,6 +104,25 @@ def _real_if_possible(H):
     return H if np.any(H.imag) else H.real
 
 
+def _split(H):
+    """(H, blocks) for the eigensolvers: H checked and in real arithmetic
+    when it is real (ChainBands stay bands), and its half-size blocks
+    (H_eo, H_oe), from _band_blocks or _bipartite_blocks, or None when H
+    is not bipartite."""
+    if isinstance(H, ChainBands):
+        entries = _real_if_possible(_finite(H.entries))
+        n = len(H.upper)
+        H = ChainBands(entries[:n], entries[n:2 * n], entries[2 * n:])
+        return H, _band_blocks(H)
+    H = _real_if_possible(_checked(H))
+    return H, _bipartite_blocks(H)
+
+
+def _dense(H):
+    """A dense H as it is, or the D x D matrix of bands from _split."""
+    return _real_if_possible(H.dense()) if isinstance(H, ChainBands) else H
+
+
 def _order(values, tol_eig):
     """Sort permutation: Im descending at resolution tol_eig*max(|lambda|, 1),
     ties by Re descending."""
@@ -112,16 +132,18 @@ def _order(values, tol_eig):
 
 
 def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
-    """Diagonalize a dense matrix with a residual guarantee.
+    """Diagonalize a chain (model.ChainBands) or a dense matrix with a
+    residual guarantee.
 
-    A bipartite matrix (see _bipartite_blocks) is solved on one
-    sublattice (_half_solve): the values are kept only if every one
+    A bipartite matrix (see _band_blocks, _bipartite_blocks) is solved on
+    one sublattice (_half_solve): the values are kept only if every one
     passes the squaring gate, and the vectors only if every pair then
     passes the residual gate below.  Anything else (odd dimension with
     vectors, a value too close to zero for the squared solve, a failed
     gate, a LAPACK failure of the half solve) takes the dense solve,
-    LAPACK ?geev of H.  A matrix with an all-zero imaginary
-    part goes to LAPACK as real (dgeev, not zgeev).  Values and vectors
+    LAPACK ?geev of H, made dense from the bands only then.  A matrix
+    with an all-zero imaginary part goes to LAPACK as real (dgeev, not
+    zgeev).  Values and vectors
     come back complex either way, and the residuals are taken against the
     matrix as given, in real arithmetic when it is real.
 
@@ -142,28 +164,27 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
         If the dense solve fails in LAPACK or leaves a residual above
         tol_eig * max(||H||_F, 1).
     """
-    H = _checked(H)
-    A = _real_if_possible(H)
-    blocks = _bipartite_blocks(A)
+    H, blocks = _split(H)
     half = None if blocks is None else _half_solve(blocks, tol_eig, vectors)
     if not vectors:
         if half is not None and _squaring_ok(*half[:2]):
             return half[0]
-        return _dense_solve(A, tol_eig, vectors=False)
-    bound = tol_eig * max(float(np.linalg.norm(H, "fro")), 1.0)
+        return _dense_solve(_dense(H), tol_eig, vectors=False)
+    bound = tol_eig * max(_frobenius(H), 1.0)
     if half is not None and half[2] is not None:
         values, _, vecs = half
-        residuals = _residuals(A, blocks, vecs, values)
+        residuals = _residuals(None, blocks, vecs, values)
         if np.all(residuals <= bound):
             return SpectralDecomposition(values=values, right_vectors=vecs,
                                          residuals=residuals)
     half = vecs = None  # frees the rejected vectors before the dense solve
+    A = _dense(H)
     values, vecs = _dense_solve(A, tol_eig, vectors=True)
     residuals = _residuals(A, blocks, vecs, values)
     if np.any(residuals > bound):
         raise ConvergenceError(
             "eigensolver residual %.3e exceeds %.3e (dim %d)"
-            % (residuals.max(), bound, H.shape[0]))
+            % (residuals.max(), bound, len(A)))
     return SpectralDecomposition(values=values, right_vectors=vecs,
                                  residuals=residuals)
 
@@ -195,20 +216,30 @@ def _bipartite_blocks(A):
             np.ascontiguousarray(A[1::2, 0::2]))
 
 
-def _band_blocks(upper, lower):
-    """(H_eo, H_oe) of the open chain with bands upper and lower, the
-    blocks _bipartite_blocks cuts from its dense matrix: H_eo[k, k] =
-    H[2k, 2k+1] and H_eo[k+1, k] = H[2k+2, 2k+1]; H_oe[k, k] = H[2k+1, 2k]
-    and H_oe[k, k+1] = H[2k+1, 2k+2]."""
-    odd = (len(upper) + 1) // 2  # floor(D/2)
-    even = len(upper) + 1 - odd
-    eo = np.zeros((even, odd), dtype=upper.dtype)
-    oe = np.zeros((odd, even), dtype=upper.dtype)
+def _band_blocks(bands):
+    """(H_eo, H_oe) of a chain from its bands, the blocks
+    _bipartite_blocks cuts from its dense matrix: H_eo[k, k] = H[2k, 2k+1]
+    and H_eo[k+1, k] = H[2k+2, 2k+1]; H_oe[k, k] = H[2k+1, 2k] and
+    H_oe[k, k+1] = H[2k+1, 2k+2].  An even ring's corners H[D-1, 0] and
+    H[0, D-1] are H_oe[-1, 0] and H_eo[0, -1]; an odd ring's couple two
+    even positions, so it is not bipartite: None."""
+    upper, lower, corners = bands
+    D = len(upper) + 1
+    if D % 2 and corners.any():
+        return None
+    odd = D // 2
+    even = D - odd
+    dtype = np.result_type(upper, lower, corners)
+    eo = np.zeros((even, odd), dtype=dtype)
+    oe = np.zeros((odd, even), dtype=dtype)
     k, j = np.arange(odd), np.arange(even - 1)
     eo[k, k] = upper[0::2]
     eo[j + 1, j] = lower[1::2]
     oe[k, k] = lower[0::2]
     oe[j, j + 1] = upper[1::2]
+    if corners.any():
+        oe[-1, 0] += corners[0]
+        eo[0, -1] += corners[1]
     return eo, oe
 
 
@@ -280,9 +311,15 @@ def _product(B, W):
     return (B @ W.view(float)).view(complex)
 
 
+def _frobenius(H):
+    """||H||_F of a dense H or of bands."""
+    return float(np.linalg.norm(H.entries if isinstance(H, ChainBands) else H))
+
+
 def _residuals(A, blocks, vecs, values):
-    """||A v - lambda v||_2 for each column v of vecs; blocks is
-    _bipartite_blocks(A), whose two products replace the D x D one."""
+    """||A v - lambda v||_2 for each column v of vecs; blocks is A's
+    half-size blocks, whose two products replace the D x D one, and A is
+    read only where blocks is None."""
     if blocks is None:
         parts = ((A, vecs, vecs),)
     else:
@@ -299,9 +336,10 @@ def _residuals(A, blocks, vecs, values):
 def residuals(H, vecs, values):
     """Per-pair ||H v - lambda v||_2 of the columns of vecs, as
     full_spectrum takes them (real arithmetic for a real H, the two
-    nonzero blocks of a bipartite one)."""
-    A = _real_if_possible(_checked(H))
-    return _residuals(A, _bipartite_blocks(A), vecs, values)
+    nonzero blocks of a bipartite one); H is a chain's bands or dense."""
+    H, blocks = _split(H)
+    return _residuals(_dense(H) if blocks is None else None, blocks, vecs,
+                      values)
 
 
 def steady_neighbours(values):
@@ -315,13 +353,13 @@ def steady_neighbours(values):
 def sublattice_eigenvalues(H):
     """Sorted eigenvalues of a bipartite matrix from a half-size solve.
 
-    H is a dense matrix or model.ChainBands.  It is bipartite when its
+    H is model.ChainBands or a dense matrix.  It is bipartite when its
     even-even and odd-odd blocks are zero, as on every open chain and even
     ring here; then S H S = -H for S = diag((-1)^i), and _half_solve gives
     the eigenvalues from the floor(D/2)-square product H_oe H_eo
     (H_oe = H[1::2, 0::2], H_eo = H[0::2, 1::2]), in real arithmetic when
-    H is real, as full_spectrum does.  An open chain's blocks are cut
-    from its bands (_band_blocks), so no D x D matrix is built.  The
+    H is real, as full_spectrum does.  A chain's blocks are cut from its
+    bands (_band_blocks), so no D x D matrix is built.  The
     output is exactly symmetric under E -> -E and sorted as full_spectrum
     sorts.
 
@@ -329,14 +367,10 @@ def sublattice_eigenvalues(H):
     steady_neighbours) are held to the squaring gate.  Where one of them
     fails it, and for any matrix that is not bipartite, this returns the
     dense solve's eigenvalues instead, as full_spectrum(H, vectors=False)
-    would, without a second half solve; only then are an open chain's
-    bands made dense.
+    would, without a second half solve; only then are a chain's bands
+    made dense.
     """
-    if isinstance(H, ChainBands) and not H.corners.any():
-        blocks = _band_blocks(*_real_if_possible(
-            np.stack([_finite(H.upper), _finite(H.lower)])))
-    else:
-        blocks = _bipartite_blocks(_real_if_possible(_checked(H)))
+    H, blocks = _split(H)
     half = None if blocks is None else _half_solve(blocks, DEFAULT_TOL_EIG,
                                                    vectors=False)
     if half is not None:
@@ -344,8 +378,7 @@ def sublattice_eigenvalues(H):
         read = [0] + steady_neighbours(values)
         if _squaring_ok(values[read], error[read]):
             return values
-    return _dense_solve(_real_if_possible(_checked(H)), DEFAULT_TOL_EIG,
-                        vectors=False)
+    return _dense_solve(_dense(H), DEFAULT_TOL_EIG, vectors=False)
 
 
 def _finite(band):
@@ -382,184 +415,152 @@ def _inverse_iterate(solve, residual, bound, start):
         % (res, bound, len(x)))
 
 
-def _tridiagonal(H):
-    """(lower, diag, upper), complex, of a matrix with no nonzero entry off
-    its three central diagonals (an open chain's ChainBands, or a dense
-    matrix so shaped), else None.  Also None below D = 3, where scipy's
-    ?gttrf wrapper rejects the empty second superdiagonal."""
-    if isinstance(H, ChainBands):
-        if H.corners.any():
-            return None
-        bands = (_finite(H.lower), np.zeros(len(H.upper) + 1), _finite(H.upper))
-    else:
-        H = _checked(H)
-        bands = tuple(np.diagonal(H, k) for k in (-1, 0, 1))
-        if np.count_nonzero(H) > sum(np.count_nonzero(b) for b in bands):
-            return None
-    if len(bands[1]) < 3:
-        return None
-    return tuple(np.asarray(b, dtype=complex) for b in bands)
+def _complex_bands(H):
+    """A chain's bands as complex arrays, checked finite."""
+    return ChainBands(*(np.asarray(_finite(b), dtype=complex) for b in H))
 
 
-def _tri_matvec(lower, diag, upper, x):
-    """H x for the tridiagonal H with these bands."""
-    y = diag * x
-    y[:-1] += upper * x[1:]
-    y[1:] += lower * x[:-1]
-    return y
+def _rank_one(solve, u, v):
+    """Solve for T + u v^T from solve for T (Sherman-Morrison): one more
+    solve, for T^-1 u, and O(D) work per right-hand side.  An exactly zero
+    denominator (T + u v^T exactly singular) is replaced by eps, as an
+    exactly zero pivot is."""
+    with np.errstate(all="ignore"):
+        z = solve(u)
+    denom = 1.0 + v @ z
+    if denom == 0:
+        denom = np.finfo(float).eps
+
+    def corrected(b):
+        y = solve(b)
+        return y - z * ((v @ y) / denom)
+
+    return corrected
 
 
-def _operator(H):
-    """(bands, A, scale) for inverse iteration on H: bands is
-    _tridiagonal(H); where that is None, A is H as a checked dense
-    matrix.  scale is max(||H||_F, 1)."""
-    bands = _tridiagonal(H)
-    if bands is None:
-        A = _checked(H)
-        return None, A, max(float(np.linalg.norm(A, "fro")), 1.0)
-    return bands, None, max(float(np.linalg.norm(np.concatenate(bands))), 1.0)
-
-
-def _dense_shifted(A, lam, pivot):
-    """(solve_r, solve_l, res_r, res_l) for A - lam from one dense LU
-    (?getrf): solve_r applies its inverse and solve_l that of its
-    conjugate transpose; res_r(x) = (A - lam) x and res_l(x) =
-    x^H (A - lam).  Exactly zero pivots are replaced by pivot."""
-    diag = np.arange(len(A))
-    S = A.copy()
-    S[diag, diag] -= lam
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (S,))
-    # getrf reports an exactly zero pivot through info > 0 (lu_factor
-    # turns that into a warning) and still completes the factorization
-    lu, piv, _ = getrf(S, overwrite_a=True)
-    zero = diag[lu[diag, diag] == 0]
-    lu[zero, zero] = pivot
-
-    def solver(trans):
-        return lambda b: getrs(lu, piv, b, trans=trans)[0]
-
-    def res_r(x):
-        return A @ x - lam * x
-
-    def res_l(x):
-        return x.conj() @ A - lam * x.conj()
-
-    return solver(0), solver(2), res_r, res_l
-
-
-def _band_shifted(bands, lam, pivot):
-    """_dense_shifted for a tridiagonal matrix given by its bands: one
-    ?gttrf factorization, ?gttrs solves and tridiagonal products, O(D)
-    work and memory."""
-    lower, diag, upper = bands
+def _shifted(H, lam, pivot):
+    """shifted(adjoint) -> (solve, residual) for H - lam, H complex bands,
+    from one ?gttrf factorization: solve applies the inverse of H - lam
+    (adjoint=False) or of its conjugate transpose (adjoint=True), and
+    residual(x) is that matrix times x, through the bands.  Exactly zero
+    pivots are replaced by pivot.  A ring's corners c0 = H[D-1, 0] and
+    c1 = H[0, D-1] are the rank-1 term u v^T, u = g e_0 + c0 e_{D-1},
+    v = e_0 + (c1 / g) e_{D-1}, whose diagonal entries g and c0 c1 / g the
+    factored tridiagonal subtracts; g = max(|c0|, |c1|) keeps both within
+    the corners' size.  Open chains factor H - lam itself.
+    """
+    D = len(H.upper) + 1
+    diag = np.zeros(D, dtype=complex) - lam
+    ring = H.corners.any()
+    if ring:
+        c0, c1 = H.corners
+        g = max(abs(c0), abs(c1))
+        uv = np.zeros((2, D), dtype=complex)  # rows u and v
+        uv[:, [0, -1]] = [[g, c0], [1.0, c1 / g]]
+        diag[[0, -1]] -= g, c0 * c1 / g
     gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
-    # like getrf, gttrf completes the factorization past a zero pivot
-    dl, d, du, du2, ipiv, _ = gttrf(lower, diag - lam, upper)
+    # gttrf completes the factorization past an exactly zero pivot
+    dl, d, du, du2, ipiv, _ = gttrf(H.lower, diag, H.upper)
     d[d == 0] = pivot
 
-    def solver(trans):
-        return lambda b: gttrs(dl, d, du, du2, ipiv, b, trans=trans)[0]
+    def shifted(adjoint):
+        trans, M, mu = "N", H, lam
+        if adjoint:
+            trans, mu = "C", np.conj(lam)
+            M = ChainBands(H.lower.conj(), H.upper.conj(),
+                           H.corners[::-1].conj())
 
-    def res_r(x):
-        return _tri_matvec(lower, diag, upper, x) - lam * x
+        def solve(b):
+            return gttrs(dl, d, du, du2, ipiv, b, trans=trans)[0]
 
-    def res_l(x):
-        return (_tri_matvec(upper.conj(), diag.conj(), lower.conj(), x)
-                - np.conj(lam) * x)
+        if ring:
+            # (T + u v^T)^H = T^H + conj(v) conj(u)^T
+            solve = _rank_one(solve, *(uv[::-1].conj() if adjoint else uv))
+        return solve, lambda x: M @ x - mu * x
 
-    return solver("N"), solver("C"), res_r, res_l
-
-
-def _eigenpair(op, lam, left):
-    bands, A, scale = op
-    pivot = np.finfo(float).eps * scale
-    if bands is None:
-        solve_r, solve_l, res_r, res_l = _dense_shifted(A, lam, pivot)
-    else:
-        solve_r, solve_l, res_r, res_l = _band_shifted(bands, lam, pivot)
-    rng = np.random.default_rng(0)
-    D = len(A) if bands is None else len(bands[1])
-    start = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-    start /= np.linalg.norm(start)
-    bound = DEFAULT_TOL_EIG * scale
-    r = _inverse_iterate(solve_r, res_r, bound, start)
-    if not left:
-        return r
-    return r, _inverse_iterate(solve_l, res_l, bound, start)
+    return shifted
 
 
 def eigenpair(H, lam, left=False):
-    """Unit eigenvector(s) of H for a computed eigenvalue lam.
+    """Unit eigenvector(s) of the chain H for a computed eigenvalue lam.
 
     One factorization of H - lam I drives inverse iteration for the right
     vector r (H r = lam r) and, with left=True, the left vector l
-    (l^H H = lam l^H), returned as (r, l).  H is a dense matrix or
-    model.ChainBands.  A tridiagonal H (every open chain, as bands or
-    dense) is factored by LAPACK ?gttrf and solved by ?gttrs, trans 'N'
-    for r and 'C' for l, in O(D) work, with residuals from a tridiagonal
-    product; any other H (a PBC ring) takes the dense LU, ?getrf and
-    ?getrs.  Each vector is kept only if its residual is at most
-    DEFAULT_TOL_EIG * max(||H||_F, 1), full_spectrum's default gate, so a
-    value lam that is not an eigenvalue of H to that accuracy raises
-    ConvergenceError, as does a degenerate or defective lam whose solve
-    overflows.  An exactly zero pivot (lam an exact eigenvalue) is
-    replaced by eps * max(||H||_F, 1).  The start vector is fixed, so the
-    result is deterministic.
+    (l^H H = lam l^H), returned as (r, l).  H is model.ChainBands, an open
+    chain or a PBC ring, with D >= 3 (scipy's ?gttrf wrapper needs three
+    rows; every model chain has four or more).  Its tridiagonal part is
+    factored by LAPACK ?gttrf and solved by ?gttrs, trans 'N' for r and
+    'C' for l, in O(D) work, a ring's corners entering as a rank-1
+    correction (_shifted), with residuals from the bands.  Each vector is
+    kept only if its residual is at most DEFAULT_TOL_EIG *
+    max(||H||_F, 1), full_spectrum's default gate, so a value lam that is
+    not an eigenvalue of H to that accuracy raises ConvergenceError, as
+    does a degenerate or defective lam whose solve overflows.  An exactly
+    zero pivot (lam an exact eigenvalue) is replaced by
+    eps * max(||H||_F, 1).  The start vector is fixed, so the result is
+    deterministic.
     """
-    return _eigenpair(_operator(H), lam, left)
+    return _eigenpair(_complex_bands(H), lam, left)
+
+
+def _eigenpair(H, lam, left):
+    scale = max(_frobenius(H), 1.0)
+    shifted = _shifted(H, lam, np.finfo(float).eps * scale)
+    rng = np.random.default_rng(0)
+    D = len(H.upper) + 1
+    start = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    start /= np.linalg.norm(start)
+    bound = DEFAULT_TOL_EIG * scale
+    r = _inverse_iterate(*shifted(False), bound, start)
+    if not left:
+        return r
+    return r, _inverse_iterate(*shifted(True), bound, start)
 
 
 def certify(H, values):
-    """Raise ConvergenceError unless each value is an eigenvalue of H to
-    full_spectrum's residual gate: one inverse-iteration vector each,
-    from one factorization of H - lambda each, on the bands of a
-    tridiagonal H as in eigenpair."""
-    op = _operator(H)
+    """Raise ConvergenceError unless each value is an eigenvalue of the
+    chain H to full_spectrum's residual gate: one inverse-iteration vector
+    each, from one factorization of H - lambda each, as in eigenpair."""
+    H = _complex_bands(H)
     for lam in values:
-        _eigenpair(op, lam, left=False)
+        _eigenpair(H, lam, left=False)
 
 
 def bordered_solve(H, lam, r, l, rhs):
     """Columns x of (H - lam) x = b, l^H x = 0 for the columns b of rhs.
 
-    lam is a simple eigenvalue of H with right and left vectors r and l,
-    and each b satisfies l^H b = 0: the bordered system [[H - lam, r],
-    [l^H, 0]] of Nelson's method.  A tridiagonal H (see eigenpair) takes
-    Nelson's deletion in O(D) work: the (k, k) cofactor of H - lam is
-    proportional to r_k l_k^*, so for k = argmax |r_k l_k| the matrix
-    without row and column k, a (D-1)-square tridiagonal whose coupling
-    across k is zero, has the largest determinant of any such deletion.
-    One ?gttrf factorization solves it for every b with x_k = 0 (row k of
-    the full system is a combination of the others, with weights from
-    l), and the r component is projected out so that l^H x = 0.  Any
-    other H (a PBC ring) takes the dense (D+1)-square bordered system.  A
-    singular system raises numpy.linalg.LinAlgError.
+    lam is a simple eigenvalue of the chain H (model.ChainBands, open or
+    ring) with right and left vectors r and l, and each b satisfies
+    l^H b = 0: the bordered system [[H - lam, r], [l^H, 0]] of Nelson's
+    method, solved by Nelson's deletion in O(D) work.  The (k, k)
+    cofactor of H - lam is proportional to r_k l_k^*, so for
+    k = argmax |r_k l_k| the matrix without row and column k has the
+    largest determinant of any such deletion.  Taken in the order
+    k+1, ..., D-1, 0, ..., k-1 it is an open chain, whose bond from
+    position D-1 to 0 is the ring's wrap bond (H[D-1, 0] above the
+    diagonal, H[0, D-1] below), zero on an open chain.  One ?gttrf
+    factorization solves it for every b with x_k = 0 (row k of the full
+    system is a combination of the others, with weights from l), and the
+    r component is projected out so that l^H x = 0.  The reduced chain
+    needs three sites for ?gttrf, so D >= 4, as on every model chain.  A
+    singular reduced system raises numpy.linalg.LinAlgError.
     """
-    bands = _tridiagonal(H)
+    H = _complex_bands(H)
     D = len(r)
-    if bands is None:
-        border = np.zeros((D + 1, D + 1), dtype=complex)
-        border[:D, :D] = _checked(H)
-        border[np.arange(D), np.arange(D)] -= lam
-        border[:D, D] = r
-        border[D, :D] = l.conj()
-        return np.linalg.solve(border, np.vstack([rhs, np.zeros(rhs.shape[1])]))[:D]
-    lower, diag, upper = bands
     k = int(np.argmax(np.abs(r * l)))
-    keep = np.arange(D) != k
-
-    def cut(band):
-        # drop the couplings to k; k-1 and k+1 become uncoupled neighbours
-        gap = [0.0] if 0 < k < D - 1 else []
-        return np.concatenate([band[:max(k - 1, 0)], gap, band[k + 1:]])
-
-    gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
-    dl, d, du, du2, ipiv, info = gttrf(cut(lower), diag[keep] - lam, cut(upper))
+    order = (k + 1 + np.arange(D - 1)) % D
+    # bond i couples i and i+1 mod D, so the rotated chain's bonds are
+    # those starting at order[:-1]
+    upper, lower = (np.append(band, corner)[order[:-1]] for band, corner
+                    in zip(H[:2], H.corners))
+    gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (upper,))
+    dl, d, du, du2, ipiv, info = gttrf(
+        lower, np.zeros(D - 1, dtype=complex) - lam, upper)
     if info > 0:
         raise np.linalg.LinAlgError(
             "exactly zero pivot %d in the reduced system" % info)
     x = np.zeros((D, rhs.shape[1]), dtype=complex)
-    x[keep] = gttrs(dl, d, du, du2, ipiv, rhs[keep])[0]
+    x[order] = gttrs(dl, d, du, du2, ipiv, rhs[order])[0]
     return x - np.outer(r, l.conj() @ x) / np.vdot(l, r)
 
 

@@ -15,7 +15,9 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, PBC, PRESET_NAMES,
                    obc_central_gap, obc_side_gap, participation_ratio, preset,
                    state_derivatives, steady_state)
 from nhlab.metrology import model_eigenvalues
-from nhlab.spectral import (DEFAULT_TOL_EIG, _order, _product, eigenpair,
+from nhlab.model import ChainBands, chain_bands
+from nhlab.spectral import (DEFAULT_TOL_EIG, _band_blocks, _bipartite_blocks,
+                            _order, _product, eigenpair,
                             sublattice_eigenvalues)
 
 
@@ -138,17 +140,21 @@ def test_values_only_solve_matches_the_full_solve(name, L):
 
 
 def test_eigenpair_vectors_pass_the_residual_gate():
-    H, values = model_eigenvalues(preset("FIG4_HN").resized(34))
+    bands, values = model_eigenvalues(preset("FIG4_HN").resized(34))
+    H = bands.dense()
     bound = 1e-9 * np.linalg.norm(H)
     for lam in values[:3]:
-        r, l = eigenpair(H, lam, left=True)
+        r, l = eigenpair(bands, lam, left=True)
         assert abs(np.linalg.norm(r) - 1.0) < 1e-12
         assert abs(np.linalg.norm(l) - 1.0) < 1e-12
         assert np.linalg.norm(H @ r - lam * r) <= bound
         assert np.linalg.norm(l.conj() @ H - lam * l.conj()) <= bound
-    # an exact eigenvalue gives an exactly singular pivot
-    r = eigenpair(np.diag([1.0, 2.0]).astype(complex), 1.0)
-    assert abs(r[1]) < 1e-12
+    # an exact eigenvalue gives an exactly singular pivot: decoupled
+    # dimers [[0, 1], [1, 0]] and [[0, 2], [2, 0]], eigenvalue 1
+    dimers = ChainBands(np.array([1.0, 0.0, 2.0]), np.array([1.0, 0.0, 2.0]),
+                        np.zeros(2))
+    r = eigenpair(dimers, 1.0)
+    assert np.max(np.abs(r[2:])) < 1e-12
 
 
 def test_eigenpair_gate_rejects_a_non_eigenvalue():
@@ -167,7 +173,8 @@ def test_eigenpair_accepts_a_defective_eigenvalue_at_its_first_step():
                     JmP=-0.8 + 0.3j)
     H, values = model_eigenvalues(p)
     r, l = eigenpair(H, values[0], left=True)
-    assert np.linalg.norm(H @ r - values[0] * r) <= 1e-14 * np.linalg.norm(H)
+    assert (np.linalg.norm(H @ r - values[0] * r)
+            <= 1e-14 * np.linalg.norm(H.dense()))
     assert abs(np.vdot(l, r)) < 1e-6  # nearly parallel: a defective pair
 
 
@@ -195,7 +202,7 @@ LAPACK_DTYPE_CASES = (
                          ids=["%s_L%d" % (c[0], c[1].L) for c in LAPACK_DTYPE_CASES])
 def test_real_matrices_take_real_lapack(monkeypatch, p, is_complex):
     H, _ = model_eigenvalues(p)
-    ref = scipy.linalg.eigvals(H.astype(complex))
+    ref = scipy.linalg.eigvals(H.dense())
     ref = ref[_order(ref, DEFAULT_TOL_EIG)]
     seen = _record_solver_dtypes(monkeypatch)
     solved = [full_spectrum(H, vectors=False)]
@@ -253,7 +260,7 @@ def test_sublattice_eigenvalues_match_the_full_solve(monkeypatch, p):
     seen = _record_eigvals(monkeypatch)
     values = sublattice_eigenvalues(H)
     half = p.D // 2
-    assert seen == [((half, half), np.complex128 if np.any(H.imag)
+    assert seen == [((half, half), np.complex128 if np.any(H.dense().imag)
                      else np.float64)]
     # same values in the same order; an odd D adds one exact zero
     assert np.all(np.abs(values - full) <= 1e-12 * np.maximum(np.abs(full), 1.0))
@@ -326,6 +333,7 @@ def test_full_spectrum_solves_one_sublattice(monkeypatch, p):
     dec = full_spectrum(H)
     assert [shape for shape, _ in seen] == [(p.D // 2, p.D // 2)]
     monkeypatch.undo()
+    H = H.dense()
     ref = scipy.linalg.eigvals(H)
     ref = ref[_order(ref, DEFAULT_TOL_EIG)]
     # same values in the same order as the dense solve
@@ -346,10 +354,11 @@ def test_full_spectrum_solves_one_sublattice(monkeypatch, p):
 
 def test_full_spectrum_keeps_odd_chains_on_the_dense_solve(monkeypatch):
     # an odd chain has no half-size eigenvector for its zero mode
-    H, _ = model_eigenvalues(preset("FIG4_HN").resized(35))
+    p = preset("FIG4_HN").resized(35)
+    H, _ = model_eigenvalues(p)
     seen = _record_eigvals(monkeypatch, "eig")
     dec = full_spectrum(H)
-    assert [shape for shape, _ in seen] == [H.shape]
+    assert [shape for shape, _ in seen] == [(p.D, p.D)]
     assert np.max(np.abs(full_spectrum(H, vectors=False) - dec.values)) <= 1e-12
 
 
@@ -373,8 +382,49 @@ def test_edge_pair_forces_the_dense_solve(monkeypatch):
     assert abs(obc_side_gap(p) - 1.5369828156494503) <= 1e-12
     # and exactly the dense solve's eigenvalues
     H, values = model_eigenvalues(p)
-    ref = scipy.linalg.eigvals(H.real)
+    ref = scipy.linalg.eigvals(H.dense().real)
     assert np.array_equal(values, ref[_order(ref, DEFAULT_TOL_EIG)])
+
+
+BAND_IDENTITY_CASES = [(n, L) for n in PRESET_NAMES for L in (34, 35)]
+
+
+@pytest.mark.parametrize("name, L", BAND_IDENTITY_CASES,
+                         ids=["%s-%d" % c for c in BAND_IDENTITY_CASES])
+def test_bands_solve_bit_for_bit_as_their_dense_matrix(name, L):
+    p = preset(name).resized(L)
+    # the balanced chain every model spectrum solves, and the raw one
+    for bands in (model_eigenvalues(p)[0], chain_bands(p)):
+        H = bands.dense()
+        got, want = full_spectrum(bands), full_spectrum(H)
+        for field in ("values", "right_vectors", "residuals"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert np.array_equal(full_spectrum(bands, vectors=False),
+                              full_spectrum(H, vectors=False))
+        assert np.array_equal(sublattice_eigenvalues(bands),
+                              sublattice_eigenvalues(H))
+    # an even ring's corners sit in the blocks; an odd ring has none
+    ring = chain_bands(p.with_updates(boundary=PBC))
+    blocks = _band_blocks(ring)
+    if p.D % 2:
+        assert blocks is None
+    else:
+        for got, want in zip(blocks, _bipartite_blocks(ring.dense())):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_ring_eigenpairs_pass_at_rounding_level(name):
+    # the corners enter the open chain's factorization as a rank-1
+    # correction; the vectors reach the residuals of a dense LU
+    for L in (34, 35):
+        ring = chain_bands(preset(name).resized(L).with_updates(boundary=PBC))
+        H = ring.dense()
+        bound = 1e-12 * np.linalg.norm(H)
+        for lam in full_spectrum(ring, vectors=False)[:2]:
+            r, l = eigenpair(ring, lam, left=True)
+            assert np.linalg.norm(H @ r - lam * r) <= bound
+            assert np.linalg.norm(l.conj() @ H - lam * l.conj()) <= bound
 
 
 def test_real_matrix_products_match_the_complex_product():

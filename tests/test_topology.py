@@ -183,6 +183,21 @@ def test_obc_gaps_certify_the_eigenvalues_they_read(monkeypatch):
             gap(p)
 
 
+def test_obc_gaps_build_a_dense_matrix_only_for_the_fall_back(lapack_calls):
+    # near FIG3's -0.5685 closing every |E| passes the squaring gate: the
+    # blocks come from the bands and the three certificates factor them
+    fig3 = preset("FIG3").params
+    closing = nearest(gbz_zero_gap_solutions(fig3), -0.5685)
+    lapack_calls.clear()
+    obc_central_gap(fig3.with_updates(L=200, JR=closing))
+    assert lapack_calls["dense"] == 0
+    assert lapack_calls["gttrf"] == 3 and lapack_calls["getrf"] == 0
+    # at JR=-1 the edge pair forces the dense solve, which alone needs H
+    lapack_calls.clear()
+    obc_central_gap(fig3.with_updates(L=100, JR=-1.0))
+    assert lapack_calls["dense"] == 1
+
+
 def test_obc_central_gap_keeps_the_fig3_closing_values():
     # the L=200 gaps at the four GBZ closings, as the full decomposition
     # in the skin-balancing frame gave them
