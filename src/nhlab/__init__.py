@@ -17,9 +17,9 @@ from .harness import (DEFAULT_L_GRID, OBSERVABLES, PRESET_NAMES, PeakResult,
                       exponent_vs_delta, find_peak, fit_power_law,
                       matrix_size_scaling, preset, preset_manifest, run_sweep,
                       size_scaling)
-from .metrology import (DEFAULT_STEP, PARAM_LABELS, FisherMatrix, ParamSpec,
-                        Povm, apply_params, cfi, cfim, current_basis,
-                        family_state_derivative, model_spectrum,
+from .metrology import (DEFAULT_STEP, PARAM_LABELS, BasisMap, FisherMatrix,
+                        ParamSpec, Povm, apply_params, cfi, cfim,
+                        current_basis, family_state_derivative, model_spectrum,
                         position_basis, probe_state, qfi, qfim,
                         state_derivative, state_derivatives,
                         total_variance_bound)

@@ -9,6 +9,7 @@ the same table, bit for bit, regardless of worker count.
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import sqrt
 from typing import NamedTuple
 
@@ -120,19 +121,11 @@ def _param_point(spec, x):
     return ps, apply_params(spec.base, ps)
 
 
-def _sweep_basis(spec, names):
-    """The CFI_CURRENT basis of spec's sweep when names request it, else
-    None.  current_basis depends only on d, r, L and the boundary, which
-    no sweep axis changes, so one basis serves every point."""
-    return current_basis(spec.base) if CFI_CURRENT in names else None
-
-
-def _point_values(spec, x, names, basis=None):
+def _point_values(spec, x, names):
     """Requested observables at one grid point, sharing intermediates.
 
     The Fisher columns and PR share one steady solve; SLOPE reads every
-    eigenvector and makes its own.  basis is the sweep's CFI_CURRENT
-    basis (_sweep_basis); without it the point builds its own.
+    eigenvector and makes its own.
     """
     ps, q = _param_point(spec, x)
     cache = {}
@@ -181,31 +174,19 @@ def _point_values(spec, x, names, basis=None):
                 values[name] = cfi(psi, dpsi, position_basis(q.D))
             elif name == CFI_CURRENT:
                 psi, (dpsi,) = probe()
-                values[name] = cfi(psi, dpsi, basis or current_basis(q))
+                values[name] = cfi(psi, dpsi, current_basis(q))
         except (ValidationError, NumericalError) as exc:
             values[name] = float("nan")
             errors.append("%s: %s" % (name, exc))
     return values, "; ".join(errors)
 
 
-def _sweep_row(spec, basis, x):
-    values, error = _point_values(spec, x, spec.observables, basis)
+def _sweep_row(spec, x):
+    values, error = _point_values(spec, x, spec.observables)
     row = {"value": float(x)}
     row.update(values)
     row["error"] = error
     return row
-
-
-_worker_sweep = None  # (spec, basis) of the sweep a pool worker serves
-
-
-def _start_worker(spec):
-    global _worker_sweep
-    _worker_sweep = (spec, _sweep_basis(spec, spec.observables))
-
-
-def _worker_row(x):
-    return _sweep_row(*_worker_sweep, x)
 
 
 def _worker_count(workers):
@@ -226,13 +207,11 @@ def run_sweep(spec, workers=None):
     """
     n = _worker_count(workers)
     if n == 1 or len(spec.grid) == 1:
-        basis = _sweep_basis(spec, spec.observables)
-        rows = [_sweep_row(spec, basis, x) for x in spec.grid]
+        rows = [_sweep_row(spec, x) for x in spec.grid]
     else:
-        # each worker builds the sweep's constants once
-        with ProcessPoolExecutor(max_workers=n, initializer=_start_worker,
-                                 initargs=(spec,)) as pool:
-            rows = list(pool.map(_worker_row, spec.grid, chunksize=1))
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            rows = list(pool.map(partial(_sweep_row, spec), spec.grid,
+                                 chunksize=1))
     failed = [row for row in rows if row["error"]]
     if len(failed) > 0.1 * len(rows):
         raise NumericalError(
@@ -262,10 +241,8 @@ def find_peak(table, column):
     if i == 0 or i == len(xs) - 1:
         return PeakResult(location=float(xs[i]), value=float(ys[i]), boundary=True)
 
-    basis = _sweep_basis(table.spec, (column,))
-
     def f(x):
-        values, error = _point_values(table.spec, x, (column,), basis)
+        values, error = _point_values(table.spec, x, (column,))
         if error:
             raise NumericalError("peak refinement failed at %r: %s" % (x, error))
         return values[column]

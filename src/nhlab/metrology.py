@@ -7,16 +7,19 @@ itself with module bonds (Jm rho, JmP / rho), on one sublattice
 (spectral.sublattice_eigenvalues, a (D/2)-square solve), plus inverse
 iteration for the steady eigenvalue's right and left vectors
 (spectral.eigenpair; spectral.certify holds the eigenvalues the guards
-read to the same gate).  Parameter derivatives are analytic: the steady
+read to the same gate).  Parameter derivatives are analytic: H' = dH/dtheta
+is the exact derivative of the chain's bonds (_tangent), the steady
 eigenvalue moves by l^+ H' r / l^+ r, and a bordered linear system gives
 the right vector's derivative (Nelson's method, spectral.bordered_solve),
 one right-hand side per parameter, so state_derivatives gives the state
 and every derivative of a point from one solve.
 
-The point runs on the chain's bands (model.chain_bands), open chain or
+The point runs on the chain's bands (model.bond_bands), open chain or
 ring: H, H' and their norms are bands, and every factorization is a
 tridiagonal ?gttrf, so a point costs one (D/2)-square ?geev plus O(D)
-work and builds no D x D matrix.
+work and builds no D x D matrix.  The built-in measurement bases
+(position_basis, current_basis) are amplitude maps, the identity or one
+fast transform, so a classical Fisher information builds none either.
 
 family_state_derivative, one gauge-aligned central difference of the
 steady state at a fixed step, is kept as an independent oracle.  Quantum
@@ -25,13 +28,16 @@ derivatives.  All bounds are per measurement shot.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from .errors import (BoundUndefinedError, DerivativeIllDefinedError,
                      NumericalError, ValidationError)
 from .gbz import gbz_radius, skin_frame
-from .model import ChainBands, build_current_operator, chain_bands
+from .model import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED, bond_bands,
+                    chain_bands)
 from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, bordered_solve,
                        certify, eigenpair, full_spectrum, phase_fixed,
                        residuals, steady_neighbours, steady_state,
@@ -59,9 +65,10 @@ UNRESOLVED_FRACTION = 1e-6
 class ParamSpec:
     """Ordered set of estimated parameters with base values and steps.
 
-    labels come from PARAM_LABELS; values give the base point theta and
-    steps the step per parameter of the central difference that gives
-    dH/dtheta.
+    labels come from PARAM_LABELS; values give the base point theta.
+    dH/dtheta is exact (_tangent), so steps sets only the scale of the
+    isolation guard (ISOLATION_SCALE times the step); the
+    finite-difference oracle, family_state_derivative, takes its own step.
     """
 
     labels: tuple
@@ -119,7 +126,8 @@ class FisherMatrix:
 
 @dataclass(frozen=True)
 class Povm:
-    """Orthonormal projective measurement, stored as basis columns."""
+    """Orthonormal projective measurement, stored as basis columns: the
+    form for a basis a caller supplies (the built-in ones are BasisMaps)."""
 
     projectors: np.ndarray
     label: str = ""
@@ -135,6 +143,32 @@ class Povm:
             raise ValidationError("basis vectors are not orthonormal")
         if np.max(np.abs(U @ U.conj().T - eye)) > 1e-9:
             raise ValidationError("basis does not resolve the identity")
+
+    def amplitudes(self, v):
+        """U^+ v: the amplitudes of v on the basis vectors."""
+        return self.projectors.conj().T @ np.asarray(v, dtype=complex)
+
+
+@dataclass(frozen=True)
+class BasisMap:
+    """Orthonormal projective measurement given by its amplitude map
+    v -> U^+ v (U the basis columns) instead of U.
+
+    The built-in bases are the identity or one fast transform, so a
+    measurement costs O(D log D) at most and builds no D x D array.
+    """
+
+    dim: int
+    transform: Callable
+    label: str = ""
+
+    def amplitudes(self, v):
+        """U^+ v: the amplitudes of v on the basis vectors."""
+        v = np.asarray(v, dtype=complex)
+        if v.shape != (self.dim,):
+            raise ValidationError("a %d-state basis cannot measure a vector "
+                                  "of shape %s" % (self.dim, v.shape))
+        return self.transform(v)
 
 
 def apply_params(p, ps, shift=None):
@@ -168,25 +202,18 @@ def apply_params(p, ps, shift=None):
 
 def _skin_balanced(q):
     """Hamiltonian of model q in its skin-balancing frame, as its bands
-    (model.chain_bands): (H, rho, frame).
+    (model.bond_bands): (H, rho, frame).
 
     Conjugating the chain by S = diag(rho^n), n the module index and rho
     the GBZ radius, leaves every bond inside a module alone and rescales
     the module bonds (Jm, JmP) to (Jm rho, JmP / rho), so S^-1 H S is the
-    same model with those couplings (_rebalanced).  frame is skin_frame's
-    ln s; on PBC rings and unbalanced chains it is None, rho is 1 and H
-    is the raw Hamiltonian.
+    chain with those couplings.  frame is skin_frame's ln s; on PBC rings
+    and unbalanced chains it is None, rho is 1 and H is the raw
+    Hamiltonian, bit for bit.
     """
     frame = skin_frame(q)
     rho = 1.0 if frame is None else gbz_radius(q)
-    return chain_bands(_rebalanced(q, rho)), rho, frame
-
-
-def _rebalanced(q, rho):
-    """Model q with its module bonds scaled to (Jm rho, JmP / rho)."""
-    if rho == 1.0:
-        return q
-    return q.with_updates(Jm=q.Jm * rho, JmP=q.JmP / rho)
+    return bond_bands(q, q.J0, q.JL, q.JR, q.Jm * rho, q.JmP / rho), rho, frame
 
 
 def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
@@ -346,14 +373,30 @@ def family_state_derivative(p, ps, i, step):
     return (aligned[0] - aligned[1]) / (2.0 * step)
 
 
-def _central_difference(p, ps, i, rho=1.0):
-    """dH/dtheta_i as ChainBands: the central difference of the chain's
-    bands at parameter i's step, with every stencil model's module bonds
-    scaled by rho; entry for entry the difference of the dense matrices."""
-    h = ps.steps[i]
-    plus, minus = (chain_bands(_rebalanced(_shifted(p, ps, i, s), rho))
-                   for s in (h, -h))
-    return ChainBands(*((a - b) / (2.0 * h) for a, b in zip(plus, minus)))
+def _tangent(q, ps, i, rho=1.0):
+    """dH/dtheta_i at q = apply_params(p, ps) as ChainBands, exact: the
+    derivative of the chain's bonds, with its module bonds scaled to
+    (dJm rho, dJmP / rho) as _skin_balanced scales H's.
+
+    With apply_params' semantics JR and JR_re move JR by 1, JR_im by i,
+    and Jm and JmP move their own bond.  Unless a Jm or JmP label sets the
+    module bonds explicitly, q's preset re-derives them: JmP follows JR
+    under SHIFTED (JR + J) and NON_MODULAR (JR), and J moves (Jm, JmP) by
+    (1, -1/J^2) under RECIPROCAL_MODULAR (J, 1/J) and by (1, 1) under
+    SHIFTED (JL + J, JR + J).
+    """
+    lab = ps.labels[i]
+    dJR = {"JR": 1.0, "JR_re": 1.0, "JR_im": 1j}.get(lab, 0.0)
+    dJm = float(lab == "Jm")
+    dJmP = float(lab == "JmP")
+    if q.preset is not None and not {"Jm", "JmP"} & set(ps.labels):
+        kind, J = q.preset.kind, q.preset.J
+        if lab == "J":
+            dJm, dJmP = {RECIPROCAL_MODULAR: (1.0, -1.0 / J ** 2),
+                         SHIFTED: (1.0, 1.0)}.get(kind, (0.0, 0.0))
+        elif kind in (SHIFTED, NON_MODULAR):
+            dJmP = dJR
+    return bond_bands(q, 0.0, 0.0, dJR, dJm * rho, dJmP / rho)
 
 
 def _steady_derivatives(p, ps, indices):
@@ -365,22 +408,23 @@ def _steady_derivatives(p, ps, indices):
     on one sublattice (sublattice_eigenvalues) plus inverse iteration for
     the steady eigenvalue's right and left vectors; the eigenvalues the
     guards read (values[1] and the one nearest the steady eigenvalue,
-    spectral.steady_neighbours) are certified as well.  For each
-    parameter, H' is the central difference of the Hamiltonian at its
-    step (exact for the labels H is linear in, O(step^2) for J, whose JmP
-    is 1/J) and the steady eigenvalue moves by l^+ H' r / l^+ r.  A
-    degenerate steady eigenvalue (checked before the inverse iteration,
-    which diverges on it), one not isolated against the spectral
-    motion of the raw H' over ISOLATION_SCALE times the step, or one the
-    solve does not resolve (see _check_resolved), where a central
-    difference has no limit, raises DerivativeIllDefinedError, as the
-    oracle family_state_derivative does.  The bordered system
+    spectral.steady_neighbours) are certified as well.  A degenerate
+    steady eigenvalue has no steady state, so every call, the state alone
+    included, raises DerivativeIllDefinedError there (checked before the
+    inverse iteration, which diverges on it).  For each parameter, H' is
+    the exact derivative of the chain's bonds (_tangent) and the steady
+    eigenvalue moves by l^+ H' r / l^+ r.  A steady eigenvalue not
+    isolated against the spectral motion of the raw H' over
+    ISOLATION_SCALE times the parameter's step, or one the solve does not
+    resolve (see _check_resolved), where a central difference has no
+    limit, raises DerivativeIllDefinedError, as the oracle
+    family_state_derivative does.  The bordered system
     [[H - lambda, r], [l^+, 0]] gives r's derivatives, one right-hand side
-    per parameter, with H' built in the frame of the base point
+    per parameter, with H' taken in the frame of the base point
     (spectral.bordered_solve).  All vectors are mapped back with one
     scale, and each state derivative is (1 - psi psi^+) dr / ||r||.
 
-    The chain, open or ring, runs on its bands (model.chain_bands) and no
+    The chain, open or ring, runs on its bands (model.bond_bands) and no
     D x D matrix is built or factored: the half-size blocks are cut from
     the bands, eigenpair, certify and the bordered solve (Nelson's
     deletion) factor tridiagonals with ?gttrf, and H, H' and their norms
@@ -390,18 +434,17 @@ def _steady_derivatives(p, ps, indices):
     """
     if any(not 0 <= i < ps.l for i in indices):
         raise ValidationError("parameter index out of range")
-    H, rho, frame = _skin_balanced(apply_params(p, ps))
+    q = apply_params(p, ps)
+    H, rho, frame = _skin_balanced(q)
     values = sublattice_eigenvalues(H)
-    if indices:
-        # before the inverse iteration, which diverges on a degenerate lam
-        _check_nondegenerate(values)
+    _check_nondegenerate(values)
     lam = values[0]
     r, l = eigenpair(H, lam, left=True)
     certify(H, values[steady_neighbours(values)])
     norm = float(np.linalg.norm(H.entries))
     rhs = []
     for i in indices:
-        dH = _central_difference(p, ps, i)
+        dH = _tangent(q, ps, i)
         if dH.entries.any():  # a parameter H does not depend on has derivative 0
             _check_resolved(norm, values, r, l)
         smallest = ps.steps[i] * ISOLATION_SCALE
@@ -409,7 +452,7 @@ def _steady_derivatives(p, ps, indices):
                         10.0 * smallest * float(np.linalg.norm(dH.entries)),
                         smallest)
         if rho != 1.0:
-            dH = _central_difference(p, ps, i, rho)
+            dH = _tangent(q, ps, i, rho)
         dHr = dH @ r
         dlam = np.vdot(l, dHr) / np.vdot(l, r)
         rhs.append(dlam * r - dHr)
@@ -428,7 +471,8 @@ def probe_state(p, ps):
     """Steady state of the Hamiltonian at ps's point.
 
     It comes from the same steady solve as state_derivatives, so the two
-    agree bit for bit on the state.
+    agree bit for bit on the state, and raise the same
+    DerivativeIllDefinedError where the steady eigenvalue is degenerate.
     """
     return _steady_derivatives(p, ps, ())[0]
 
@@ -477,18 +521,19 @@ def qfim(psi, dpsi_list, param_spec=None):
 
 
 def _outcome_rows(psi, dpsi_list, basis):
-    amps = basis.projectors.conj().T @ psi
+    amps = basis.amplitudes(psi)
     probs = np.abs(amps) ** 2
     keep = probs >= PROB_FLOOR
     rows = []
     for d in dpsi_list:
-        damp = basis.projectors.conj().T @ np.asarray(d, dtype=complex)
+        damp = basis.amplitudes(d)
         rows.append(2.0 * np.real(np.conj(amps[keep]) * damp[keep]))
     return np.array(rows), probs[keep]
 
 
 def cfi(psi, dpsi, basis):
-    """Classical Fisher information in a projective basis."""
+    """Classical Fisher information in a projective basis (a Povm or a
+    BasisMap)."""
     psi = _check_unit(psi)
     rows, probs = _outcome_rows(psi, [dpsi], basis)
     return float(np.sum(rows[0] ** 2 / probs))
@@ -504,18 +549,49 @@ def cfim(psi, dpsi_list, basis, param_spec=None):
                         param_spec=param_spec)
 
 
+def _identity(v):
+    return v
+
+
+# (-i)^j by j mod 4, exactly
+_QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])
+
+
+def _sine_amplitudes(v):
+    """Amplitudes on the open chain's current eigenbasis, the sine modes
+    i^j sqrt(2/(D+1)) sin(pi (j+1) k / (D+1)) (k = 1..D): one DST-I of
+    (-i)^j v."""
+    twisted = _QUARTER_TURNS[np.arange(len(v)) % 4] * v
+    return scipy.fft.dst(twisted, type=1, norm="ortho")
+
+
+def _plane_wave_amplitudes(v):
+    """Amplitudes on the ring's plane waves exp(2 pi i k j / D) / sqrt(D)."""
+    return np.fft.fft(v, norm="ortho")
+
+
 def position_basis(D):
     """Projective measurement onto the lattice site-level basis."""
-    return Povm(projectors=np.eye(int(D), dtype=complex), label="position")
+    if int(D) < 1:
+        raise ValidationError("a basis needs at least one state")
+    return BasisMap(dim=int(D), transform=_identity, label="position")
 
 
 def current_basis(p):
-    """Projective measurement onto total-current-operator eigenstates."""
-    J = build_current_operator(p)
-    if np.max(np.abs(J - J.conj().T)) > 1e-12 * max(np.max(np.abs(J)), 1.0):
-        raise NumericalError("current operator is not Hermitian")
-    _, vecs = np.linalg.eigh(J)
-    return Povm(projectors=vecs, label="current")
+    """Projective measurement onto total-current-operator eigenstates.
+
+    The current operator i(T - T^+) (model.build_current_operator) hops
+    every bond rightward with unit amplitude, so it depends only on D and
+    the boundary, and it is diagonal in a sine basis on an open chain
+    (eigenvalues 2 cos(pi k / (D+1)), all simple) and in plane waves on a
+    ring (eigenvalues -2 sin q, q = 2 pi k / D).  On an even ring q and
+    pi - q carry the same current, so each such pair spans a degenerate
+    plane; the plane waves are the canonical basis inside it.
+    """
+    if p.boundary == PBC:
+        return BasisMap(dim=p.D, transform=_plane_wave_amplitudes,
+                        label="current")
+    return BasisMap(dim=p.D, transform=_sine_amplitudes, label="current")
 
 
 def total_variance_bound(F):

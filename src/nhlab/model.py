@@ -168,20 +168,23 @@ def make_params(d, r, L, J0=0.0, JL=0j, JR=0j, Jm=None, JmP=None,
                        boundary=boundary, preset=preset)
 
 
-def _bond_table(p):
-    """The chain's bonds: (upper, lower, Jm, JmP).
+def _bond_table(p, J0, JL, JR, Jm, JmP):
+    """A module's bonds on p's layout, carrying the given couplings:
+    (upper, lower, Jm, JmP).
 
-    Every lattice here is a nearest-neighbour chain in the flat basis.
-    upper[j] = H[i, i+1] and lower[j] = H[i+1, i] for the m-1 bonds inside
-    a module (i = module offset + j, m = r*d): J0 both ways between the
-    sublevels of a site, JL / JR between adjacent sites.  The bond from the
-    last state of a module to the first of the next carries Jm (upper) and
-    JmP (lower).
+    Every lattice here is a nearest-neighbour chain in the flat basis, and
+    d and r fix its layout.  upper[j] = H[i, i+1] and lower[j] = H[i+1, i]
+    for the m-1 bonds inside a module (i = module offset + j, m = r*d): J0
+    both ways between the sublevels of a site, JL / JR between adjacent
+    sites.  The bond from the last state of a module to the first of the
+    next carries Jm (upper) and JmP (lower).  The couplings are arguments,
+    so the same layout carries the model's own (chain_bands) and any other
+    set, such as the derivative of the bonds (bond_bands).
     """
     intra_site = np.arange(1, p.r * p.d) % p.d != 0
-    upper = np.where(intra_site, complex(p.J0), p.JL)
-    lower = np.where(intra_site, complex(p.J0), p.JR)
-    return upper, lower, p.Jm, p.JmP
+    upper = np.where(intra_site, complex(J0), complex(JL))
+    lower = np.where(intra_site, complex(J0), complex(JR))
+    return upper, lower, complex(Jm), complex(JmP)
 
 
 class ChainBands(NamedTuple):
@@ -230,13 +233,20 @@ def _bands(p, upper, lower, Jm, JmP):
                       np.array(corners, dtype=complex))
 
 
-def chain_bands(p, dim_cap=DEFAULT_DIM_CAP):
-    """The chain's Hamiltonian as ChainBands, the one source of
-    build_hamiltonian's dense matrix; dim_cap as there."""
+def bond_bands(p, J0, JL, JR, Jm, JmP, dim_cap=DEFAULT_DIM_CAP):
+    """ChainBands of p's chain (d, r, L and boundary) with the given
+    couplings in place of p's (_bond_table); dim_cap as in
+    build_hamiltonian."""
     if p.D > dim_cap:
         raise DimensionCapError(
             "dimension D=%d exceeds cap %d" % (p.D, dim_cap))
-    return _bands(p, *_bond_table(p))
+    return _bands(p, *_bond_table(p, J0, JL, JR, Jm, JmP))
+
+
+def chain_bands(p, dim_cap=DEFAULT_DIM_CAP):
+    """The chain's Hamiltonian as ChainBands, the one source of
+    build_hamiltonian's dense matrix; dim_cap as there."""
+    return bond_bands(p, p.J0, p.JL, p.JR, p.Jm, p.JmP, dim_cap)
 
 
 def build_hamiltonian(p, dim_cap=DEFAULT_DIM_CAP):
@@ -288,7 +298,7 @@ def build_generalized_bloch(p, beta):
     beta = np.asarray(beta, dtype=complex)
     if np.any(beta == 0):
         raise ValidationError("beta must be nonzero")
-    upper, lower, Jm, JmP = _bond_table(p)
+    upper, lower, Jm, JmP = _bond_table(p, p.J0, p.JL, p.JR, p.Jm, p.JmP)
     m = len(upper) + 1
     j = np.arange(m - 1)
     H = np.zeros(beta.shape + (m, m), dtype=complex)

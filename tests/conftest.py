@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from nhlab.model import ChainBands
+from nhlab import model
+from nhlab.model import ChainBands, ModelParams
 
 
 def assert_multiset_close(a, b, tol):
@@ -26,34 +28,39 @@ def assert_multiset_close(a, b, tol):
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """Count the LAPACK routines fetched through scipy.linalg.get_lapack_funcs
-    (by name, without the type prefix), the np.linalg.solve calls and the
-    D x D matrices built from bands."""
+    (by name, without the type prefix), the np.linalg.solve and
+    np.linalg.eigh calls, the D x D matrices built from bands, the band
+    sets built from couplings (bond_bands, which chain_bands calls), the
+    chain_bands and build_current_operator calls, and the ModelParams
+    updates (with_updates)."""
     counts = Counter()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
     fetch = scipy.linalg.get_lapack_funcs
 
     def counted_fetch(names, arrays=(), **kwargs):
         funcs = fetch(names, arrays, **kwargs)
         if isinstance(names, str):
             return funcs
-
-        def counted(name, fn):
-            def call(*args, **kw):
-                counts[name] += 1
-                return fn(*args, **kw)
-            return call
-        return tuple(counted(n, f) for n, f in zip(names, funcs))
-
-    solve, dense = np.linalg.solve, ChainBands.dense
-
-    def counted_solve(*args, **kwargs):
-        counts["np.linalg.solve"] += 1
-        return solve(*args, **kwargs)
-
-    def counted_dense(self):
-        counts["dense"] += 1
-        return dense(self)
+        return tuple(counting(n, f) for n, f in zip(names, funcs))
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_fetch)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(ChainBands, "dense", counted_dense)
+    for name in ("solve", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(
+            "np.linalg." + name, getattr(np.linalg, name)))
+    monkeypatch.setattr(ChainBands, "dense", counting("dense", ChainBands.dense))
+    monkeypatch.setattr(ModelParams, "with_updates",
+                        counting("with_updates", ModelParams.with_updates))
+    # the functions in every package module that binds them
+    for name in ("bond_bands", "chain_bands", "build_current_operator"):
+        fn = getattr(model, name)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("nhlab")
+                    and getattr(module, name, None) is fn):
+                monkeypatch.setattr(module, name, counting(name, fn))
     return counts

@@ -73,26 +73,12 @@ def test_parallel_sweep_matches_serial():
     assert serial.column("WINDING_SPECTRAL").tolist() == want
 
 
-def test_current_basis_is_built_once_per_sweep(monkeypatch):
-    calls = []
-    build = harness.current_basis
-
-    def counted(p):
-        calls.append(p.D)
-        return build(p)
-
-    monkeypatch.setattr(harness, "current_basis", counted)
-    spec = preset("FIG4_HN").sweep(("QFI", "CFI_CURRENT"),
+def test_parallel_fisher_sweep_matches_serial():
+    # every point builds its own measurement bases; the rows stay bit for
+    # bit the same across worker counts
+    spec = preset("FIG4_HN").sweep(("QFI", "CFI_POSITION", "CFI_CURRENT"),
                                    grid=(-0.4, -0.38, -0.36, -0.34))
     serial = run_sweep(spec, workers=1)
-    assert calls == [150]
-    calls.clear()
-    find_peak(serial, "CFI_CURRENT")
-    assert calls == [150]
-    calls.clear()
-    run_sweep(preset("FIG4_HN").sweep(("QFI",), grid=(-0.41, -0.4)), workers=1)
-    assert calls == []
-    # each pool worker builds its own; the rows stay bit for bit the same
     parallel = run_sweep(spec, workers=2)
     for c in spec.columns[:-1]:
         assert np.array_equal(serial.column(c), parallel.column(c))

@@ -1,5 +1,6 @@
 """Fisher information: analytic pins, exact chain oracle, dominance."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -9,14 +10,15 @@ import scipy.linalg
 from nhlab import (DEFAULT_STEP, NON_MODULAR, PRESET_NAMES, RECIPROCAL_MODULAR,
                    BoundUndefinedError, ConvergenceError, CouplingPreset,
                    DerivativeIllDefinedError, FisherMatrix, NumericalError,
-                   ParamSpec, SweepSpec, ValidationError, apply_params,
-                   build_hamiltonian, cfi, cfim, current_basis,
+                   ParamSpec, Povm, SHIFTED, SweepSpec, ValidationError,
+                   apply_params, build_current_operator, build_hamiltonian,
+                   cfi, cfim, current_basis,
                    family_state_derivative, find_peak, harness, make_params,
                    metrology, params_to_config, position_basis, preset,
                    probe_state, qfi, qfim, run_sweep, skin_frame,
                    state_derivative, state_derivatives, total_variance_bound)
 from nhlab.cli import main
-from nhlab.model import OBC, PBC, ChainBands
+from nhlab.model import OBC, PBC, ChainBands, chain_bands
 from nhlab.spectral import (bordered_solve, eigenpair, participation_ratio,
                             phase_fixed, steady_neighbours,
                             sublattice_eigenvalues)
@@ -222,14 +224,21 @@ def test_apply_params_label_semantics():
     assert q.JL == p.JL
 
 
+def basis_matrix(basis, D):
+    """The basis columns U of a measurement, read off its amplitude map:
+    the amplitudes of the unit vectors are the columns of U^+."""
+    return np.array([basis.amplitudes(e) for e in np.eye(D)]).conj()
+
+
 def test_measurement_bases_are_valid_povms():
     p = uniform_chain(-0.6, 6)
     pos = position_basis(p.D)
-    cur = current_basis(p)
-    for povm in (pos, cur):
-        U = povm.projectors
-        assert np.max(np.abs(U.conj().T @ U - np.eye(p.D))) < 1e-10
-    assert pos.label != cur.label
+    for cur in (current_basis(p), current_basis(p.with_updates(boundary=PBC))):
+        for povm in (pos, cur):
+            U = basis_matrix(povm, p.D)
+            assert np.max(np.abs(U.conj().T @ U - np.eye(p.D))) < 1e-10
+            assert np.max(np.abs(U @ U.conj().T - np.eye(p.D))) < 1e-10
+        assert pos.label != cur.label
 
 
 def preset_point(name, L):
@@ -296,7 +305,8 @@ def test_qfi_work_counts(count_solves):
     ps = ParamSpec((spec.axis,), (-0.4,), (DEFAULT_STEP,))
     assert table.column("PR")[0] == participation_ratio(probe_state(spec.base, ps))
     # where the derivative is ill-defined, the failed probe is not repeated
-    # for each Fisher column: one failed steady solve, then PR's own
+    # for each Fisher column: one failed steady solve, then PR's own; at a
+    # degenerate steady eigenvalue PR fails as the Fisher columns do
     base = make_params(1, 3, 50, JL=1, JR=-0.22,
                        preset=CouplingPreset(RECIPROCAL_MODULAR, 0.4))
     fisher = ("QFI", "CFI_POSITION", "CFI_CURRENT")
@@ -305,11 +315,9 @@ def test_qfi_work_counts(count_solves):
     count_solves["solves"] = 0
     values, error = harness._point_values(spec, -0.22, spec.observables)
     assert count_solves["solves"] == 2
-    ps = ParamSpec(("JR",), (-0.22,), (DEFAULT_STEP,))
-    assert values["PR"] == participation_ratio(probe_state(base, ps))
-    assert values["PR"] == pytest.approx(1.6221193654003574, rel=1e-12)
+    assert np.isnan(values["PR"])
     assert error == "; ".join("%s: steady-state eigenvalue is degenerate" % name
-                              for name in fisher)
+                              for name in fisher + ("PR",))
 
 
 def test_steady_solve_certifies_the_eigenvalues_the_guards_read(monkeypatch):
@@ -408,17 +416,17 @@ def test_state_derivatives_match_the_per_parameter_calls(name):
 def test_vanishing_bond_reports_a_degenerate_steady_state(tmp_path):
     # FIG2_SSH at JR=-0.5 has JmP = JR + 0.5 = 0: the modules decouple and
     # the steady eigenvalue is L-fold degenerate, so inverse iteration
-    # overflows; both failures are typed, not "residual nan"
+    # would overflow; the failure is typed, not "residual nan", and the
+    # state alone fails as its derivatives do
     b = preset("FIG2_SSH")
     p = b.resized(34).with_updates(JR=-0.5)
     assert p.JmP == 0
     ps = ParamSpec(("JR",), (-0.5,), (DEFAULT_STEP,))
     for derivative in (lambda: state_derivatives(p, ps),
-                       lambda: state_derivative(p, ps, 0)):
+                       lambda: state_derivative(p, ps, 0),
+                       lambda: probe_state(p, ps)):
         with pytest.raises(DerivativeIllDefinedError, match="degenerate"):
             derivative()
-    with pytest.raises(ConvergenceError, match="degenerate or defective"):
-        probe_state(p, ps)
     ini = tmp_path / "ssh.ini"
     ini.write_text("[model]\n%s\n[metrology]\nlabels = JR\nvalues = -0.5\n"
                    % "\n".join("%s = %s" % kv
@@ -426,10 +434,16 @@ def test_vanishing_bond_reports_a_degenerate_steady_state(tmp_path):
     assert main(["qfi", "--config", str(ini)]) == 3
 
 
+def rebalanced(q, rho):
+    """Model q with its module bonds in a skin frame of radius rho."""
+    return q.with_updates(Jm=q.Jm * rho, JmP=q.JmP / rho)
+
+
 def dense_state_derivatives(p, ps):
     """state_derivatives on dense matrices: the reference for the banded
     point.  Inverse iteration from one dense LU of H - lambda gives r and
-    l, H' is the difference of the dense stencil Hamiltonians, and the
+    l, H' is the central difference of the dense stencil Hamiltonians in
+    the base point's skin frame (exact for the presets' labels), and the
     (D+1)-square bordered system [[H - lambda, r], [l^+, 0]] goes to
     np.linalg.solve."""
     q = apply_params(p, ps)
@@ -454,8 +468,8 @@ def dense_state_derivatives(p, ps):
     dr = []
     for i in range(ps.l):
         h = ps.steps[i]
-        plus, minus = (build_hamiltonian(metrology._rebalanced(
-            metrology._shifted(p, ps, i, s), rho)) for s in (h, -h))
+        plus, minus = (build_hamiltonian(rebalanced(metrology._shifted(
+            p, ps, i, s), rho)) for s in (h, -h))
         dHr = (plus - minus) @ r / (2.0 * h)
         dlam = np.vdot(l, dHr) / np.vdot(l, r)
         dr.append(np.linalg.solve(border, np.append(dlam * r - dHr, 0.0))[:D])
@@ -587,3 +601,162 @@ def test_zero_pivot_in_the_reduced_system_is_typed(monkeypatch):
     with pytest.raises(DerivativeIllDefinedError,
                        match="bordered system is singular"):
         state_derivatives(p, ps)
+
+
+@pytest.mark.parametrize("name", ["FIG2_SSH", "FIG4_SSH"])
+def test_degenerate_ring_pair_has_no_probe_state(name):
+    # on these rings the steady eigenvalue is a degenerate pair, so any
+    # vector of its plane is a steady state; the state alone, its
+    # derivatives and the sweep's PR column all report it
+    b = preset(name)
+    p = b.resized(35).with_updates(boundary=PBC)
+    ps = ParamSpec(("JR",), (-1.5,), (DEFAULT_STEP,))
+    for call in (probe_state, state_derivatives):
+        with pytest.raises(DerivativeIllDefinedError,
+                           match="steady-state eigenvalue is degenerate"):
+            call(p, ps)
+    spec = SweepSpec(base=p, axis="JR", grid=(-1.5,),
+                     observables=frozenset(("QFI", "PR")))
+    values, error = harness._point_values(spec, -1.5, spec.observables)
+    assert np.isnan(values["QFI"]) and np.isnan(values["PR"])
+    assert error == ("QFI: steady-state eigenvalue is degenerate; "
+                     "PR: steady-state eigenvalue is degenerate")
+
+
+def tangent_cases():
+    """Every label on a d=2, r=2 chain under each preset kind (and none),
+    with and without an explicit module-bond label, open and closed."""
+    for kind in (RECIPROCAL_MODULAR, SHIFTED, NON_MODULAR, None):
+        p = make_params(2, 2, 4, J0=1.3, JL=0.7 + 0.2j, JR=-0.4 + 0.3j,
+                        **({"Jm": 0.9 - 0.1j, "JmP": 0.6 + 0.4j} if kind is None
+                           else {"preset": CouplingPreset(kind, 0.8)}))
+        value = {"JR_re": p.JR.real, "JR_im": p.JR.imag, "JR": p.JR.real,
+                 "Jm": p.Jm.real, "JmP": p.JmP.real, "J": 0.8}
+        for lab in metrology.PARAM_LABELS:
+            if lab == "J" and kind is None:
+                continue  # J moves a preset
+            for explicit in ((), ("JmP",) if lab == "Jm" else ("Jm",)):
+                labels = (lab,) + explicit
+                ps = ParamSpec(labels, [value[x] for x in labels],
+                               (DEFAULT_STEP,) * len(labels))
+                for boundary in (OBC, PBC):
+                    yield p.with_updates(boundary=boundary), ps
+
+
+TANGENT_CASES = list(tangent_cases())
+
+
+@pytest.mark.parametrize("p, ps", TANGENT_CASES, ids=[
+    "%s-%s-%s" % (p.preset.kind if p.preset else "NONE", "+".join(ps.labels),
+                  p.boundary) for p, ps in TANGENT_CASES])
+def test_tangent_matches_the_central_difference(p, ps):
+    # dH/dtheta from the bond table against the central difference of the
+    # stencil models' bands: equal to rounding for the linear labels and to
+    # O(h^2) for J; with rho the module bonds move into a skin frame
+    q = apply_params(p, ps)
+    h = 1e-5
+    for rho in (1.0, 1.7):
+        plus, minus = (chain_bands(rebalanced(metrology._shifted(
+            p, ps, 0, s), rho)).entries for s in (h, -h))
+        want = (plus - minus) / (2.0 * h)
+        got = metrology._tangent(q, ps, 0, rho).entries
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_J_derivative_is_exact():
+    # JmP = 1/J is the one bond not linear in its label; the analytic
+    # derivative is its exact tangent, so it matches the plain oracle to
+    # the oracle's O(h^2) (the central-difference H' read 2.7e-8) and a
+    # Richardson-extrapolated oracle to 1e-11 (3.2e-10 before)
+    p = preset("FIG4_HN").resized(34)
+    ps = ParamSpec(("J",), (0.4,), (DEFAULT_STEP,))
+    A, F = analytic_and_oracle_qfim(p, ps)
+    assert np.max(np.abs(A - F)) <= 3.1e-8 * np.max(np.abs(F))
+    dpsi = state_derivative(p, ps, 0)
+    f1, f2 = (family_state_derivative(p, ps, 0, h) for h in (1e-4, 5e-5))
+    extrapolated = (4.0 * f2 - f1) / 3.0
+    assert (np.linalg.norm(dpsi - extrapolated)
+            <= 1e-11 * np.linalg.norm(extrapolated))
+
+
+@pytest.mark.parametrize("L, boundary", [(2, OBC), (34, OBC), (100, OBC),
+                                         (2, PBC), (34, PBC), (100, PBC),
+                                         (35, PBC), (99, PBC)])
+def test_current_maps_are_eigenbases_of_the_current_operator(L, boundary):
+    # D = 6 to 300: open chains, even rings and odd rings
+    p = uniform_chain(-0.6, L).with_updates(boundary=boundary)
+    J = build_current_operator(p)
+    U = basis_matrix(current_basis(p), p.D)
+    assert np.max(np.abs(U.conj().T @ U - np.eye(p.D))) <= 1e-12
+    w = np.real(np.einsum("jk,jl,lk->k", U.conj(), J, U))
+    assert np.max(np.abs(J @ U - U * w)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["FIG4_HN", "FIG2_SSH", "FIG5_BOTTOM"])
+def test_open_chain_current_cfi_matches_the_eigh_basis(name):
+    # an open chain's current eigenvalues are simple, so its eigenbasis is
+    # unique up to phases, which no probability reads
+    p, ps = preset_point(name, 34)
+    psi, dpsis = state_derivatives(p, ps)
+    eigh_basis = Povm(np.linalg.eigh(build_current_operator(p))[1])
+    want = cfim(psi, dpsis, eigh_basis).entries
+    got = cfim(psi, dpsis, current_basis(p)).entries
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["FIG4_HN", "FIG5_TOP", "FIG5_BOTTOM"])
+def test_position_map_is_the_identity_povm_bit_for_bit(name):
+    p, ps = preset_point(name, 34)
+    psi, dpsis = state_derivatives(p, ps)
+    eye = Povm(np.eye(p.D), label="position")
+    assert cfi(psi, dpsis[0], position_basis(p.D)) == cfi(psi, dpsis[0], eye)
+    assert np.array_equal(cfim(psi, dpsis, position_basis(p.D)).entries,
+                          cfim(psi, dpsis, eye).entries)
+
+
+def test_fisher_sweep_point_builds_no_stencil_and_no_dense_basis(lapack_calls):
+    # a QFI + CFI_POSITION + CFI_CURRENT point builds one band set from the
+    # model's couplings (the base point's) and one exact tangent for its
+    # parameter: no stencil model, no eigh, no current operator, no D x D
+    # matrix; the two model updates are the point's apply_params calls
+    spec = preset("FIG4_HN").sweep(("QFI", "CFI_POSITION", "CFI_CURRENT"),
+                                   grid=(-0.4,))
+    lapack_calls.clear()
+    assert run_sweep(spec, workers=1).column("error") == [""]
+    assert lapack_calls["bond_bands"] == 2
+    assert lapack_calls["chain_bands"] == 0
+    assert lapack_calls["with_updates"] == 2
+    for name in ("np.linalg.eigh", "build_current_operator", "dense"):
+        assert lapack_calls[name] == 0, name
+    # a skin-framed point builds each tangent twice, raw for the isolation
+    # guard and in the frame for H' r
+    p, ps = preset_point("FIG5_TOP", 34)
+    assert skin_frame(apply_params(p, ps)) is not None
+    lapack_calls.clear()
+    state_derivatives(p, ps)
+    assert lapack_calls["bond_bands"] == 1 + 2 * ps.l
+    assert lapack_calls["with_updates"] == 1
+
+
+def test_built_in_bases_allocate_no_square_array():
+    # traced allocations while building a basis and measuring in it stay
+    # far below one D x D array of bytes; a matrix basis shows the contrast
+    p, ps = preset_point("FIG4_HN", 200)
+    psi, dpsis = state_derivatives(p, ps)
+    D = p.D
+
+    def peak(make_basis):
+        tracemalloc.start()
+        try:
+            basis = make_basis()
+            cfi(psi, dpsis[0], basis)
+            cfim(psi, dpsis, basis)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for boundary in (OBC, PBC):
+        q = p.with_updates(boundary=boundary)
+        assert peak(lambda: current_basis(q)) < D * D
+    assert peak(lambda: position_basis(D)) < D * D
+    assert peak(lambda: Povm(np.eye(D))) > 16 * D * D
