@@ -7,8 +7,8 @@ criticality-enhanced parameter estimation.
 """
 
 from .errors import (AtTransitionError, BoundUndefinedError, ConvergenceError,
-                     DerivativeIllDefinedError, DimensionCapError,
-                     NumericalError, SingularModelError,
+                     DegenerateSteadyStateError, DerivativeIllDefinedError,
+                     DimensionCapError, NumericalError, SingularModelError,
                      UnsupportedStructureError, ValidationError)
 from .gbz import (GbzContour, beta_polynomial, beta_roots, gbz_contour,
                   gbz_radius, point_gap_residual, skin_frame)

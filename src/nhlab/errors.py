@@ -39,5 +39,9 @@ class DerivativeIllDefinedError(NumericalError):
     """Eigenvalue crossing inside a finite-difference stencil."""
 
 
+class DegenerateSteadyStateError(DerivativeIllDefinedError):
+    """Steady-state eigenvalue is degenerate, so no steady state exists."""
+
+
 class BoundUndefinedError(NumericalError):
     """Fisher matrix too close to singular to invert for a precision bound."""

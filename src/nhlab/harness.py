@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import DerivativeIllDefinedError, NumericalError, ValidationError
+from .errors import (DegenerateSteadyStateError, DerivativeIllDefinedError,
+                     NumericalError, ValidationError)
 from .gbz import point_gap_residual
 from .metrology import (DEFAULT_STEP, PARAM_LABELS, ParamSpec, apply_params,
                         cfi, current_basis, model_spectrum, position_basis,
@@ -116,18 +117,16 @@ class PeakResult(NamedTuple):
     boundary: bool
 
 
-def _param_point(spec, x):
-    ps = ParamSpec((spec.axis,), (float(x),), (DEFAULT_STEP,))
-    return ps, apply_params(spec.base, ps)
-
-
 def _point_values(spec, x, names):
     """Requested observables at one grid point, sharing intermediates.
 
-    The Fisher columns and PR share one steady solve; SLOPE reads every
-    eigenvector and makes its own.
+    The Fisher columns and PR share one steady solve, which applies the
+    point's parameters itself; SLOPE reads every eigenvector and makes its
+    own.  The axis never changes D or the boundary: bases use spec.base.
     """
-    ps, q = _param_point(spec, x)
+    ps = ParamSpec((spec.axis,), (float(x),), (DEFAULT_STEP,))
+    q = (None if FISHER_COLUMNS.union((PR,)).issuperset(names)
+         else apply_params(spec.base, ps))
     cache = {}
 
     def decomposition():
@@ -149,6 +148,8 @@ def _point_values(spec, x, names):
         if not FISHER_COLUMNS.isdisjoint(names):
             try:
                 return probe()[0]
+            except DegenerateSteadyStateError:
+                raise
             except DerivativeIllDefinedError:
                 pass  # the state exists where its derivative does not
         return probe_state(spec.base, ps)
@@ -171,10 +172,10 @@ def _point_values(spec, x, names):
                 values[name] = qfi(psi, dpsi)
             elif name == CFI_POSITION:
                 psi, (dpsi,) = probe()
-                values[name] = cfi(psi, dpsi, position_basis(q.D))
+                values[name] = cfi(psi, dpsi, position_basis(spec.base.D))
             elif name == CFI_CURRENT:
                 psi, (dpsi,) = probe()
-                values[name] = cfi(psi, dpsi, current_basis(q))
+                values[name] = cfi(psi, dpsi, current_basis(spec.base))
         except (ValidationError, NumericalError) as exc:
             values[name] = float("nan")
             errors.append("%s: %s" % (name, exc))

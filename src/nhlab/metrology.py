@@ -33,8 +33,9 @@ from typing import Callable
 import numpy as np
 import scipy.fft
 
-from .errors import (BoundUndefinedError, DerivativeIllDefinedError,
-                     NumericalError, ValidationError)
+from .errors import (BoundUndefinedError, DegenerateSteadyStateError,
+                     DerivativeIllDefinedError, NumericalError,
+                     ValidationError)
 from .gbz import gbz_radius, skin_frame
 from .model import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED, bond_bands,
                     chain_bands)
@@ -291,7 +292,7 @@ def _shifted(p, ps, i, delta):
 def _check_nondegenerate(lam):
     scale = max(float(np.max(np.abs(lam))), 1.0)
     if len(lam) > 1 and abs(lam[0] - lam[1]) <= 1e-12 * scale:
-        raise DerivativeIllDefinedError("steady-state eigenvalue is degenerate")
+        raise DegenerateSteadyStateError("steady-state eigenvalue is degenerate")
 
 
 def _check_isolated(lam, motion, step):
@@ -344,10 +345,10 @@ def family_state_derivative(p, ps, i, step):
     own (model_spectrum, then steady_state), independently of the
     analytic path's inverse iteration, and phase-aligned to the base
     state, so the eigensolver's arbitrary phase and the gauge cancel.  A
-    degenerate steady eigenvalue raises DerivativeIllDefinedError; so do
-    one not isolated against the spectral motion over step and a change
-    of the steady-state branch inside the stencil (a small overlap with
-    the base state), with the step named.
+    degenerate steady eigenvalue raises DegenerateSteadyStateError; one
+    not isolated against the spectral motion over step and a change of
+    the steady-state branch inside the stencil (a small overlap with the
+    base state) raise DerivativeIllDefinedError, with the step named.
     """
     dec0 = model_spectrum(_shifted(p, ps, i, 0.0))
     psi0 = steady_state(dec0)
@@ -410,7 +411,7 @@ def _steady_derivatives(p, ps, indices):
     guards read (values[1] and the one nearest the steady eigenvalue,
     spectral.steady_neighbours) are certified as well.  A degenerate
     steady eigenvalue has no steady state, so every call, the state alone
-    included, raises DerivativeIllDefinedError there (checked before the
+    included, raises DegenerateSteadyStateError there (checked before the
     inverse iteration, which diverges on it).  For each parameter, H' is
     the exact derivative of the chain's bonds (_tangent) and the steady
     eigenvalue moves by l^+ H' r / l^+ r.  A steady eigenvalue not
@@ -425,8 +426,8 @@ def _steady_derivatives(p, ps, indices):
     scale, and each state derivative is (1 - psi psi^+) dr / ||r||.
 
     The chain, open or ring, runs on its bands (model.bond_bands) and no
-    D x D matrix is built or factored: the half-size blocks are cut from
-    the bands, eigenpair, certify and the bordered solve (Nelson's
+    D x D matrix is built or factored: the half-size product is written
+    from the bands, eigenpair, certify and the bordered solve (Nelson's
     deletion) factor tridiagonals with ?gttrf, and H, H' and their norms
     are bands, so a point costs one (D/2)-square ?geev plus O(D) work.
     Only the dense fall-back of sublattice_eigenvalues builds H, when it
@@ -472,7 +473,7 @@ def probe_state(p, ps):
 
     It comes from the same steady solve as state_derivatives, so the two
     agree bit for bit on the state, and raise the same
-    DerivativeIllDefinedError where the steady eigenvalue is degenerate.
+    DegenerateSteadyStateError where the steady eigenvalue is degenerate.
     """
     return _steady_derivatives(p, ps, ())[0]
 

@@ -23,19 +23,22 @@ tridiagonal, so H - lambda is factored by LAPACK ?gttrf and solved by
 corners, a rank-1 correction (Sherman-Morrison) to that one
 factorization; and the bordered solve deletes one site of either, which
 leaves an open chain.  full_spectrum, residuals and
-sublattice_eigenvalues cut a chain's half-size blocks from its bands
-(_band_blocks) and also accept a dense matrix.  A D x D matrix is built
-only for what has no half-size path: the eigenvalues of an odd ring
-(not bipartite), the vectors of an odd D, and the squaring gate's
+sublattice_eigenvalues read a chain's bands directly and also accept a
+dense matrix, which always takes the dense solve.  A D x D matrix is
+built only for what has no half-size path: the eigenvalues of an odd
+ring (not bipartite), the vectors of an odd D, and the squaring gate's
 fall-back (below), each only when it runs.
 
 Both eigensolvers work on one sublattice where they can: every open
 chain and even ring couples even to odd positions only, so the
-eigenvalues are +-sqrt of those of the (D/2)-square product of the two
-off-diagonal blocks, about 1/8 of the flops (_half_solve), and the
-eigenvectors follow from the product's.  full_spectrum (model spectra, skin profiles, edge states,
-the OBC gaps) and sublattice_eigenvalues (the steady solve, no vectors)
-share that solve.  Squaring loses absolute accuracy near zero
+eigenvalues are +-sqrt of those of the (D/2)-square product
+M = H_oe H_eo of the two off-diagonal blocks, about 1/8 of the flops
+(_half_solve).  M is written from the bands in O(D) work
+(_band_product), and the eigenvectors follow from M's through band
+products (_hop), which also give the residuals.  full_spectrum (model
+spectra, skin profiles, edge states, the OBC gaps) and
+sublattice_eigenvalues (the steady solve, no vectors) share that solve.
+Squaring loses absolute accuracy near zero
 (eps ||H||^2 / |lambda| instead of eps ||H||), so each value is held to
 the squaring gate: full_spectrum keeps the half-size result only if
 every value passes (and every pair the residual gate), the steady solve
@@ -44,10 +47,9 @@ only checks the values it reads; otherwise both run the dense LAPACK
 fall back.
 
 A matrix whose imaginary part is all zero is solved in real arithmetic
-(LAPACK dgeev instead of zgeev, about twice as fast, and real products
-for the residuals); every preset but FIG5_TOP has a real Hamiltonian.
-Values and vectors are returned complex either way, and the residual
-gate is the same.
+(LAPACK dgeev instead of zgeev, about twice as fast); every preset but
+FIG5_TOP has a real Hamiltonian.  Values and vectors are returned
+complex either way, and the residual gate is the same.
 """
 
 from dataclasses import dataclass, field
@@ -105,17 +107,20 @@ def _real_if_possible(H):
 
 
 def _split(H):
-    """(H, blocks) for the eigensolvers: H checked and in real arithmetic
-    when it is real (ChainBands stay bands), and its half-size blocks
-    (H_eo, H_oe), from _band_blocks or _bipartite_blocks, or None when H
-    is not bipartite."""
+    """H for the eigensolvers: checked and in real arithmetic when it is
+    real; ChainBands stay bands."""
     if isinstance(H, ChainBands):
         entries = _real_if_possible(_finite(H.entries))
         n = len(H.upper)
-        H = ChainBands(entries[:n], entries[n:2 * n], entries[2 * n:])
-        return H, _band_blocks(H)
-    H = _real_if_possible(_checked(H))
-    return H, _bipartite_blocks(H)
+        return ChainBands(entries[:n], entries[n:2 * n], entries[2 * n:])
+    return _real_if_possible(_checked(H))
+
+
+def _bipartite(H):
+    """True for the bands of an open chain or an even ring, which couple
+    even to odd positions only; an odd ring's corners join two even ones."""
+    return (isinstance(H, ChainBands)
+            and not (len(H.upper) % 2 == 0 and H.corners.any()))
 
 
 def _dense(H):
@@ -135,17 +140,18 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     """Diagonalize a chain (model.ChainBands) or a dense matrix with a
     residual guarantee.
 
-    A bipartite matrix (see _band_blocks, _bipartite_blocks) is solved on
-    one sublattice (_half_solve): the values are kept only if every one
-    passes the squaring gate, and the vectors only if every pair then
-    passes the residual gate below.  Anything else (odd dimension with
-    vectors, a value too close to zero for the squared solve, a failed
-    gate, a LAPACK failure of the half solve) takes the dense solve,
-    LAPACK ?geev of H, made dense from the bands only then.  A matrix
-    with an all-zero imaginary part goes to LAPACK as real (dgeev, not
-    zgeev).  Values and vectors
-    come back complex either way, and the residuals are taken against the
-    matrix as given, in real arithmetic when it is real.
+    The bands of an open chain or an even ring (bipartite, see
+    _bipartite) are solved on one sublattice (_half_solve): the values
+    are kept only if every one passes the squaring gate, and the vectors
+    only if every pair then passes the residual gate below.  Anything
+    else (a dense matrix, an odd ring, odd dimension with vectors, a
+    value too close to zero for the squared solve, a failed gate, a
+    LAPACK failure of the half solve) takes the dense solve, LAPACK ?geev
+    of H, made dense from the bands only then.  A matrix with an all-zero
+    imaginary part goes to LAPACK as real (dgeev, not zgeev).  Values and
+    vectors come back complex either way, and the residuals are taken
+    against the matrix as given: through the bands' two halves (_hop)
+    for a bipartite chain, as one dense product otherwise.
 
     Eigenpairs are sorted by decreasing imaginary part, ties broken by
     decreasing real part, so the ordering (and therefore steady-state
@@ -164,8 +170,8 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
         If the dense solve fails in LAPACK or leaves a residual above
         tol_eig * max(||H||_F, 1).
     """
-    H, blocks = _split(H)
-    half = None if blocks is None else _half_solve(blocks, tol_eig, vectors)
+    H = _split(H)
+    half = _half_solve(H, tol_eig, vectors)
     if not vectors:
         if half is not None and _squaring_ok(*half[:2]):
             return half[0]
@@ -173,18 +179,17 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     bound = tol_eig * max(_frobenius(H), 1.0)
     if half is not None and half[2] is not None:
         values, _, vecs = half
-        residuals = _residuals(None, blocks, vecs, values)
+        residuals = _residuals(H, vecs, values)
         if np.all(residuals <= bound):
             return SpectralDecomposition(values=values, right_vectors=vecs,
                                          residuals=residuals)
     half = vecs = None  # frees the rejected vectors before the dense solve
-    A = _dense(H)
-    values, vecs = _dense_solve(A, tol_eig, vectors=True)
-    residuals = _residuals(A, blocks, vecs, values)
+    values, vecs = _dense_solve(_dense(H), tol_eig, vectors=True)
+    residuals = _residuals(H, vecs, values)
     if np.any(residuals > bound):
         raise ConvergenceError(
             "eigensolver residual %.3e exceeds %.3e (dim %d)"
-            % (residuals.max(), bound, len(A)))
+            % (residuals.max(), bound, len(values)))
     return SpectralDecomposition(values=values, right_vectors=vecs,
                                  residuals=residuals)
 
@@ -206,41 +211,42 @@ def _dense_solve(A, tol_eig, vectors):
     return values[order], vecs
 
 
-def _bipartite_blocks(A):
-    """(H_eo, H_oe) = (A[0::2, 1::2], A[1::2, 0::2]), contiguous, when A
-    couples even to odd positions only (its even-even and odd-odd blocks
-    are exactly zero), else None."""
-    if len(A) < 2 or A[0::2, 0::2].any() or A[1::2, 1::2].any():
-        return None
-    return (np.ascontiguousarray(A[0::2, 1::2]),
-            np.ascontiguousarray(A[1::2, 0::2]))
-
-
-def _band_blocks(bands):
-    """(H_eo, H_oe) of a chain from its bands, the blocks
-    _bipartite_blocks cuts from its dense matrix: H_eo[k, k] = H[2k, 2k+1]
-    and H_eo[k+1, k] = H[2k+2, 2k+1]; H_oe[k, k] = H[2k+1, 2k] and
-    H_oe[k, k+1] = H[2k+1, 2k+2].  An even ring's corners H[D-1, 0] and
-    H[0, D-1] are H_oe[-1, 0] and H_eo[0, -1]; an odd ring's couple two
-    even positions, so it is not bipartite: None."""
-    upper, lower, corners = bands
-    D = len(upper) + 1
-    if D % 2 and corners.any():
-        return None
-    odd = D // 2
-    even = D - odd
-    dtype = np.result_type(upper, lower, corners)
-    eo = np.zeros((even, odd), dtype=dtype)
-    oe = np.zeros((odd, even), dtype=dtype)
-    k, j = np.arange(odd), np.arange(even - 1)
-    eo[k, k] = upper[0::2]
-    eo[j + 1, j] = lower[1::2]
-    oe[k, k] = lower[0::2]
-    oe[j, j + 1] = upper[1::2]
+def _band_product(H):
+    """M = H_oe H_eo of the bipartite chain H (bands, see _bipartite) in
+    O(D) work, written into the one floor(D/2)-square array LAPACK needs.
+    With a_k = H[2k+1, 2k], b_k = H[2k+1, 2k+2], c_k = H[2k, 2k+1] and
+    d_k = H[2k+2, 2k+1], M is tridiagonal: M[k, k] = a_k c_k + b_k d_k,
+    M[k, k+1] = b_k c_{k+1} and M[k+1, k] = a_{k+1} d_k.  On an even ring
+    b and d end in the corners, whose wrap bond closes M cyclically."""
+    upper, lower, corners = H
+    n = (len(upper) + 1) // 2
+    a, c = lower[0::2], upper[0::2]
+    b = np.append(upper[1::2], corners[0])[:n]
+    d = np.append(lower[1::2], corners[1])[:n]
+    M = np.zeros((n, n), dtype=np.result_type(a, b, c, d))
+    k = np.arange(n)
+    M[k, k] = a * c + b * d
+    M[k[:-1], k[1:]] = b[:-1] * c[1:]
+    M[k[1:], k[:-1]] = a[1:] * d[:-1]
     if corners.any():
-        oe[-1, 0] += corners[0]
-        eo[0, -1] += corners[1]
-    return eo, oe
+        M[-1, 0] += b[-1] * c[0]
+        M[0, -1] += a[0] * d[-1]
+    return M
+
+
+def _hop(H, x, rows):
+    """Rows rows, rows + 2, ... of H v from the block x = v[1-rows::2] of
+    columns (H_eo x for rows=0, H_oe x for rows=1), H a bipartite chain's
+    bands (see _bipartite), in O(D) work per column; an even ring's
+    corners add H[0, D-1] v[D-1] to row 0 and H[D-1, 0] v[0] to row D-1."""
+    upper, lower, corners = H
+    up, down = upper[rows::2], lower[1 - rows::2]
+    y = np.zeros(((len(upper) + 2 - rows) // 2,) + x.shape[1:],
+                 dtype=np.result_type(upper, x))
+    np.multiply(up[:, None], x[rows:rows + len(up)], out=y[:len(up)])
+    y[1 - rows:1 - rows + len(down)] += down[:, None] * x[:len(down)]
+    y[-rows] += corners[1 - rows] * x[rows - 1]  # zero on an open chain
+    return y
 
 
 def _squaring_ok(values, error):
@@ -249,26 +255,27 @@ def _squaring_ok(values, error):
     return bool(np.all(error <= SQUARING_GATE * np.maximum(np.abs(values), 1.0)))
 
 
-def _half_solve(blocks, tol_eig, vectors):
-    """Sublattice solve of a bipartite matrix H from its blocks (H_eo, H_oe).
+def _half_solve(H, tol_eig, vectors):
+    """Sublattice solve of a bipartite chain H from its bands (_split).
 
     The eigenvalues are +-sqrt(mu), mu running over the eigenvalues of
-    the floor(D/2)-square product M = H_oe H_eo, plus an exact 0 when D
-    is odd; they are exactly symmetric under E -> -E and sorted as
-    full_spectrum sorts.  Returns (values, error, vecs): error is each
-    value's squaring error eps ||M||_1 / |lambda| (0 for the exact zero).
-    With vectors=True and every value within _squaring_ok, vecs holds the
-    unit right eigenvectors: the odd part of lambda's vector is x, M's
-    eigenvector of mu = lambda^2, and the even part H_eo x / lambda, so
-    the vectors of +-lambda are images of each other under
-    S = diag((-1)^i) up to a sign.  Otherwise vecs is None.  Returns None
-    for vectors=True at odd D, and when LAPACK fails.
+    the floor(D/2)-square product M = H_oe H_eo (_band_product, the only
+    array of that size a values-only solve makes besides LAPACK's own),
+    plus an exact 0 when D is odd; they are exactly symmetric under
+    E -> -E and sorted as full_spectrum sorts.  Returns (values, error,
+    vecs): error is each value's squaring error eps ||M||_1 / |lambda|
+    (0 for the exact zero).  With vectors=True and every value within
+    _squaring_ok, vecs holds the unit right eigenvectors: the odd part of
+    lambda's vector is x, M's eigenvector of mu = lambda^2, and the even
+    part H_eo x / lambda (_hop), so the vectors of +-lambda are images of
+    each other under S = diag((-1)^i) up to a sign.  Otherwise vecs is
+    None.  Returns None for a dense matrix, an odd ring (see _bipartite),
+    vectors=True at odd D (an even number of bonds) and a LAPACK failure.
     """
-    eo, oe = blocks
-    D = len(eo) + len(oe)
-    if vectors and D % 2:
+    if not _bipartite(H) or (vectors and len(H.upper) % 2 == 0):
         return None
-    M = oe @ eo
+    D = len(H.upper) + 1
+    M = _band_product(H)
     try:
         if vectors:
             mu, X = scipy.linalg.eig(M)
@@ -289,7 +296,7 @@ def _half_solve(blocks, tol_eig, vectors):
     k = order % len(root)
     vecs = np.empty((D, D), dtype=complex)
     vecs[1::2] = X[:, k]
-    np.divide(_product(eo, X)[:, k], values, out=vecs[0::2])
+    np.divide(_hop(H, X, 0)[:, k], values, out=vecs[0::2])
     vecs /= _column_norms(vecs)
     return values, error, vecs
 
@@ -301,45 +308,33 @@ def _column_norms(V):
     return np.sqrt(np.einsum("ij,ij->j", F, F).reshape(-1, 2).sum(axis=1))
 
 
-def _product(B, W):
-    """B @ W; a real B multiplies a complex W in real arithmetic (dgemm on
-    the interleaved real and imaginary parts), not as a complex matrix."""
-    if np.iscomplexobj(B) or not np.iscomplexobj(W):
-        return B @ W
-    if W.strides[-1] != W.itemsize:
-        W = np.ascontiguousarray(W)
-    return (B @ W.view(float)).view(complex)
-
-
 def _frobenius(H):
     """||H||_F of a dense H or of bands."""
     return float(np.linalg.norm(H.entries if isinstance(H, ChainBands) else H))
 
 
-def _residuals(A, blocks, vecs, values):
-    """||A v - lambda v||_2 for each column v of vecs; blocks is A's
-    half-size blocks, whose two products replace the D x D one, and A is
-    read only where blocks is None."""
-    if blocks is None:
-        parts = ((A, vecs, vecs),)
+def _residuals(H, vecs, values):
+    """||H v - lambda v||_2 for each column v of vecs, H from _split: a
+    bipartite chain's two halves (_hop) replace the D x D product, which
+    is taken only for a dense matrix or an odd ring."""
+    if _bipartite(H):
+        parts = ((0, vecs[1::2], vecs[0::2]), (1, vecs[0::2], vecs[1::2]))
     else:
-        eo, oe = blocks
-        parts = ((eo, vecs[1::2], vecs[0::2]), (oe, vecs[0::2], vecs[1::2]))
+        H, parts = _dense(H), ((None, vecs, vecs),)
     squares = np.zeros(len(values))
-    for B, x, y in parts:
-        r = _product(B, x)
+    for rows, x, y in parts:
+        r = H @ x if rows is None else _hop(H, x, rows)
         r -= y * values
         squares += _column_norms(r) ** 2
+        del r  # one half's residual block at a time
     return np.sqrt(squares)
 
 
 def residuals(H, vecs, values):
     """Per-pair ||H v - lambda v||_2 of the columns of vecs, as
-    full_spectrum takes them (real arithmetic for a real H, the two
-    nonzero blocks of a bipartite one); H is a chain's bands or dense."""
-    H, blocks = _split(H)
-    return _residuals(_dense(H) if blocks is None else None, blocks, vecs,
-                      values)
+    full_spectrum takes them: H is a chain's bands, applied in O(D) work
+    per vector when the chain is bipartite, or a dense matrix."""
+    return _residuals(_split(H), vecs, values)
 
 
 def steady_neighbours(values):
@@ -351,28 +346,26 @@ def steady_neighbours(values):
 
 
 def sublattice_eigenvalues(H):
-    """Sorted eigenvalues of a bipartite matrix from a half-size solve.
+    """Sorted eigenvalues of a bipartite chain from a half-size solve.
 
-    H is model.ChainBands or a dense matrix.  It is bipartite when its
-    even-even and odd-odd blocks are zero, as on every open chain and even
-    ring here; then S H S = -H for S = diag((-1)^i), and _half_solve gives
-    the eigenvalues from the floor(D/2)-square product H_oe H_eo
-    (H_oe = H[1::2, 0::2], H_eo = H[0::2, 1::2]), in real arithmetic when
-    H is real, as full_spectrum does.  A chain's blocks are cut from its
-    bands (_band_blocks), so no D x D matrix is built.  The
-    output is exactly symmetric under E -> -E and sorted as full_spectrum
-    sorts.
+    H is model.ChainBands or a dense matrix.  The bands of an open chain
+    or an even ring couple even to odd positions only; then
+    S H S = -H for S = diag((-1)^i), and _half_solve gives the eigenvalues
+    from the floor(D/2)-square product H_oe H_eo (H_oe = H[1::2, 0::2],
+    H_eo = H[0::2, 1::2]), written from the bands in O(D) work
+    (_band_product) and solved in real arithmetic when H is real, as
+    full_spectrum does, so no D x D matrix is built.  The output is
+    exactly symmetric under E -> -E and sorted as full_spectrum sorts.
 
     Only the values a steady solve reads (values[0] and
     steady_neighbours) are held to the squaring gate.  Where one of them
-    fails it, and for any matrix that is not bipartite, this returns the
+    fails it, and for an odd ring or a dense matrix, this returns the
     dense solve's eigenvalues instead, as full_spectrum(H, vectors=False)
     would, without a second half solve; only then are a chain's bands
     made dense.
     """
-    H, blocks = _split(H)
-    half = None if blocks is None else _half_solve(blocks, DEFAULT_TOL_EIG,
-                                                   vectors=False)
+    H = _split(H)
+    half = _half_solve(H, DEFAULT_TOL_EIG, vectors=False)
     if half is not None:
         values, error, _ = half
         read = [0] + steady_neighbours(values)

@@ -305,8 +305,8 @@ def test_qfi_work_counts(count_solves):
     ps = ParamSpec((spec.axis,), (-0.4,), (DEFAULT_STEP,))
     assert table.column("PR")[0] == participation_ratio(probe_state(spec.base, ps))
     # where the derivative is ill-defined, the failed probe is not repeated
-    # for each Fisher column: one failed steady solve, then PR's own; at a
-    # degenerate steady eigenvalue PR fails as the Fisher columns do
+    # for each Fisher column; at a degenerate steady eigenvalue there is no
+    # state either, so PR fails with the Fisher columns after that one solve
     base = make_params(1, 3, 50, JL=1, JR=-0.22,
                        preset=CouplingPreset(RECIPROCAL_MODULAR, 0.4))
     fisher = ("QFI", "CFI_POSITION", "CFI_CURRENT")
@@ -314,7 +314,7 @@ def test_qfi_work_counts(count_solves):
                      observables=frozenset(fisher + ("PR",)))
     count_solves["solves"] = 0
     values, error = harness._point_values(spec, -0.22, spec.observables)
-    assert count_solves["solves"] == 2
+    assert count_solves["solves"] == 1
     assert np.isnan(values["PR"])
     assert error == "; ".join("%s: steady-state eigenvalue is degenerate" % name
                               for name in fisher + ("PR",))
@@ -718,14 +718,14 @@ def test_fisher_sweep_point_builds_no_stencil_and_no_dense_basis(lapack_calls):
     # a QFI + CFI_POSITION + CFI_CURRENT point builds one band set from the
     # model's couplings (the base point's) and one exact tangent for its
     # parameter: no stencil model, no eigh, no current operator, no D x D
-    # matrix; the two model updates are the point's apply_params calls
+    # matrix; the one model update is the steady solve's apply_params call
     spec = preset("FIG4_HN").sweep(("QFI", "CFI_POSITION", "CFI_CURRENT"),
                                    grid=(-0.4,))
     lapack_calls.clear()
     assert run_sweep(spec, workers=1).column("error") == [""]
     assert lapack_calls["bond_bands"] == 2
     assert lapack_calls["chain_bands"] == 0
-    assert lapack_calls["with_updates"] == 2
+    assert lapack_calls["with_updates"] == 1
     for name in ("np.linalg.eigh", "build_current_operator", "dense"):
         assert lapack_calls[name] == 0, name
     # a skin-framed point builds each tangent twice, raw for the isolation

@@ -1,5 +1,6 @@
 """Eigensolver contract, steady state, localization profile."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from conftest import assert_multiset_close
-from nhlab import (DEFAULT_STEP, NON_MODULAR, PBC, PRESET_NAMES,
+from nhlab import (DEFAULT_STEP, NON_MODULAR, OBC, PBC, PRESET_NAMES,
                    RECIPROCAL_MODULAR, SHIFTED, ConvergenceError,
                    CouplingPreset, ParamSpec, ValidationError,
                    build_hamiltonian, cumulative_population, edge_states,
@@ -16,9 +17,8 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, PBC, PRESET_NAMES,
                    state_derivatives, steady_state)
 from nhlab.metrology import model_eigenvalues
 from nhlab.model import ChainBands, chain_bands
-from nhlab.spectral import (DEFAULT_TOL_EIG, _band_blocks, _bipartite_blocks,
-                            _order, _product, eigenpair,
-                            sublattice_eigenvalues)
+from nhlab.spectral import (DEFAULT_TOL_EIG, _band_product, _hop, _order,
+                            eigenpair, sublattice_eigenvalues)
 
 
 def test_diagonal_matrix():
@@ -282,20 +282,36 @@ def test_sublattice_eigenvalues_fall_back_off_bipartite_matrices(monkeypatch):
 
 
 def test_sublattice_eigenvalues_fall_back_near_zero(monkeypatch):
-    # a bipartite matrix whose largest-Im eigenvalue is 1e-6 ||H||: the
-    # squared solve would miss it by about eps ||H||^2 / |lambda|
-    rng = np.random.default_rng(5)
-    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    H = np.zeros((8, 8))
-    H[0::2, 1::2] = Q.T
-    H[1::2, 0::2] = Q * np.array([-3e-6 ** 2, 1.0, 2.0, 3.0])
-    norm = np.linalg.norm(H, 2)
+    # four decoupled dimers, eigenvalues +-3e-6i, +-1, +-2, +-3: the
+    # largest-Im eigenvalue is 1e-6 ||H||, which the squared solve would
+    # miss by about eps ||H||^2 / |lambda|
+    dimers = np.array([3e-6, 1.0, 2.0, 3.0])
+    gaps = np.zeros(3)
+    H = ChainBands(np.insert(dimers, [1, 2, 3], gaps),
+                   np.insert(dimers * [-1, 1, 1, 1], [1, 2, 3], gaps),
+                   np.zeros(2, dtype=complex))
+    norm = np.linalg.norm(H.dense(), 2)
     assert abs(norm - 3.0) < 1e-12
     seen = _record_eigvals(monkeypatch)
     values = sublattice_eigenvalues(H)
     assert [shape for shape, _ in seen] == [(4, 4), (8, 8)]
     assert np.array_equal(values, full_spectrum(H, vectors=False))
     assert abs(values[0] - 1e-6j * norm) <= 1e-3 * 1e-6 * norm
+
+
+def test_values_only_solve_allocates_only_the_product():
+    # the product M is the one (D/2)-square array a values-only solve
+    # makes; LAPACK's copy of it and its workspace come on top
+    p = preset("FIG4_HN").params.with_updates(L=400)
+    H, _ = model_eigenvalues(p)
+    n = p.D // 2
+    tracemalloc.start()
+    try:
+        full_spectrum(H, vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * np.dtype(float).itemsize
 
 
 def test_fisher_point_solves_one_sublattice(monkeypatch):
@@ -392,25 +408,70 @@ BAND_IDENTITY_CASES = [(n, L) for n in PRESET_NAMES for L in (34, 35)]
 @pytest.mark.parametrize("name, L", BAND_IDENTITY_CASES,
                          ids=["%s-%d" % c for c in BAND_IDENTITY_CASES])
 def test_bands_solve_bit_for_bit_as_their_dense_matrix(name, L):
+    # where the bands take ?geev too (an odd ring, the vectors of an odd
+    # chain) the pairs are bit for bit those of the dense matrix; where
+    # they take the half-size solve, the same values in the same order at
+    # rounding level.  Either way every pair passes the gate against the
+    # dense matrix
     p = preset(name).resized(L)
-    # the balanced chain every model spectrum solves, and the raw one
-    for bands in (model_eigenvalues(p)[0], chain_bands(p)):
+    # the balanced chain every model spectrum solves, the raw one and the
+    # ring
+    for bands in (model_eigenvalues(p)[0], chain_bands(p),
+                  chain_bands(p.with_updates(boundary=PBC))):
         H = bands.dense()
         got, want = full_spectrum(bands), full_spectrum(H)
-        for field in ("values", "right_vectors", "residuals"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
-        assert np.array_equal(full_spectrum(bands, vectors=False),
-                              full_spectrum(H, vectors=False))
-        assert np.array_equal(sublattice_eigenvalues(bands),
-                              sublattice_eigenvalues(H))
-    # an even ring's corners sit in the blocks; an odd ring has none
-    ring = chain_bands(p.with_updates(boundary=PBC))
-    blocks = _band_blocks(ring)
-    if p.D % 2:
-        assert blocks is None
-    else:
-        for got, want in zip(blocks, _bipartite_blocks(ring.dense())):
-            assert np.array_equal(got, want)
+        if p.D % 2:
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.right_vectors, want.right_vectors)
+        scale = np.maximum(np.abs(want.values), 1.0)
+        assert np.all(np.abs(got.values - want.values) <= 1e-12 * scale)
+        V = got.right_vectors
+        res = np.linalg.norm(H @ V - V * got.values, axis=0)
+        assert np.all(res <= DEFAULT_TOL_EIG * np.linalg.norm(H))
+        assert np.allclose(got.residuals, res, rtol=0, atol=1e-13)
+        for values in (full_spectrum(bands, vectors=False),
+                       sublattice_eigenvalues(bands)):
+            assert np.all(np.abs(values - want.values) <= 1e-12 * scale)
+            if p.D % 2 and bands.corners.any():
+                assert np.array_equal(values, want.values)
+
+
+BAND_PRODUCT_CASES = [(n, L, boundary) for n in PRESET_NAMES
+                      for L in (4, 34, 35) for boundary in (OBC, PBC)
+                      if not (L % 2 and boundary == PBC)]
+
+
+def _bipartite_chains(name, L, boundary):
+    """The raw and the skin-balanced bands of an open chain or even ring."""
+    p = preset(name).resized(L).with_updates(boundary=boundary)
+    return chain_bands(p), model_eigenvalues(p)[0]
+
+
+@pytest.mark.parametrize("name, L, boundary", BAND_PRODUCT_CASES,
+                         ids=["%s-%d-%s" % c for c in BAND_PRODUCT_CASES])
+def test_band_product_matches_the_dense_blocks(name, L, boundary):
+    for bands in _bipartite_chains(name, L, boundary):
+        H = bands.dense()
+        want = H[1::2, 0::2] @ H[0::2, 1::2]
+        got = _band_product(bands)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name, L, boundary", BAND_PRODUCT_CASES,
+                         ids=["%s-%d-%s" % c for c in BAND_PRODUCT_CASES])
+def test_hops_match_the_dense_blocks(name, L, boundary):
+    rng = np.random.default_rng(11)
+    for bands in _bipartite_chains(name, L, boundary):
+        H = bands.dense()
+        for rows in (0, 1):
+            block = H[rows::2, 1 - rows::2]
+            x = (rng.standard_normal((block.shape[1], 5))
+                 + 1j * rng.standard_normal((block.shape[1], 5)))
+            want = block @ x
+            got = _hop(bands, x, rows)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -425,15 +486,3 @@ def test_ring_eigenpairs_pass_at_rounding_level(name):
             r, l = eigenpair(ring, lam, left=True)
             assert np.linalg.norm(H @ r - lam * r) <= bound
             assert np.linalg.norm(l.conj() @ H - lam * l.conj()) <= bound
-
-
-def test_real_matrix_products_match_the_complex_product():
-    rng = np.random.default_rng(7)
-    B = rng.standard_normal((5, 4))
-    W = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-    for x in (W[1::2], W[0::2], np.asfortranarray(W[:4])):
-        got = _product(B, x)
-        assert got.dtype == np.complex128
-        assert np.allclose(got, B.astype(complex) @ x, rtol=1e-15, atol=1e-15)
-    assert np.array_equal(_product(B.astype(complex), W[:4]),
-                          B.astype(complex) @ W[:4])
