@@ -388,6 +388,11 @@ def cmd_scaling(args, cfg):
 def cmd_preset(args, cfg):
     bundle = harness.preset(args.name)
     model_cfg = params_to_config(bundle.params)
+    if bundle.params.preset is not None:
+        # the preset derives Jm and JmP from JL and JR; serialized here they
+        # would pin the preset's own JR against an overridden one
+        for key in ("Jm_re", "Jm_im", "JmP_re", "JmP_im"):
+            del model_cfg[key]
     model_cfg.update(_parse_overrides(args.set))
     p = params_from_config({str(k): str(v) for k, v in model_cfg.items()})
     loops = count_spectral_loops(p)
@@ -445,8 +450,14 @@ def build_parser():
     return ap
 
 
+_parser = None  # built on the first main call, not at import
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         cfg = {}
         if hasattr(args, "config"):

@@ -224,7 +224,8 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
     The frame is ln s for a positive vector s; the solver sees S^-1 H S
     (S = diag(s), see _skin_balanced), which tames the exponential
     ill-conditioning skin modes inflict on the raw matrix; full_spectrum
-    solves it on one sublattice unless an eigenvalue lies too near zero.
+    solves it on one sublattice, refining an eigenvalue that lies too
+    near zero for the squared solve on the bidiagonal factors.
     The right vectors are mapped back through their logarithm, in place,
     shifted so each column peaks at 1, so no component overflows however
     large s grows.  The mapping is an exact similarity, so this changes
@@ -255,8 +256,9 @@ def model_eigenvalues(p):
 
     Returns (H, values): the balanced Hamiltonian's bands and its
     eigenvalues, sorted at DEFAULT_TOL_EIG's resolution, from
-    full_spectrum's values-only solve (on one sublattice unless a value
-    is too close to zero for the squared solve).  Nothing here checks a
+    full_spectrum's values-only solve (on one sublattice, a value too
+    close to zero for the squared solve refined on the bidiagonal
+    factors).  Nothing here checks a
     residual; certify each eigenvalue a result reads with
     spectral.certify(H, values).
     """
@@ -431,7 +433,8 @@ def _steady_derivatives(p, ps, indices):
     deletion) factor tridiagonals with ?gttrf, and H, H' and their norms
     are bands, so a point costs one (D/2)-square ?geev plus O(D) work.
     Only the dense fall-back of sublattice_eigenvalues builds H, when it
-    is taken (an odd ring always takes it).
+    is taken (an odd ring always takes it; an even chain only where the
+    bidiagonal refinement cannot run).
     """
     if any(not 0 <= i < ps.l for i in indices):
         raise ValidationError("parameter index out of range")

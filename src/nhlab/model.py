@@ -376,7 +376,8 @@ def params_from_config(cfg):
     """Parse ModelParams from a flat mapping (inverse of params_to_config).
 
     Unknown keys are rejected.  If a preset is named, (Jm, JmP) are derived
-    from it; explicitly given values must then agree.
+    from it; each coupling given explicitly (a Jm_* or JmP_* key) must then
+    agree with its own derived value.
     """
     unknown = set(cfg) - set(CONFIG_KEYS)
     if unknown:
@@ -412,15 +413,16 @@ def params_from_config(cfg):
                                 J=complex(_float("J_re"), _float("J_im")))
     JL = complex(_float("JL_re"), _float("JL_im"))
     JR = complex(_float("JR_re"), _float("JR_im"))
-    Jm_given = "Jm_re" in cfg or "Jm_im" in cfg
     Jm = complex(_float("Jm_re"), _float("Jm_im"))
     JmP = complex(_float("JmP_re"), _float("JmP_im"))
     boundary = str(cfg.get("boundary", OBC)).strip()
     if preset is not None:
         dJm, dJmP = preset.modular_couplings(JL, JR)
-        if Jm_given and (abs(Jm - dJm) > 1e-12 or abs(JmP - dJmP) > 1e-12):
-            raise ValidationError("explicit Jm/JmP inconsistent with preset %s"
-                                  % preset.kind)
+        for name, given, derived in (("Jm", Jm, dJm), ("JmP", JmP, dJmP)):
+            if ((name + "_re" in cfg or name + "_im" in cfg)
+                    and abs(given - derived) > 1e-12):
+                raise ValidationError("explicit Jm/JmP inconsistent with preset %s"
+                                      % preset.kind)
         Jm, JmP = dJm, dJmP
     return ModelParams(d=_int("d"), r=_int("r"), L=_int("L"), J0=_float("J0"),
                        JL=JL, JR=JR, Jm=Jm, JmP=JmP, boundary=boundary,

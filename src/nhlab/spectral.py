@@ -26,8 +26,9 @@ leaves an open chain.  full_spectrum, residuals and
 sublattice_eigenvalues read a chain's bands directly and also accept a
 dense matrix, which always takes the dense solve.  A D x D matrix is
 built only for what has no half-size path: the eigenvalues of an odd
-ring (not bipartite), the vectors of an odd D, and the squaring gate's
-fall-back (below), each only when it runs.
+ring (not bipartite), the vectors of an odd D, and the few near-zero
+values the refinement below cannot take, each only when it runs
+(FALL_BACKS counts them by cause).
 
 Both eigensolvers work on one sublattice where they can: every open
 chain and even ring couples even to odd positions only, so the
@@ -40,11 +41,13 @@ spectra, skin profiles, edge states, the OBC gaps) and
 sublattice_eigenvalues (the steady solve, no vectors) share that solve.
 Squaring loses absolute accuracy near zero
 (eps ||H||^2 / |lambda| instead of eps ||H||), so each value is held to
-the squaring gate: full_spectrum keeps the half-size result only if
-every value passes (and every pair the residual gate), the steady solve
-only checks the values it reads; otherwise both run the dense LAPACK
-?geev.  Chains with an edge pair near zero, deep in a topological phase,
-fall back.
+the squaring gate: full_spectrum holds every value to it, the steady
+solve only the values it reads.  A value that fails, such as an edge
+pair near zero deep in a topological phase, is refined by inverse
+iteration on M^-1 through the two bidiagonal factors of M (_refine),
+which keeps the relative accuracy that squaring throws away; only
+odd dimension, a singular factor, a refinement that does not converge
+and a pair that fails the residual gate run the dense LAPACK ?geev.
 
 A matrix whose imaginary part is all zero is solved in real arithmetic
 (LAPACK dgeev instead of zgeev, about twice as fast); every preset but
@@ -52,6 +55,7 @@ FIG5_TOP has a real Hamiltonian.  Values and vectors are returned
 complex either way, and the residual gate is the same.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +71,13 @@ MAX_INVERSE_STEPS = 3
 # a sublattice eigenvalue is kept when its squaring error eps ||M|| / |lambda|
 # is at most this fraction of max(|lambda|, 1)
 SQUARING_GATE = 1e-12
+# subspace inverse iteration on the bidiagonal factors stops after at most
+# this many steps (_refine)
+REFINE_STEPS = 6
+# dense solves of a chain's bands, by cause: "odd ring", "odd vectors",
+# "odd dimension", "singular factor", "unconverged", "residual" (a pair
+# failed the residual gate) and "lapack"
+FALL_BACKS = Counter()
 
 
 @dataclass(frozen=True)
@@ -141,13 +152,15 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     residual guarantee.
 
     The bands of an open chain or an even ring (bipartite, see
-    _bipartite) are solved on one sublattice (_half_solve): the values
-    are kept only if every one passes the squaring gate, and the vectors
-    only if every pair then passes the residual gate below.  Anything
-    else (a dense matrix, an odd ring, odd dimension with vectors, a
-    value too close to zero for the squared solve, a failed gate, a
-    LAPACK failure of the half solve) takes the dense solve, LAPACK ?geev
-    of H, made dense from the bands only then.  A matrix with an all-zero
+    _bipartite) are solved on one sublattice (_half_solve): every value
+    is held to the squaring gate, those too close to zero for the
+    squared solve after their refinement on the bidiagonal factors
+    (_refine), and the vectors are kept only if every pair then passes
+    the residual gate below.  Anything else (a dense matrix, an odd ring,
+    odd dimension with vectors, a value the refinement cannot take, a
+    failed residual gate, a LAPACK failure of the half solve) takes the
+    dense solve, LAPACK ?geev of H, made dense from the bands only then
+    and counted in FALL_BACKS for a chain's bands.  A matrix with an all-zero
     imaginary part goes to LAPACK as real (dgeev, not zgeev).  Values and
     vectors come back complex either way, and the residuals are taken
     against the matrix as given: through the bands' two halves (_hop)
@@ -175,6 +188,7 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     if not vectors:
         if half is not None and _squaring_ok(*half[:2]):
             return half[0]
+        _count_fall_back(H, half, vectors)
         return _dense_solve(_dense(H), tol_eig, vectors=False)
     bound = tol_eig * max(_frobenius(H), 1.0)
     if half is not None and half[2] is not None:
@@ -183,6 +197,9 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
         if np.all(residuals <= bound):
             return SpectralDecomposition(values=values, right_vectors=vecs,
                                          residuals=residuals)
+        FALL_BACKS["residual"] += 1
+    else:
+        _count_fall_back(H, half, vectors)
     half = vecs = None  # frees the rejected vectors before the dense solve
     values, vecs = _dense_solve(_dense(H), tol_eig, vectors=True)
     residuals = _residuals(H, vecs, values)
@@ -192,6 +209,17 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
             % (residuals.max(), bound, len(values)))
     return SpectralDecomposition(values=values, right_vectors=vecs,
                                  residuals=residuals)
+
+
+def _count_fall_back(H, half, vectors):
+    """Count the cause of a chain's dense solve that _half_solve did not
+    count itself (a refinement it gave up on counts there)."""
+    if not isinstance(H, ChainBands) or half is not None:
+        return
+    if not _bipartite(H):
+        FALL_BACKS["odd ring"] += 1
+    elif vectors and len(H.upper) % 2 == 0:
+        FALL_BACKS["odd vectors"] += 1
 
 
 def _dense_solve(A, tol_eig, vectors):
@@ -255,7 +283,7 @@ def _squaring_ok(values, error):
     return bool(np.all(error <= SQUARING_GATE * np.maximum(np.abs(values), 1.0)))
 
 
-def _half_solve(H, tol_eig, vectors):
+def _half_solve(H, tol_eig, vectors, reads=None):
     """Sublattice solve of a bipartite chain H from its bands (_split).
 
     The eigenvalues are +-sqrt(mu), mu running over the eigenvalues of
@@ -264,12 +292,17 @@ def _half_solve(H, tol_eig, vectors):
     plus an exact 0 when D is odd; they are exactly symmetric under
     E -> -E and sorted as full_spectrum sorts.  Returns (values, error,
     vecs): error is each value's squaring error eps ||M||_1 / |lambda|
-    (0 for the exact zero).  With vectors=True and every value within
-    _squaring_ok, vecs holds the unit right eigenvectors: the odd part of
-    lambda's vector is x, M's eigenvector of mu = lambda^2, and the even
-    part H_eo x / lambda (_hop), so the vectors of +-lambda are images of
-    each other under S = diag((-1)^i) up to a sign.  Otherwise vecs is
-    None.  Returns None for a dense matrix, an odd ring (see _bipartite),
+    (0 for the exact zero).  The values the caller reads (reads(values),
+    every value when reads is None) are held to _squaring_ok; where one
+    fails, every failing mu is refined on the bidiagonal factors
+    (_refine) and its error replaced by the refinement's.  With
+    vectors=True and every value then within _squaring_ok, vecs holds the
+    unit right eigenvectors: the odd part of lambda's vector is x, M's
+    eigenvector of mu = lambda^2, and the even part H_eo x / lambda
+    (_hop), or lambda H_oe^-1 x for a refined value, so that no step
+    divides by a tiny lambda; the vectors of +-lambda are images of each
+    other under S = diag((-1)^i) up to a sign.  Otherwise vecs is None.
+    Returns None for a dense matrix, an odd ring (see _bipartite),
     vectors=True at odd D (an even number of bonds) and a LAPACK failure.
     """
     if not _bipartite(H) or (vectors and len(H.upper) % 2 == 0):
@@ -282,23 +315,153 @@ def _half_solve(H, tol_eig, vectors):
         else:
             mu = scipy.linalg.eigvals(M)
     except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure
+        FALL_BACKS["lapack"] += 1
         return None
-    root = np.sqrt(mu)
-    values = np.concatenate([root, -root, np.zeros(D % 2)])
     norm1 = float(np.max(np.sum(np.abs(M), axis=0)))
+    del M
+    root = np.sqrt(mu)
     with np.errstate(divide="ignore"):
-        error = np.finfo(float).eps * norm1 / np.abs(values)
-    error[2 * len(root):] = 0.0
-    order = _order(values, tol_eig)
-    values, error = values[order], error[order]
+        root_error = np.finfo(float).eps * norm1 / np.abs(root)
+    values, error, order = _signed(root, root_error, D, tol_eig)
+    read = slice(None) if reads is None else reads(values)
+    even = None
+    if not _squaring_ok(values[read], error[read]):
+        fail = np.flatnonzero(root_error > SQUARING_GATE
+                              * np.maximum(np.abs(root), 1.0))
+        refined = _refine(H, len(fail))
+        if refined is None:
+            return values, error, None
+        mu_fail, x, even, root_error[fail] = refined
+        root = root.copy()
+        root[fail] = np.sqrt(mu_fail.astype(complex))
+        values, error, order = _signed(root, root_error, D, tol_eig)
+        if vectors:
+            X = X.astype(np.result_type(X, x), copy=False)
+            X[:, fail] = x
     if not (vectors and _squaring_ok(values, error)):
         return values, error, None
     k = order % len(root)
     vecs = np.empty((D, D), dtype=complex)
     vecs[1::2] = X[:, k]
     np.divide(_hop(H, X, 0)[:, k], values, out=vecs[0::2])
+    if even is not None:
+        # a refined value's even part, lambda H_oe^-1 x
+        cols = np.flatnonzero(np.isin(k, fail))
+        slot = np.searchsorted(fail, k[cols])
+        vecs[0::2, cols] = even[:, slot] * values[cols]
     vecs /= _column_norms(vecs)
     return values, error, vecs
+
+
+def _signed(root, root_error, D, tol_eig):
+    """(values, error, order): +-root plus D's exact zero, sorted as
+    full_spectrum sorts, with each value's error (0 for the zero) and the
+    sort permutation."""
+    values = np.concatenate([root, -root, np.zeros(D % 2)])
+    error = np.concatenate([root_error, root_error, np.zeros(D % 2)])
+    order = _order(values, tol_eig)
+    return values[order], error[order], order
+
+
+def _factor_solve(H):
+    """solve(X, factor, adjoint) applying the inverse of a bidiagonal
+    factor of the even bipartite chain H (_split bands) to the columns of
+    X: factor "oe" is H_oe = H[1::2, 0::2] (upper bidiagonal, diagonal
+    a_k = H[2k+1, 2k]), "eo" is H_eo = H[0::2, 1::2] (lower bidiagonal,
+    diagonal c_k = H[2k, 2k+1]), each by one LAPACK ?tbtrs substitution
+    in O(D) work per column, trans 'C' for the adjoint.  An even ring's
+    corners put one entry in each factor's far corner, a rank-1 term
+    solved by Sherman-Morrison.  Returns None when a factor is singular:
+    an exactly zero diagonal entry, or a zero Sherman-Morrison
+    denominator."""
+    upper, lower, corners = H
+    n = (len(upper) + 1) // 2
+    dtype = np.result_type(upper, lower, corners)
+    oe, eo = np.zeros((2, 2, n), dtype=dtype)
+    oe[1], oe[0, 1:] = lower[0::2], upper[1::2]
+    eo[0], eo[1, :-1] = upper[0::2], lower[1::2]
+    if not (oe[1].all() and eo[0].all()):
+        return None
+    (tbtrs,) = scipy.linalg.get_lapack_funcs(("tbtrs",), (oe,))
+    # each factor's band storage, triangle and far-corner entry u at (p, q)
+    factors = {"oe": (oe, "U", (n - 1, 0, corners[0])),
+               "eo": (eo, "L", (0, n - 1, corners[1]))}
+
+    def triangular(B, factor, adjoint):
+        ab, uplo, _ = factors[factor]
+        return tbtrs(ab, B, uplo=uplo, trans="C" if adjoint else "N")[0]
+
+    fixes = {}
+    for factor, (_, _, (p, q, u)) in factors.items():
+        if u == 0:
+            continue
+        # F = T + u e_p e_q^T and F^H = T^H + conj(u) e_q e_p^T
+        for adjoint, (p, q, u) in ((False, (p, q, u)),
+                                   (True, (q, p, np.conj(u)))):
+            e = np.zeros((n, 1), dtype=dtype)
+            e[p] = u
+            z = triangular(e, factor, adjoint)[:, 0]
+            denom = 1.0 + z[q]
+            if denom == 0:
+                return None
+            fixes[factor, adjoint] = (z / denom, q)
+
+    def solve(B, factor, adjoint=False):
+        y = triangular(B, factor, adjoint)
+        if (factor, adjoint) in fixes:
+            z, q = fixes[factor, adjoint]
+            y = y - np.outer(z, y[q])
+        return y
+
+    return solve
+
+
+def _refine(H, m):
+    """The m smallest-magnitude eigenvalues of M = H_oe H_eo, refined on
+    its bidiagonal factors (Demmel & Kahan: a bidiagonal determines its
+    small singular values to high relative accuracy, which squaring M
+    throws away).
+
+    Subspace inverse iteration runs on M^-1 = H_eo^-1 H_oe^-1, two ?tbtrs
+    substitutions per column (_factor_solve), from a fixed start, for at
+    most REFINE_STEPS steps: each step takes the Ritz pairs of M^-1 on the
+    current orthonormal basis Q (the eigenpairs (nu, w) of Q^H M^-1 Q) and
+    stops once every pair's relative residual ||M^-1 x - nu x|| / |nu|
+    gives an error |lambda| * residual within the squaring gate.  Returns
+    (mu, x, h, error) with mu = 1/nu, x the unit Ritz vectors (M's
+    eigenvectors), h = H_oe^-1 x (lambda h is the even part of lambda's
+    vector) and each value's error, or None when H has odd dimension
+    (no square factors), a factor is singular or the refinement does not
+    converge; each of those is counted in FALL_BACKS.
+    """
+    if len(H.upper) % 2 == 0:
+        FALL_BACKS["odd dimension"] += 1
+        return None
+    solve = _factor_solve(H)
+    if solve is None:
+        FALL_BACKS["singular factor"] += 1
+        return None
+    n = (len(H.upper) + 1) // 2
+    rng = np.random.default_rng(0)
+    Q = rng.standard_normal((n, m))
+    if np.iscomplexobj(H.entries):
+        Q = Q + 1j * rng.standard_normal((n, m))
+    Q = np.linalg.qr(Q)[0]
+    for _ in range(REFINE_STEPS):
+        h = solve(Q, "oe")
+        Y = solve(h, "eo")
+        nu, W = np.linalg.eig(Q.conj().T @ Y)
+        W /= np.linalg.norm(W, axis=0)
+        x = Q @ W
+        with np.errstate(all="ignore"):
+            mu = 1.0 / nu
+            residual = np.linalg.norm(Y @ W - x * nu, axis=0) / np.abs(nu)
+            error = np.sqrt(np.abs(mu)) * residual
+        if _squaring_ok(np.sqrt(np.abs(mu)), error):
+            return mu, x, h @ W, error
+        Q = np.linalg.qr(Y)[0]
+    FALL_BACKS["unconverged"] += 1
+    return None
 
 
 def _column_norms(V):
@@ -359,19 +522,26 @@ def sublattice_eigenvalues(H):
 
     Only the values a steady solve reads (values[0] and
     steady_neighbours) are held to the squaring gate.  Where one of them
-    fails it, and for an odd ring or a dense matrix, this returns the
-    dense solve's eigenvalues instead, as full_spectrum(H, vectors=False)
-    would, without a second half solve; only then are a chain's bands
-    made dense.
+    fails it, every failing value is refined on the bidiagonal factors,
+    as full_spectrum(H, vectors=False) refines them; where the
+    refinement cannot run, and for an odd ring or a dense matrix, this
+    returns the dense solve's eigenvalues instead, without a second half
+    solve; only then are a chain's bands made dense.
     """
     H = _split(H)
-    half = _half_solve(H, DEFAULT_TOL_EIG, vectors=False)
+    half = _half_solve(H, DEFAULT_TOL_EIG, vectors=False, reads=_steady_reads)
     if half is not None:
         values, error, _ = half
-        read = [0] + steady_neighbours(values)
+        read = _steady_reads(values)
         if _squaring_ok(values[read], error[read]):
             return values
+    _count_fall_back(H, half, vectors=False)
     return _dense_solve(_dense(H), DEFAULT_TOL_EIG, vectors=False)
+
+
+def _steady_reads(values):
+    """Indices of the values a steady solve reads."""
+    return [0] + steady_neighbours(values)
 
 
 def _finite(band):

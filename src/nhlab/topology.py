@@ -239,6 +239,9 @@ def _contour_blochs(p, use_gbz, n):
     return build_bloch(p, np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
 
 
+TIE_RESOLUTION = 1e-10  # assignment costs closer than this are a tie
+
+
 def _track_bands(evs):
     """Follow eigenvalue bands along an ordered matrix family.
 
@@ -246,34 +249,117 @@ def _track_bands(evs):
     start in (Re, Im)-sorted order at the first sample and are continued
     by optimal assignment against a linear extrapolation of each band
     (velocity continuation carries bands through transversal crossings).
-    A tie between two distinct candidates is harmless when the competing
-    bands are themselves degenerate at the previous sample, since
-    swapping them relabels identical histories; any other tie raises.
+    The assignments come from _band_sweep, step by step the ones a
+    sample-by-sample linear_sum_assignment makes, and the band labels
+    follow by composing them (a doubling scan).
+
+    A tie (TIE_RESOLUTION) between two distinct candidates is harmless
+    when the competing bands are themselves degenerate at the previous
+    sample, since swapping them relabels identical histories; any other
+    tie raises.  Only the rows _band_sweep flags can hold a tie.
     """
+    evs = np.asarray(evs)
     first = evs[0]
-    order = np.lexsort((first.imag, first.real))
-    bands = [first[order]]
-    prev2 = bands[0]
-    for ev in evs[1:]:
-        prev = bands[-1]
-        pred = 2.0 * prev - prev2
-        cost = np.abs(pred[:, None] - ev[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        if len(ev) > 1:
+    labels = np.empty(evs.shape, dtype=np.intp)
+    labels[0] = np.lexsort((first.imag, first.real))
+    if len(evs) > 1:
+        sweep = _band_sweep(evs)
+        for j, i in zip(*np.nonzero(sweep.flagged)):
             # a swap between candidates (or histories) closer than the gap
             # tolerance moves any reported distance by less than that
             # tolerance, so such ties are harmless
-            srt = np.sort(cost, axis=1)
-            for i in np.where((srt[:, 1] - srt[:, 0]) < 1e-10)[0]:
-                close = np.where(cost[i] <= srt[i, 0] + 1e-10)[0]
-                if np.max(np.abs(ev[close] - ev[close[0]])) <= DEFAULT_TOL_GAP:
-                    continue
-                if np.sum(np.abs(prev - prev[i]) <= DEFAULT_TOL_GAP) >= 2:
-                    continue
-                raise NumericalError("ambiguous band continuation")
-        prev2 = prev
-        bands.append(ev[cols[np.argsort(rows)]])
-    return np.array(bands).T  # (n_bands, n_samples)
+            ev, cost = evs[j + 1], sweep.cost[j, i]
+            close = np.flatnonzero(cost <= cost.min() + TIE_RESOLUTION)
+            if np.max(np.abs(ev[close] - ev[close[0]])) <= DEFAULT_TOL_GAP:
+                continue
+            if np.sum(np.abs(evs[j] - evs[j][i]) <= DEFAULT_TOL_GAP) >= 2:
+                continue
+            raise NumericalError("ambiguous band continuation")
+        labels[1:] = sweep.sigma
+        _compose(labels)
+    return np.take_along_axis(evs, labels, axis=1).T  # (n_bands, n_samples)
+
+
+def _compose(maps):
+    """In place, maps[j] <- maps[j][maps[j-1]] ... [maps[0]] for every j
+    (a Hillis-Steele scan, log2(len(maps)) array steps)."""
+    d = 1
+    while d < len(maps):
+        maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=1)
+        d *= 2
+
+
+@dataclass(frozen=True)
+class BandSweep:
+    """The relative matchings of _track_bands, with the sweep's work.
+
+    sigma[j] maps each eigenvalue index at sample j to the index
+    continuing it at sample j+1; cost[j] is the assignment cost of that
+    step, rows at sample j, columns at sample j+1; flagged marks the rows
+    whose two cheapest candidates lie within TIE_RESOLUTION.  passes
+    counts the sweeps over every step and solved the steps handed to
+    linear_sum_assignment, over all passes.
+    """
+
+    sigma: np.ndarray
+    cost: np.ndarray
+    flagged: np.ndarray
+    passes: int
+    solved: int
+
+
+def _band_sweep(evs):
+    """Every step's matching of _track_bands, by array sweeps.
+
+    A band at sample j-1 predicts 2 E_{j-1} - E_{j-2} at sample j (E_0
+    itself at sample 1), so step j's costs depend on step j-1's matching
+    alone.  One pass builds every step's prediction and cost from the
+    current matchings at once.  A step whose row minima form a
+    permutation, each row's runner-up at least TIE_RESOLUTION above its
+    minimum, takes that permutation: it is the unique optimum, so it is
+    what linear_sum_assignment returns.  The other steps call
+    linear_sum_assignment one at a time, on the rows in band order, as the
+    sample-by-sample loop does (its choice among tied optima can depend
+    on the row order).  Passes repeat until no matching changes; pass t
+    settles step t, and the last pass reproduces the sample-by-sample
+    result.
+    """
+    n_steps, n = len(evs) - 1, evs.shape[1]
+    ident = np.arange(n)
+    sigma = np.broadcast_to(ident, (n_steps, n)).copy()
+    first = np.lexsort((evs[0].imag, evs[0].real))
+    passes = solved = 0
+    while True:
+        passes += 1
+        inverse = np.empty_like(sigma)
+        np.put_along_axis(inverse, sigma, ident[None, :], axis=1)
+        prev2 = np.concatenate(
+            [evs[:1], np.take_along_axis(evs[:-2], inverse[:-1], axis=1)])
+        pred = 2.0 * evs[:-1] - prev2
+        cost = np.abs(pred[:, :, None] - evs[1:, None, :])
+        best = cost.argmin(axis=2)
+        if n > 1:
+            srt = np.sort(cost, axis=2)
+            flagged = (srt[:, :, 1] - srt[:, :, 0]) < TIE_RESOLUTION
+        else:
+            flagged = np.zeros(best.shape, dtype=bool)
+        unique = ~flagged.any(axis=1) & (np.sort(best, axis=1) == ident).all(axis=1)
+        new = np.where(unique[:, None], best, sigma)
+        slow = np.flatnonzero(~unique)
+        if len(slow):
+            # band order at each sample under the matchings found so far
+            labels = np.empty((n_steps + 1, n), dtype=np.intp)
+            labels[0], labels[1:] = first, new
+            _compose(labels)
+            for j in slow:
+                rows = labels[j]
+                _, cols = linear_sum_assignment(cost[j][rows])
+                new[j, rows] = cols
+            solved += len(slow)
+        if np.array_equal(new, sigma):
+            return BandSweep(sigma=sigma, cost=cost, flagged=flagged,
+                             passes=passes, solved=solved)
+        sigma = new
 
 
 def line_gap_minima(p, use_gbz=False):
@@ -321,14 +407,28 @@ def _gap_reports(p, bands):
     m = bands.shape[0]
     reports = []
     for i in range(m - 1):
-        a, b = bands[i], bands[i + 1]
-        diff = np.abs(a[:, None] - b[None, :])
-        min_gap = float(diff.min())
+        min_gap = _min_distance(bands[i], bands[i + 1])
         central = (m % 2 == 0) and (i == m // 2 - 1)
         kind = LINE_GAP_CENTRAL if central else LINE_GAP_SIDE
         reports.append(GapReport(kind=kind, parameter_value=p.JR,
                                  min_gap=min_gap, closed=min_gap < DEFAULT_TOL_GAP))
     return reports
+
+
+def _min_distance(a, b):
+    """min |a_i - b_j| over two point sets, bit for bit as np.abs of every
+    difference gives it, without the len(a) x len(b) array.
+
+    A cKDTree on b gives each point of a its nearest distance; the tree's
+    sum of squares can differ from np.abs (hypot) in the last bits, so
+    np.abs is taken on every row of a whose tree distance lies within a
+    relative 1e-9 (plus sqrt(tiny), below which the squares lose
+    precision) of the tree's minimum.
+    """
+    d = cKDTree(np.column_stack([b.real, b.imag])).query(
+        np.column_stack([a.real, a.imag]), k=1)[0]
+    near = a[d <= d.min() * (1.0 + 1e-9) + np.sqrt(np.finfo(float).tiny)]
+    return float(np.abs(near[:, None] - b[None, :]).min())
 
 
 # -- OBC diagnostics ---------------------------------------------------------
@@ -350,7 +450,10 @@ def edge_states(p, energy_window):
 
     A state qualifies when |E| < energy_window and at least 90 percent of
     its weight sits in the outer 10 percent of modules.  Returns a list
-    of (eigenvalue, edge_weight) pairs.
+    of (eigenvalue, edge_weight) pairs.  The pairs come from model_spectrum
+    on one sublattice: an edge pair too close to zero for the squared
+    solve is refined on the chain's bidiagonal factors, and its vectors'
+    even parts are built as lambda H_oe^-1 x, without dividing by lambda.
     """
     if p.boundary != "OBC":
         raise ValidationError("edge_states requires OBC")
@@ -370,9 +473,9 @@ def obc_central_gap(p):
     """Width of the central line gap of the OBC spectrum, 2*min|E|.
 
     The eigenvalues are solved in the skin-balancing frame, without
-    vectors (model_eigenvalues): on one sublattice when every |E| is far
-    enough from zero for the squared solve, as at FIG3's GBZ closings,
-    and dense when one is not, as for an edge pair near zero.  The three
+    vectors (model_eigenvalues), on one sublattice; an |E| too close to
+    zero for the squared solve, as for an edge pair near zero, is refined
+    on the chain's bidiagonal factors.  The three
     smallest |E| the result reads are certified by inverse iteration.  On
     a skin-amplified chain the
     raw matrix gives eigenvalue errors larger than the gap itself, which
@@ -402,10 +505,10 @@ def obc_side_gap(p):
     States are split by |E| at the largest relative jump in the sorted
     magnitudes (excluding the lowest quarter, so mid-gap modes and the
     central closing itself do not capture the split).  The eigenvalues
-    are solved without vectors (model_eigenvalues, on one sublattice
-    unless a value is too close to zero for the squared solve, then
-    dense); the closest central/side pair, which gives the result, is
-    certified by inverse iteration.
+    are solved without vectors (model_eigenvalues, on one sublattice,
+    a value too close to zero for the squared solve refined on the
+    bidiagonal factors); the closest central/side pair, which gives the
+    result, is certified by inverse iteration.
     """
     H, E = model_eigenvalues(p)
     mags = np.sort(np.abs(E))
@@ -476,6 +579,6 @@ def count_spectral_loops(p):
     for i in range(n):
         for j in range(i + 1, n):
             d = trees[i].query(np.column_stack([loops[j].real, loops[j].imag]),
-                               k=1)[0].min()
+                               k=1, distance_upper_bound=LOOP_RESOLUTION)[0].min()
             adj[i, j] = d < LOOP_RESOLUTION
     return int(connected_components(adj, directed=False)[0])

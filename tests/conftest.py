@@ -64,3 +64,33 @@ def lapack_calls(monkeypatch):
                     and getattr(module, name, None) is fn):
                 monkeypatch.setattr(module, name, counting(name, fn))
     return counts
+
+
+def track_bands_loop(evs):
+    """The sample-by-sample band tracking that topology._track_bands
+    reproduces: one linear_sum_assignment per sample against each band's
+    linear extrapolation, and the tie rule on every row whose two
+    cheapest candidates lie within 1e-10."""
+    from nhlab.errors import NumericalError
+    from nhlab.topology import DEFAULT_TOL_GAP
+    first = evs[0]
+    order = np.lexsort((first.imag, first.real))
+    bands = [first[order]]
+    prev2 = bands[0]
+    for ev in evs[1:]:
+        prev = bands[-1]
+        pred = 2.0 * prev - prev2
+        cost = np.abs(pred[:, None] - ev[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        if len(ev) > 1:
+            srt = np.sort(cost, axis=1)
+            for i in np.where((srt[:, 1] - srt[:, 0]) < 1e-10)[0]:
+                close = np.where(cost[i] <= srt[i, 0] + 1e-10)[0]
+                if np.max(np.abs(ev[close] - ev[close[0]])) <= DEFAULT_TOL_GAP:
+                    continue
+                if np.sum(np.abs(prev - prev[i]) <= DEFAULT_TOL_GAP) >= 2:
+                    continue
+                raise NumericalError("ambiguous band continuation")
+        prev2 = prev
+        bands.append(ev[cols[np.argsort(rows)]])
+    return np.array(bands).T

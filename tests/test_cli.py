@@ -364,3 +364,41 @@ observables = WINDING_BAND
 """, "w.ini")
     assert main(["sweep", "--config", ini, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+def test_preset_overrides_move_the_derived_couplings(tmp_path, capsys):
+    # SHIFTED derives JmP = JR + J: a moved JR alone moves JmP with it
+    out = tmp_path / "moved.csv"
+    assert main(["preset", "FIG3", "--set", "JR_re=-1.0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # the form that also gives the consistent JmP writes the same file
+    same = tmp_path / "same.csv"
+    assert main(["preset", "FIG3", "--set", "JR_re=-1.0",
+                 "--set", "JmP_re=1.0", "--out", str(same)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == same.read_bytes()
+    # an inconsistent JmP is still rejected
+    assert main(["preset", "FIG3", "--set", "JR_re=-1.0",
+                 "--set", "JmP_re=1.5"]) == 2
+    assert "inconsistent with preset SHIFTED" in capsys.readouterr().err
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    # main builds its parser once per process; nothing one call parses may
+    # reach the next
+    ini = write(tmp_path, HN)
+    outs = {}
+    for tag, argv in (("fresh", ["spectrum", "--config", ini]),
+                      ("set", ["spectrum", "--config", ini, "--set", "L=4",
+                               "--set", "JR_re=-2.0"]),
+                      ("preset", ["preset", "FIG2_HN", "--set", "L=3"]),
+                      ("again", ["spectrum", "--config", ini])):
+        out = tmp_path / ("%s.csv" % tag)
+        assert main(argv + ["--out", str(out)]) == 0
+        outs[tag] = (out.read_bytes(), capsys.readouterr().out)
+    assert outs["again"] == outs["fresh"]
+    assert "spectrum: D=12" in outs["set"][1]
+    assert "spectrum: D=24" in outs["again"][1]
+    # the preset command's --set list did not reach the spectrum call
+    extras, _, rows = read_table(tmp_path / "again.csv")
+    assert extras["D"] == "24" and len(rows) == 24

@@ -167,6 +167,25 @@ def test_config_round_trip():
     assert q == p
 
 
+def test_config_checks_each_given_coupling_against_its_derived_value():
+    # SHIFTED derives Jm = JL + J and JmP = JR + J; a JmP given without any
+    # Jm key is checked as well, not silently replaced
+    cfg = params_to_config(make_params(2, 2, 4, J0=1.25, JL=1, JR=0.5,
+                                       preset=CouplingPreset(SHIFTED, 2.0)))
+    for key in ("Jm_re", "Jm_im", "JmP_re", "JmP_im"):
+        del cfg[key]
+    with pytest.raises(ValidationError, match="inconsistent"):
+        params_from_config({**cfg, "JmP_re": 123.0})
+    with pytest.raises(ValidationError, match="inconsistent"):
+        params_from_config({**cfg, "Jm_im": 0.5})
+    # consistent values, each given alone, pass
+    assert params_from_config({**cfg, "JmP_re": 2.5}).JmP == 2.5
+    assert params_from_config({**cfg, "Jm_re": 3.0}).Jm == 3.0
+    # both given: each is checked
+    with pytest.raises(ValidationError, match="inconsistent"):
+        params_from_config({**cfg, "Jm_re": 3.0, "JmP_re": 123.0})
+
+
 def test_config_rejects_unknown_keys_and_inconsistent_preset():
     cfg = params_to_config(make_params(1, 3, 4, JL=1, JR=0.5,
                                        preset=CouplingPreset(RECIPROCAL_MODULAR, 2.0)))

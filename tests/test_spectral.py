@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, OBC, PBC, PRESET_NAMES,
                    full_spectrum, gbz_radius, make_params, model_spectrum,
                    obc_central_gap, obc_side_gap, participation_ratio, preset,
                    state_derivatives, steady_state)
+from nhlab import spectral
 from nhlab.metrology import model_eigenvalues
 from nhlab.model import ChainBands, chain_bands
 from nhlab.spectral import (DEFAULT_TOL_EIG, _band_product, _hop, _order,
@@ -281,22 +283,144 @@ def test_sublattice_eigenvalues_fall_back_off_bipartite_matrices(monkeypatch):
         assert np.array_equal(values, full_spectrum(H, vectors=False))
 
 
-def test_sublattice_eigenvalues_fall_back_near_zero(monkeypatch):
-    # four decoupled dimers, eigenvalues +-3e-6i, +-1, +-2, +-3: the
+def _dimers(upper, lower, extra_site=False):
+    """Decoupled dimers [[0, u], [w, 0]] (eigenvalues +-sqrt(u w)) as an
+    open chain, with one more, isolated site if extra_site."""
+    gaps = np.arange(1, len(upper))
+    upper, lower = np.insert(upper, gaps, 0.0), np.insert(lower, gaps, 0.0)
+    if extra_site:
+        upper, lower = np.append(upper, 0.0), np.append(lower, 0.0)
+    return ChainBands(upper, lower, np.zeros(2, dtype=complex))
+
+
+def test_sublattice_eigenvalues_refine_near_zero(monkeypatch, lapack_calls):
+    # four decoupled dimers, eigenvalues +-3e-6i, +-1i, +-2i, +-3i: the
     # largest-Im eigenvalue is 1e-6 ||H||, which the squared solve would
-    # miss by about eps ||H||^2 / |lambda|
+    # miss by about eps ||H||^2 / |lambda|; the bidiagonal factors give it
+    # to rounding, with no dense solve
     dimers = np.array([3e-6, 1.0, 2.0, 3.0])
-    gaps = np.zeros(3)
-    H = ChainBands(np.insert(dimers, [1, 2, 3], gaps),
-                   np.insert(dimers * [-1, 1, 1, 1], [1, 2, 3], gaps),
-                   np.zeros(2, dtype=complex))
+    H = _dimers(dimers, dimers * [-1, 1, 1, 1])
     norm = np.linalg.norm(H.dense(), 2)
     assert abs(norm - 3.0) < 1e-12
+    lapack_calls.clear()
     seen = _record_eigvals(monkeypatch)
     values = sublattice_eigenvalues(H)
-    assert [shape for shape, _ in seen] == [(4, 4), (8, 8)]
+    assert [shape for shape, _ in seen] == [(4, 4)]
+    assert lapack_calls["dense"] == 0 and lapack_calls["tbtrs"] >= 2
     assert np.array_equal(values, full_spectrum(H, vectors=False))
-    assert abs(values[0] - 1e-6j * norm) <= 1e-3 * 1e-6 * norm
+    assert abs(values[0] - 3e-6j) <= 1e-15 * 3e-6
+
+
+def test_dense_fall_backs_are_counted(monkeypatch):
+    # what the bidiagonal factors cannot refine takes the dense solve,
+    # counted by cause
+    monkeypatch.setattr(spectral, "FALL_BACKS", Counter())
+    # an odd chain has no square factors
+    dimers = np.array([3e-6, 1.0, 2.0, 3.0])
+    H = _dimers(dimers, dimers * [-1, 1, 1, 1], extra_site=True)
+    values = full_spectrum(H, vectors=False)
+    assert abs(values[0] - 3e-6j) <= 1e-3 * 3e-6
+    full_spectrum(H)
+    assert spectral.FALL_BACKS == {"odd dimension": 1, "odd vectors": 1}
+    # an exactly zero bond in a factor: H_oe is singular
+    spectral.FALL_BACKS.clear()
+    H = _dimers([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 3.0])
+    assert np.allclose(np.sort(np.abs(full_spectrum(H, vectors=False))),
+                       [0, 0, 1, 1, 2, 2, 3, 3], rtol=0, atol=1e-15)
+    assert spectral.FALL_BACKS == {"singular factor": 1}
+    # the gate's threshold is eps ||M||_1 / 1e-12 = 2.0e-3 here: the
+    # failing lambda = 1.9e-3 has a passing neighbour at 2.1e-3, which
+    # inverse iteration cannot separate from it in REFINE_STEPS steps
+    spectral.FALL_BACKS.clear()
+    dimers = np.array([1.9e-3, 2.1e-3, 2.0, 3.0])
+    H = _dimers(dimers, dimers)
+    values = np.sort(np.abs(full_spectrum(H, vectors=False)))
+    assert np.max(np.abs(values - np.repeat(np.sort(dimers), 2))) <= 1e-15
+    assert spectral.FALL_BACKS == {"unconverged": 1}
+    # an odd ring is not bipartite
+    spectral.FALL_BACKS.clear()
+    full_spectrum(chain_bands(preset("FIG4_HN").resized(35).with_updates(
+        boundary=PBC)), vectors=False)
+    assert spectral.FALL_BACKS == {"odd ring": 1}
+
+
+def test_even_ring_pair_is_refined_through_the_corners(lapack_calls):
+    # a non-Hermitian dimerized ring, H[2k+1, 2k] = H[2k, 2k+1] = 1,
+    # H[2k+1, 2k+2] = b, H[2k+2, 2k+1] = d, closed by the corners: M is
+    # circulant with mu(q) = (1 + b e^{iq})(1 + d e^{-iq}), and at q = pi
+    # the pair +-sqrt((1 - b)(1 - d)) = +-1.4e-5 i fails the squaring gate.
+    # The corners' Sherman-Morrison correction divides by 1 + z_q = 1 - b^n
+    # = -8e-5, which costs the refined pair about four of the digits an
+    # open chain keeps
+    b, d, n = 1.0 + 1e-5, 1.0 - 2e-5, 8
+    upper = np.ones(2 * n - 1)
+    lower = np.ones(2 * n - 1)
+    upper[1::2], lower[1::2] = b, d
+    H = ChainBands(upper, lower, np.array([b, d], dtype=complex))
+    q = 2.0 * np.pi * np.arange(n) / n
+    mu = (1.0 + b * np.exp(1j * q)) * (1.0 + d * np.exp(-1j * q))
+    mu[n // 2] = (1.0 - b) * (1.0 - d)  # exactly, without the rounding of e^{i pi}
+    want = np.sqrt(mu.astype(complex))
+    lapack_calls.clear()
+    dec = full_spectrum(H)
+    values = full_spectrum(H, vectors=False)
+    assert lapack_calls["dense"] == 0 and lapack_calls["tbtrs"] > 0
+    for got in (dec.values, values):
+        assert_multiset_close(got, np.concatenate([want, -want]), 1e-14)
+        small = got[np.argsort(np.abs(got))[:2]]
+        assert np.all(np.abs(np.abs(small) - abs(want[n // 2]))
+                      <= 1e-10 * abs(want[n // 2]))
+    assert np.all(dec.residuals <= DEFAULT_TOL_EIG * np.linalg.norm(H.entries))
+
+
+def _recurrence_root(H, lam, digits=50):
+    """The eigenvalue of the real zero-diagonal tridiagonal H next to lam,
+    to digits digits: Newton's method on det(H - E), from the three-term
+    recurrence f_{k+1} = -E f_k - upper[k-1] lower[k-1] f_{k-1}."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        prods = [mpmath.mpf(float(u)) * mpmath.mpf(float(w))
+                 for u, w in zip(H.upper, H.lower)]
+        E = mpmath.mpf(float(lam.real))
+        for _ in range(60):
+            f0, f1, g0, g1 = mpmath.mpf(1), -E, mpmath.mpf(0), mpmath.mpf(-1)
+            for c in prods:
+                f0, f1, g0, g1 = f1, -E * f1 - c * f0, g1, -f1 - E * g1 - c * g0
+            step = f1 / g1
+            E -= step
+            if abs(step) <= abs(E) * mpmath.mpf(10) ** (5 - digits):
+                return E
+    raise AssertionError("Newton did not converge")
+
+
+EDGE_PAIR_POINTS = [(100, -1.0), (200, -1.0), (100, 0.45), (300, -1.0)]
+
+
+@pytest.mark.parametrize("L, JR", EDGE_PAIR_POINTS,
+                         ids=["L%d_JR%g" % c for c in EDGE_PAIR_POINTS])
+def test_edge_pairs_match_a_50_digit_reference(lapack_calls, L, JR):
+    # FIG3's edge pair sits at |lambda| = 1.9e-4, 6.3e-9, 4.1e-8 and 2.1e-13
+    # here; the squared solve loses it (relative error up to 4.6) and the
+    # old dense fall-back reached 1e-11 at best.  The refinement on the
+    # bidiagonal factors matches the reference to 1e-12 relative, the edge
+    # vectors pass the residual gate, and no D x D matrix is built
+    p = preset("FIG3").params.with_updates(L=L, JR=JR)
+    lapack_calls.clear()
+    dec = model_spectrum(p)
+    H, values = model_eigenvalues(p)
+    steady = sublattice_eigenvalues(H)
+    spectral.residuals(H, dec.right_vectors[:, :2], dec.values[:2])
+    assert lapack_calls["dense"] == 0
+    assert np.all(H.upper.imag == 0) and np.all(H.lower.imag == 0)
+    for got in (dec.values, values):
+        pair = got[np.argsort(np.abs(got))[:2]]
+        ref = _recurrence_root(H.__class__(*(np.real(b) for b in H)), pair[0])
+        assert abs(pair[0] + pair[1]) == 0
+        err = abs(abs(pair[0].real) - abs(float(ref))) / abs(float(ref))
+        assert err <= 1e-12 and pair.imag.tolist() == [0, 0]
+    # the steady solve refines only when a value it reads fails the gate
+    assert steady[0] == values[0]
+    assert np.all(dec.residuals <= DEFAULT_TOL_EIG * np.linalg.norm(H.entries))
 
 
 def test_values_only_solve_allocates_only_the_product():
@@ -378,17 +502,17 @@ def test_full_spectrum_keeps_odd_chains_on_the_dense_solve(monkeypatch):
     assert np.max(np.abs(full_spectrum(H, vectors=False) - dec.values)) <= 1e-12
 
 
-def test_edge_pair_forces_the_dense_solve(monkeypatch):
+def test_edge_pair_is_refined_on_the_bidiagonal_factors(monkeypatch):
     # FIG3 at L=100, JR=-1: the edge pair at +-1.87e-4 is too close to zero
-    # for the squared solve (eps ||M|| / |lambda| > 1e-12), so edge_states
-    # and obc_side_gap read the dense solve
+    # for the squared solve (eps ||M|| / |lambda| > 1e-12), so it is
+    # refined on the bidiagonal factors and edge_states and obc_side_gap
+    # read the half-size solve alone
     p = preset("FIG3").params.with_updates(L=100, JR=-1.0)
     seen = _record_eigvals(monkeypatch, "eig")
     pair = edge_states(p, 0.1)
-    assert [shape for shape, _ in seen] == [(p.D // 2, p.D // 2), (p.D, p.D)]
-    # the values the dense solve gave before the half-size route; the
-    # tolerance is that solve's own accuracy on the pair, which the BLAS
-    # thread count moves
+    assert [shape for shape, _ in seen] == [(p.D // 2, p.D // 2)]
+    # the values the dense solve gave before the half-size route, to that
+    # solve's own accuracy on the pair (1.1e-11 relative)
     want = [(0.0001874849683893995, 0.9985311157496537),
             (-0.00018748496839376104, 0.9985311157496537)]
     assert len(pair) == 2
@@ -396,10 +520,10 @@ def test_edge_pair_forces_the_dense_solve(monkeypatch):
         assert E.imag == 0 and abs(E.real - E0) <= 1e-10 * abs(E0)
         assert abs(weight - weight0) <= 1e-10
     assert abs(obc_side_gap(p) - 1.5369828156494503) <= 1e-12
-    # and exactly the dense solve's eigenvalues
-    H, values = model_eigenvalues(p)
-    ref = scipy.linalg.eigvals(H.dense().real)
-    assert np.array_equal(values, ref[_order(ref, DEFAULT_TOL_EIG)])
+    # the values-only solve refines the same pair to the same values
+    _, values = model_eigenvalues(p)
+    assert sorted(v.real for v in values if abs(v) < 0.1) == sorted(
+        E.real for E, _ in pair)
 
 
 BAND_IDENTITY_CASES = [(n, L) for n in PRESET_NAMES for L in (34, 35)]

@@ -15,9 +15,11 @@ from nhlab import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED,
                    gbz_contour, gbz_radius, gbz_zero_gap_solutions,
                    line_gap_minima, make_params, metrology, obc_central_gap,
                    obc_side_gap, pbc_zero_gap_solutions, point_gap_residual,
-                   preset, spectral_winding)
-from nhlab.topology import (IllConditionedContourError, _contour_blochs,
-                            _gap_reports, _track_bands)
+                   PRESET_NAMES, preset, spectral_winding)
+from conftest import track_bands_loop
+from nhlab.topology import (LOOP_K_POINTS, IllConditionedContourError,
+                            _band_sweep, _contour_blochs, _gap_reports,
+                            _min_distance, _track_bands)
 
 
 def shifted(jr, L=50, J=2.0, J0=1.25):
@@ -150,9 +152,9 @@ def test_obc_side_gap_and_edge_pair_on_long_skin_amplified_chains():
 
 
 def test_obc_gaps_solve_eigenvalues_only(monkeypatch):
-    # each gap is eigenvalue solves only, no eigenvector solve: here the
-    # half-size solve, then the dense one, because the edge pair near
-    # 1.9e-4 is too close to zero for the squared solve's accuracy
+    # each gap is eigenvalue solves only, no eigenvector solve: the
+    # half-size solve, whose edge pair near 1.9e-4, too close to zero for
+    # the squared solve's accuracy, is refined on the bidiagonal factors
     seen = []
     for name in ("eig", "eigvals"):
         solve = getattr(scipy.linalg, name)
@@ -165,8 +167,7 @@ def test_obc_gaps_solve_eigenvalues_only(monkeypatch):
     p = shifted(-1.0, L=100)
     obc_central_gap(p)
     obc_side_gap(p)
-    half, full = (p.D // 2, p.D // 2), (p.D, p.D)
-    assert seen == [("eigvals", half), ("eigvals", full)] * 2
+    assert seen == [("eigvals", (p.D // 2, p.D // 2))] * 2
 
 
 def test_obc_gaps_certify_the_eigenvalues_they_read(monkeypatch):
@@ -183,19 +184,22 @@ def test_obc_gaps_certify_the_eigenvalues_they_read(monkeypatch):
             gap(p)
 
 
-def test_obc_gaps_build_a_dense_matrix_only_for_the_fall_back(lapack_calls):
+def test_obc_gaps_build_no_dense_matrix(lapack_calls):
     # near FIG3's -0.5685 closing every |E| passes the squaring gate: the
-    # blocks come from the bands and the three certificates factor them
+    # product comes from the bands and the three certificates factor them
     fig3 = preset("FIG3").params
     closing = nearest(gbz_zero_gap_solutions(fig3), -0.5685)
     lapack_calls.clear()
     obc_central_gap(fig3.with_updates(L=200, JR=closing))
-    assert lapack_calls["dense"] == 0
+    assert lapack_calls["dense"] == 0 and lapack_calls["tbtrs"] == 0
     assert lapack_calls["gttrf"] == 3 and lapack_calls["getrf"] == 0
-    # at JR=-1 the edge pair forces the dense solve, which alone needs H
-    lapack_calls.clear()
-    obc_central_gap(fig3.with_updates(L=100, JR=-1.0))
-    assert lapack_calls["dense"] == 1
+    # at JR=-1 the edge pair is refined on the bidiagonal factors, two
+    # ?tbtrs substitutions per inverse-iteration step, and no H is built
+    for gap in (obc_central_gap, obc_side_gap):
+        lapack_calls.clear()
+        gap(fig3.with_updates(L=100, JR=-1.0))
+        assert lapack_calls["dense"] == 0
+        assert lapack_calls["tbtrs"] in (2, 4, 6)
 
 
 def test_obc_central_gap_keeps_the_fig3_closing_values():
@@ -360,3 +364,94 @@ def test_track_bands_tolerates_only_degenerate_ties():
 def test_loop_count_collapses_at_criticality():
     assert count_spectral_loops(hn(-2.5, L=50, boundary=PBC)) == 3
     assert count_spectral_loops(hn(-2.0, L=50, boundary=PBC)) == 0
+
+
+def _tracked(fn, evs):
+    try:
+        return fn(evs)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def _stacks(p):
+    """The eigenvalue stacks band tracking reads at p: the line gaps' 512
+    samples of the k-grid and of the GBZ circle, and the loop count's
+    closed k-grid of LOOP_K_POINTS + 1 samples."""
+    for use_gbz in (False, True):
+        yield np.linalg.eigvals(_contour_blochs(p, use_gbz, 512))
+    ev = np.linalg.eigvals(_contour_blochs(p, False, LOOP_K_POINTS))
+    yield np.concatenate([ev, ev[:1]])
+    ev = np.linalg.eigvals(_contour_blochs(p, True, LOOP_K_POINTS))
+    yield np.concatenate([ev, ev[:1]])
+
+
+def _bloch_topology_points(seed):
+    """The FIG3 and FIG2_HN points the benchmark's bloch_topology study
+    draws for a seed: stratified JR in [-2.25, 1] and [-3, -1]."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for name, (lo, hi), strata in (("FIG3", (-2.25, 1.0), 4),
+                                   ("FIG2_HN", (-3.0, -1.0), 3)):
+        width = (hi - lo) / strata
+        points += [preset(name).params.with_updates(
+            JR=lo + (i + rng.uniform()) * width) for i in range(strata)]
+    return points
+
+
+TRACKING_POINTS = (
+    [(name, preset(name).params) for name in PRESET_NAMES]
+    + [("FIG3_JR%g" % jr, preset("FIG3").params.with_updates(JR=jr))
+       for jr in (-2.3, -2.35, -2.5, -2.8, -2.975)]
+    + [("seed%d_%d" % (seed, i), p) for seed in range(1, 11)
+       for i, p in enumerate(_bloch_topology_points(seed))])
+
+
+@pytest.mark.parametrize("p", [c[1] for c in TRACKING_POINTS],
+                         ids=[c[0] for c in TRACKING_POINTS])
+def test_track_bands_is_the_sample_by_sample_loop(p):
+    # bit for bit the same bands, or the same error, on every stack
+    for evs in _stacks(p):
+        want, got = _tracked(track_bands_loop, evs), _tracked(_track_bands, evs)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_band_sweep_work_counts():
+    # deterministic work counters of the sweep: passes over all steps and
+    # the steps handed to linear_sum_assignment, at two fixed points
+    p = preset("FIG3").params
+    sweep = _band_sweep(np.linalg.eigvals(_contour_blochs(p, False, 512)))
+    assert (sweep.passes, sweep.solved) == (2, 0)
+    p = preset("FIG4_SSH").params
+    ev = np.linalg.eigvals(_contour_blochs(p, False, LOOP_K_POINTS))
+    sweep = _band_sweep(np.concatenate([ev, ev[:1]]))
+    assert (sweep.passes, sweep.solved) == (3, 6)
+    # the tie rule reads only the flagged rows, all in the solved steps
+    assert sweep.flagged.sum() == 8
+
+
+def test_min_distance_is_the_brute_force_minimum():
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        n, m = rng.integers(1, 60, size=2)
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        if trial % 4 == 1:  # a duplicated point: minimum 0
+            b[rng.integers(m)] = a[rng.integers(n)]
+        if trial % 4 == 2:  # exact ties: a lattice, every gap 0.25 or more
+            a = (rng.integers(-4, 4, n) + 1j * rng.integers(-4, 4, n)) * 0.5
+            b = a[rng.integers(n, size=m)] + 0.25
+        if trial % 4 == 3:  # tiny and huge scales
+            a, b = a * 1e-150, b * 1e-150
+        want = float(np.abs(a[:, None] - b[None, :]).min())
+        assert _min_distance(a, b) == want
+        assert _min_distance(b, a) == want
+
+
+def test_loop_count_at_fig3():
+    # three loops enclose area at JR = -1.2, none within LOOP_RESOLUTION of
+    # another: the bounded tree queries keep the count the unbounded ones
+    # gave
+    assert count_spectral_loops(preset("FIG3").params.with_updates(JR=-1.2)) == 3
