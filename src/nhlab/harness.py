@@ -14,7 +14,6 @@ from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (DegenerateSteadyStateError, DerivativeIllDefinedError,
                      NumericalError, ValidationError)
@@ -248,6 +247,7 @@ def find_peak(table, column):
             raise NumericalError("peak refinement failed at %r: %s" % (x, error))
         return values[column]
 
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda x: -f(x), method="bounded",
                           bounds=(float(xs[i - 1]), float(xs[i + 1])),
                           options={"xatol": PEAK_TOL})

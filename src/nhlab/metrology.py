@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .errors import (BoundUndefinedError, DegenerateSteadyStateError,
                      DerivativeIllDefinedError, NumericalError,
@@ -565,6 +564,7 @@ def _sine_amplitudes(v):
     """Amplitudes on the open chain's current eigenbasis, the sine modes
     i^j sqrt(2/(D+1)) sin(pi (j+1) k / (D+1)) (k = 1..D): one DST-I of
     (-i)^j v."""
+    import scipy.fft
     twisted = _QUARTER_TURNS[np.arange(len(v)) % 4] * v
     return scipy.fft.dst(twisted, type=1, norm="ortho")
 

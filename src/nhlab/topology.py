@@ -16,8 +16,9 @@ Bloch factor.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
+# scipy.optimize, scipy.spatial and scipy.sparse are imported inside the
+# functions that use them: loading them at import would cost every nhlab
+# process about 0.2 s and 20 MB
 
 from .errors import (AtTransitionError, NumericalError, UnsupportedStructureError,
                      ValidationError)
@@ -347,6 +348,7 @@ def _band_sweep(evs):
         new = np.where(unique[:, None], best, sigma)
         slow = np.flatnonzero(~unique)
         if len(slow):
+            from scipy.optimize import linear_sum_assignment
             # band order at each sample under the matchings found so far
             labels = np.empty((n_steps + 1, n), dtype=np.intp)
             labels[0], labels[1:] = first, new
@@ -425,6 +427,7 @@ def _min_distance(a, b):
     relative 1e-9 (plus sqrt(tiny), below which the squares lose
     precision) of the tree's minimum.
     """
+    from scipy.spatial import cKDTree
     d = cKDTree(np.column_stack([b.real, b.imag])).query(
         np.column_stack([a.real, a.imag]), k=1)[0]
     near = a[d <= d.min() * (1.0 + 1e-9) + np.sqrt(np.finfo(float).tiny)]
@@ -538,6 +541,8 @@ def count_spectral_loops(p):
     shoelace area exceeds LOOP_RESOLUTION; loops closer than
     LOOP_RESOLUTION merge into one component.
     """
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial import cKDTree
     ev = np.linalg.eigvals(_contour_blochs(p, False, LOOP_K_POINTS))
     bands = _track_bands(np.concatenate([ev, ev[:1]]))
     start = bands[:, 0]
@@ -570,8 +575,7 @@ def count_spectral_loops(p):
             loops.append(curve)
     if not loops:
         return 0
-    # merge loops that touch within the resolution; csgraph is imported
-    # here because loading it adds about 1 MB to every process's memory
+    # merge loops that touch within the resolution
     from scipy.sparse.csgraph import connected_components
     n = len(loops)
     adj = np.zeros((n, n), dtype=bool)

@@ -1,11 +1,15 @@
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
+import nhlab
 from nhlab import model
 from nhlab.model import ChainBands, ModelParams
 
@@ -94,3 +98,13 @@ def track_bands_loop(evs):
         prev2 = prev
         bands.append(ev[cols[np.argsort(rows)]])
     return np.array(bands).T
+
+
+def run_python(args, cwd):
+    """Run sys.executable with args in a fresh process that imports the
+    same nhlab as the tests; returns the CompletedProcess, text mode."""
+    source = str(Path(nhlab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=source + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable] + list(args), cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from conftest import run_python
 from nhlab import (exponent_vs_delta, gbz_radius, model_spectrum,
                    params_from_config)
 from nhlab.cli import main
@@ -69,6 +70,23 @@ def test_spectrum_output_is_byte_identical(tmp_path, capsys):
     assert main(["spectrum", "--config", ini, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == "# schema=nhlab-csv-1"
+
+
+def test_module_entry_point_runs_as_a_process(tmp_path, capsys):
+    # python -m nhlab.cli is the installed nhlab script's main
+    ini = write(tmp_path, HN)
+    proc = run_python(["-m", "nhlab.cli", "spectrum", "--config", ini,
+                       "--out", "a.csv"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["spectrum", "--config", ini, "--out", str(tmp_path / "b.csv")]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    bad = write(tmp_path, HN + "JX_re = 1.0\n", "bad.ini")
+    proc = run_python(["-m", "nhlab.cli", "spectrum", "--config", bad,
+                       "--out", "never.csv"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: validation: unknown config keys: JX_re\n"
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_spectrum_csv_floats_roundtrip(tmp_path):

@@ -1,10 +1,20 @@
-"""Every name a package module imports is used in that module, and every
-name it defines is referenced somewhere in the package or the tests."""
+"""Every name a package module imports is used in that module, every
+name it defines is referenced somewhere in the package or the tests, and
+importing nhlab loads no scipy subpackage beyond scipy.linalg until a
+function that needs one runs."""
 
 import ast
+import json
 from pathlib import Path
 
 import nhlab
+from conftest import run_python
+from nhlab import params_to_config, preset
+
+# loaded only inside the functions that use them; the tests' own imports
+# load some of them, so each check runs in a fresh process
+DEFERRED = ("scipy.optimize", "scipy.spatial", "scipy.fft", "scipy.sparse",
+            "scipy.special")
 
 # names a module imports only so that others can reach them through it:
 # bench/selftest.py reads harness.full_spectrum
@@ -64,3 +74,67 @@ def test_every_module_level_name_is_referenced():
             if not dunder and name not in referenced:
                 dead.append("%s: %s" % (path.name, name))
     assert not dead, "names nothing references: %s" % ", ".join(dead)
+
+
+COMMANDS = """
+import json
+import sys
+
+import nhlab
+import nhlab.cli
+
+config = sys.argv[1]
+codes = {name: nhlab.cli.main([name, "--config", config, "--out", name + ".csv"])
+         for name in ("spectrum", "skin", "winding", "qfi")}
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in sys.argv[2:] if m in sys.modules]}))
+"""
+
+
+def test_model_commands_load_no_deferred_subpackage(tmp_path):
+    # spectrum, skin, winding and qfi (position basis) on FIG4_HN at L = 34
+    p = preset("FIG4_HN").resized(34)
+    lines = ["[model]"] + ["%s = %s" % (k, v if isinstance(v, str) else repr(v))
+                           for k, v in params_to_config(p).items()]
+    lines += ["[metrology]", "labels = JR", "values = %r" % p.JR.real,
+              "[topology]", "kind = spectral", "eref_im = 0.2"]
+    (tmp_path / "hn.ini").write_text("\n".join(lines) + "\n")
+    proc = run_python(["-c", COMMANDS, "hn.ini"] + list(DEFERRED), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == {"spectrum": 0, "skin": 0, "winding": 0, "qfi": 0}
+    assert result["loaded"] == []
+    for name in ("spectrum", "skin", "winding", "qfi"):
+        assert (tmp_path / (name + ".csv")).stat().st_size > 0
+
+
+DEFERRED_CALLS = """
+import sys
+
+import numpy as np
+
+from nhlab import (SweepSpec, count_spectral_loops, current_basis, find_peak,
+                   line_gap_minima, preset, run_sweep)
+
+v = np.arange(32) + 1j
+assert np.isclose(np.linalg.norm(current_basis(preset("FIG3").resized(8)).amplitudes(v)),
+                  np.linalg.norm(v))
+assert "scipy.fft" in sys.modules and "scipy.optimize" not in sys.modules
+assert len(line_gap_minima(preset("FIG3").params)) == 3
+assert "scipy.spatial" in sys.modules
+# FIG3 at JR = -1.2 has three loops, so the merge step runs; FIG4_SSH's
+# loop grid hands steps to the assignment solve inside the band sweep
+assert count_spectral_loops(preset("FIG3").params.with_updates(JR=-1.2)) == 3
+assert count_spectral_loops(preset("FIG4_SSH").params) == 0
+spec = SweepSpec(base=preset("FIG4_HN").resized(16), axis="JR",
+                 grid=tuple(np.round(np.arange(-0.5, -0.299, 0.02), 10)),
+                 observables=frozenset(["QFI"]))
+assert not find_peak(run_sweep(spec), "QFI").boundary
+print("ok")
+"""
+
+
+def test_deferred_imports_resolve(tmp_path):
+    proc = run_python(["-c", DEFERRED_CALLS], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
