@@ -14,10 +14,13 @@ the right vector's derivative (Nelson's method, spectral.bordered_solve),
 one right-hand side per parameter, so state_derivatives gives the state
 and every derivative of a point from one solve.
 
-The point runs on the chain's bands (model.bond_bands), open chain or
-ring: H, H' and their norms are bands, and every factorization is a
-tridiagonal ?gttrf, so a point costs one (D/2)-square ?geev plus O(D)
-work and builds no D x D matrix.  The built-in measurement bases
+The point runs on the chain's bands (model.bond_bands): H, H' and their
+norms are bands, and every factorization is a tridiagonal ?gttrf, so a
+point costs one (D/2)-square ?geev plus O(D) work and builds no D x D
+matrix.  A PBC ring is block-circulant: its eigenpairs are its Bloch
+blocks' at k = 2 pi j / L (model.build_bloch) as plane waves, so
+model_spectrum, model_eigenvalues and the Fisher point solve it by those
+(r d)-square sectors.  The built-in measurement bases
 (position_basis, current_basis) are amplitude maps, the identity or one
 fast transform, so a classical Fisher information builds none either.
 
@@ -31,17 +34,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
-from .errors import (BoundUndefinedError, DegenerateSteadyStateError,
-                     DerivativeIllDefinedError, NumericalError,
-                     ValidationError)
+from .errors import (BoundUndefinedError, ConvergenceError,
+                     DegenerateSteadyStateError, DerivativeIllDefinedError,
+                     NumericalError, ValidationError)
 from .gbz import gbz_radius, skin_frame
 from .model import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED, bond_bands,
-                    chain_bands)
-from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, bordered_solve,
-                       certify, eigenpair, full_spectrum, phase_fixed,
-                       residuals, steady_neighbours, steady_state,
-                       sublattice_eigenvalues)
+                    build_bloch, chain_bands)
+from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, _order,
+                       bordered_solve, certify, eigenpair, full_spectrum,
+                       phase_fixed, residuals, steady_neighbours,
+                       steady_state, sublattice_eigenvalues)
 
 QUANTUM = "QUANTUM"
 CLASSICAL = "CLASSICAL"
@@ -216,6 +220,46 @@ def _skin_balanced(q):
     return bond_bands(q, q.J0, q.JL, q.JR, q.Jm * rho, q.JmP / rho), rho, frame
 
 
+def _sectors(p, j):
+    """The Bloch blocks of p's ring in its sectors j, at k = 2 pi j / L
+    (model.build_bloch)."""
+    return build_bloch(p, 2.0 * np.pi * np.asarray(j) / p.L)
+
+
+def _plane_waves(p, j):
+    """exp(i k n) / sqrt(L) over the module index n for the ring sectors
+    j, one column each, with exact phases."""
+    n = np.arange(p.L)
+    return np.exp(2j * np.pi * (np.outer(n, j) % p.L) / p.L) / np.sqrt(p.L)
+
+
+def _ring_values(p):
+    """(values, sector): the sorted eigenvalues of p's PBC ring, its L
+    Bloch blocks' from one batched ?geev, and the sector j of each."""
+    values = np.linalg.eigvals(_sectors(p, np.arange(p.L))).ravel()
+    order = _order(values, DEFAULT_TOL_EIG)
+    return values[order], order // (p.r * p.d)
+
+
+def _ring_spectrum(p, tol_eig):
+    """model_spectrum of a PBC ring from its L Bloch sectors: the pair
+    (lambda, u) of the block at k gives (lambda, exp(i k n) u / sqrt(L)),
+    whose residual is the block's ||H_k u - lambda u||, held to
+    full_spectrum's gate with ||H||_F of the ring's bands."""
+    blocks = _sectors(p, np.arange(p.L))
+    w, U = np.linalg.eig(blocks)
+    res = np.linalg.norm(blocks @ U - U * w[:, None, :], axis=1).ravel()
+    bound = tol_eig * max(float(np.linalg.norm(chain_bands(p).entries)), 1.0)
+    if np.any(res > bound):
+        raise ConvergenceError("eigensolver residual %.3e exceeds %.3e (dim %d)"
+                               % (res.max(), bound, p.D))
+    order = _order(w.ravel(), tol_eig)
+    j, b = np.divmod(order, p.r * p.d)
+    vecs = (_plane_waves(p, j)[:, None] * U[j, :, b].T).reshape(p.D, p.D)
+    return SpectralDecomposition(values=w.ravel()[order], right_vectors=vecs,
+                                 residuals=res[order])
+
+
 def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
     """Spectrum of the model's Hamiltonian, solved in its skin-balancing
     frame (the one spectral path every consumer of a model shares).
@@ -229,8 +273,11 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
     shifted so each column peaks at 1, so no component overflows however
     large s grows.  The mapping is an exact similarity, so this changes
     rounding behavior only; the residuals are taken against the raw
-    Hamiltonian's bands (spectral.residuals).
+    Hamiltonian's bands (spectral.residuals).  A PBC ring is solved by
+    its Bloch sectors (_ring_spectrum).
     """
+    if p.boundary == PBC:
+        return _ring_spectrum(p, tol_eig)
     Hb, _, ln_s = _skin_balanced(p)
     dec = full_spectrum(Hb, tol_eig)
     if ln_s is None:
@@ -257,11 +304,13 @@ def model_eigenvalues(p):
     eigenvalues, sorted at DEFAULT_TOL_EIG's resolution, from
     full_spectrum's values-only solve (on one sublattice, a value too
     close to zero for the squared solve refined on the bidiagonal
-    factors).  Nothing here checks a
-    residual; certify each eigenvalue a result reads with
-    spectral.certify(H, values).
+    factors), or a PBC ring's from its Bloch sectors (_ring_values).
+    Nothing here checks a residual; certify each eigenvalue an open
+    chain's result reads with spectral.certify(H, values).
     """
     H = _skin_balanced(p)[0]
+    if p.boundary == PBC:
+        return H, _ring_values(p)[0]
     return H, full_spectrum(H, vectors=False)
 
 
@@ -426,24 +475,33 @@ def _steady_derivatives(p, ps, indices):
     (spectral.bordered_solve).  All vectors are mapped back with one
     scale, and each state derivative is (1 - psi psi^+) dr / ||r||.
 
-    The chain, open or ring, runs on its bands (model.bond_bands) and no
-    D x D matrix is built or factored: the half-size product is written
-    from the bands, eigenpair, certify and the bordered solve (Nelson's
-    deletion) factor tridiagonals with ?gttrf, and H, H' and their norms
-    are bands, so a point costs one (D/2)-square ?geev plus O(D) work.
-    Only the dense fall-back of sublattice_eigenvalues builds H, when it
-    is taken (an odd ring always takes it; an even chain only where the
-    bidiagonal refinement cannot run).
+    The chain runs on its bands (model.bond_bands) and no D x D matrix
+    is built or factored: the half-size product is written from the
+    bands, eigenpair, certify and the bordered solve (Nelson's deletion,
+    which opens a ring) factor tridiagonals with ?gttrf, and H, H' and
+    their norms are bands, so a point costs one (D/2)-square ?geev plus
+    O(D) work.  Only the dense fall-back of sublattice_eigenvalues builds
+    H, where the bidiagonal refinement cannot run.  A PBC ring takes its
+    eigenvalues from its Bloch sectors (_ring_values) and r and l as the
+    plane waves of the steady sector's right and left Bloch vectors.
     """
     if any(not 0 <= i < ps.l for i in indices):
         raise ValidationError("parameter index out of range")
     q = apply_params(p, ps)
     H, rho, frame = _skin_balanced(q)
-    values = sublattice_eigenvalues(H)
-    _check_nondegenerate(values)
+    if q.boundary == PBC:
+        values, sector = _ring_values(q)
+        _check_nondegenerate(values)
+        w, left, right = scipy.linalg.eig(_sectors(q, sector[0]), left=True)
+        b = int(np.argmin(np.abs(w - values[0])))
+        wave = _plane_waves(q, sector[:1])[:, 0]
+        r, l = (np.kron(wave, v[:, b]) for v in (right, left))
+    else:
+        values = sublattice_eigenvalues(H)
+        _check_nondegenerate(values)
+        r, l = eigenpair(H, values[0], left=True)
+        certify(H, values[steady_neighbours(values)])
     lam = values[0]
-    r, l = eigenpair(H, lam, left=True)
-    certify(H, values[steady_neighbours(values)])
     norm = float(np.linalg.norm(H.entries))
     rhs = []
     for i in indices:

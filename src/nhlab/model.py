@@ -10,7 +10,10 @@ count is ``N = r*L``.  Couplings: a real Hermitian sublevel hopping
 Basis ordering is lexicographic in (module n, site mu, sublevel nu); the
 flat index of ``(n, mu, nu)`` with 1-based labels is
 ``((n-1)*r + (mu-1))*d + (nu-1)``.  Matrices follow the convention
-``H[a, b] = <a|H|b>``.  All builders are pure functions.
+``H[a, b] = <a|H|b>``.  All builders are pure functions.  A PBC ring is
+block-circulant in the modules, so its eigenpairs are the Bloch blocks'
+(build_bloch) at k = 2*pi*j/L as plane waves, and it is solved by those
+sectors; its ChainBands close the chain with two corners.
 """
 
 from dataclasses import dataclass, replace

@@ -1,4 +1,4 @@
-"""Non-normal eigenproblems on dense matrices and chain bands, and
+"""Non-normal eigenproblems on dense matrices and open chains, and
 skin-effect diagnostics.
 
 full_spectrum solves for every eigenvalue, with the right eigenvectors
@@ -16,30 +16,28 @@ frame (metrology.model_spectrum over full_spectrum); a raw solve of a
 skin-amplified chain loses eigenvalues to pseudospectral error that the
 residual gate does not see.
 
-Every chain here, open or ring, comes as model.ChainBands, and eigenpair,
-certify and bordered_solve take nothing else: an open chain is exactly
-tridiagonal, so H - lambda is factored by LAPACK ?gttrf and solved by
-?gttrs in O(D) work; a PBC ring is the same tridiagonal plus its two
-corners, a rank-1 correction (Sherman-Morrison) to that one
-factorization; and the bordered solve deletes one site of either, which
-leaves an open chain.  full_spectrum, residuals and
-sublattice_eigenvalues read a chain's bands directly and also accept a
-dense matrix, which always takes the dense solve.  A D x D matrix is
-built only for what has no half-size path: the eigenvalues of an odd
-ring (not bipartite), the vectors of an odd D, and the few near-zero
-values the refinement below cannot take, each only when it runs
-(FALL_BACKS counts them by cause).
+An open chain comes as model.ChainBands, and eigenpair and certify take
+nothing else: it is exactly tridiagonal, so H - lambda is factored by
+LAPACK ?gttrf and solved by ?gttrs in O(D) work.  full_spectrum,
+residuals and sublattice_eigenvalues read an open chain's bands directly
+and also accept a dense matrix, which always takes the dense solve.  A
+PBC ring is block-circulant and is solved by its Bloch sectors
+(metrology.model_spectrum), so these five functions refuse a ring's
+bands; bordered_solve still takes them, since deleting one site of a
+ring leaves an open chain.  A D x D matrix is built only for what has no
+half-size path: the vectors of an odd D and the few near-zero values the
+refinement below cannot take, each only when it runs (FALL_BACKS counts
+them by cause).
 
 Both eigensolvers work on one sublattice where they can: every open
-chain and even ring couples even to odd positions only, so the
-eigenvalues are +-sqrt of those of the (D/2)-square product
-M = H_oe H_eo of the two off-diagonal blocks, about 1/8 of the flops
-(_half_solve).  M is written from the bands in O(D) work
-(_band_product), and the eigenvectors follow from M's through band
-products (_hop), which also give the residuals.  full_spectrum (model
-spectra, skin profiles, edge states, the OBC gaps) and
-sublattice_eigenvalues (the steady solve, no vectors) share that solve.
-Squaring loses absolute accuracy near zero
+chain couples even to odd positions only, so the eigenvalues are +-sqrt
+of those of the (D/2)-square product M = H_oe H_eo of the two
+off-diagonal blocks, about 1/8 of the flops (_half_solve).  M is written
+from the bands in O(D) work (_band_product), and the eigenvectors follow
+from M's through band products (_hop), which also give the residuals.
+full_spectrum (model spectra, skin profiles, edge states, the OBC gaps)
+and sublattice_eigenvalues (the steady solve, no vectors) share that
+solve.  Squaring loses absolute accuracy near zero
 (eps ||H||^2 / |lambda| instead of eps ||H||), so each value is held to
 the squaring gate: full_spectrum holds every value to it, the steady
 solve only the values it reads.  A value that fails, such as an edge
@@ -74,9 +72,9 @@ SQUARING_GATE = 1e-12
 # subspace inverse iteration on the bidiagonal factors stops after at most
 # this many steps (_refine)
 REFINE_STEPS = 6
-# dense solves of a chain's bands, by cause: "odd ring", "odd vectors",
-# "odd dimension", "singular factor", "unconverged", "residual" (a pair
-# failed the residual gate) and "lapack"
+# dense solves of a chain's bands, by cause: "odd vectors", "odd
+# dimension", "singular factor", "unconverged", "residual" (a pair failed
+# the residual gate) and "lapack"
 FALL_BACKS = Counter()
 
 
@@ -117,21 +115,24 @@ def _real_if_possible(H):
     return H if np.any(H.imag) else H.real
 
 
+def _open_chain(H):
+    """The bands H, unless they close a ring."""
+    if H.corners.any():
+        raise ValidationError(
+            "a PBC ring's bands are not solved as a chain: take "
+            "model_spectrum of its model (the ring's Bloch sectors) or the "
+            "dense matrix of build_hamiltonian")
+    return H
+
+
 def _split(H):
     """H for the eigensolvers: checked and in real arithmetic when it is
-    real; ChainBands stay bands."""
+    real; an open chain's ChainBands stay bands."""
     if isinstance(H, ChainBands):
-        entries = _real_if_possible(_finite(H.entries))
+        entries = _real_if_possible(_finite(_open_chain(H).entries))
         n = len(H.upper)
         return ChainBands(entries[:n], entries[n:2 * n], entries[2 * n:])
     return _real_if_possible(_checked(H))
-
-
-def _bipartite(H):
-    """True for the bands of an open chain or an even ring, which couple
-    even to odd positions only; an odd ring's corners join two even ones."""
-    return (isinstance(H, ChainBands)
-            and not (len(H.upper) % 2 == 0 and H.corners.any()))
 
 
 def _dense(H):
@@ -148,23 +149,23 @@ def _order(values, tol_eig):
 
 
 def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
-    """Diagonalize a chain (model.ChainBands) or a dense matrix with a
-    residual guarantee.
+    """Diagonalize an open chain (model.ChainBands) or a dense matrix with
+    a residual guarantee.
 
-    The bands of an open chain or an even ring (bipartite, see
-    _bipartite) are solved on one sublattice (_half_solve): every value
-    is held to the squaring gate, those too close to zero for the
-    squared solve after their refinement on the bidiagonal factors
+    An open chain's bands are solved on one sublattice (_half_solve):
+    every value is held to the squaring gate, those too close to zero for
+    the squared solve after their refinement on the bidiagonal factors
     (_refine), and the vectors are kept only if every pair then passes
-    the residual gate below.  Anything else (a dense matrix, an odd ring,
-    odd dimension with vectors, a value the refinement cannot take, a
-    failed residual gate, a LAPACK failure of the half solve) takes the
-    dense solve, LAPACK ?geev of H, made dense from the bands only then
-    and counted in FALL_BACKS for a chain's bands.  A matrix with an all-zero
+    the residual gate below.  Anything else (a dense matrix, odd
+    dimension with vectors, a value the refinement cannot take, a failed
+    residual gate, a LAPACK failure of the half solve) takes the dense
+    solve, LAPACK ?geev of H, made dense from the bands only then and
+    counted in FALL_BACKS for a chain's bands.  A matrix with an all-zero
     imaginary part goes to LAPACK as real (dgeev, not zgeev).  Values and
     vectors come back complex either way, and the residuals are taken
     against the matrix as given: through the bands' two halves (_hop)
-    for a bipartite chain, as one dense product otherwise.
+    for a chain, as one dense product otherwise.  A ring's bands raise
+    ValidationError (metrology.model_spectrum solves a ring).
 
     Eigenpairs are sorted by decreasing imaginary part, ties broken by
     decreasing real part, so the ordering (and therefore steady-state
@@ -188,7 +189,6 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     if not vectors:
         if half is not None and _squaring_ok(*half[:2]):
             return half[0]
-        _count_fall_back(H, half, vectors)
         return _dense_solve(_dense(H), tol_eig, vectors=False)
     bound = tol_eig * max(_frobenius(H), 1.0)
     if half is not None and half[2] is not None:
@@ -198,8 +198,8 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
             return SpectralDecomposition(values=values, right_vectors=vecs,
                                          residuals=residuals)
         FALL_BACKS["residual"] += 1
-    else:
-        _count_fall_back(H, half, vectors)
+    elif isinstance(H, ChainBands) and len(H.upper) % 2 == 0:
+        FALL_BACKS["odd vectors"] += 1
     half = vecs = None  # frees the rejected vectors before the dense solve
     values, vecs = _dense_solve(_dense(H), tol_eig, vectors=True)
     residuals = _residuals(H, vecs, values)
@@ -209,17 +209,6 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
             % (residuals.max(), bound, len(values)))
     return SpectralDecomposition(values=values, right_vectors=vecs,
                                  residuals=residuals)
-
-
-def _count_fall_back(H, half, vectors):
-    """Count the cause of a chain's dense solve that _half_solve did not
-    count itself (a refinement it gave up on counts there)."""
-    if not isinstance(H, ChainBands) or half is not None:
-        return
-    if not _bipartite(H):
-        FALL_BACKS["odd ring"] += 1
-    elif vectors and len(H.upper) % 2 == 0:
-        FALL_BACKS["odd vectors"] += 1
 
 
 def _dense_solve(A, tol_eig, vectors):
@@ -240,40 +229,35 @@ def _dense_solve(A, tol_eig, vectors):
 
 
 def _band_product(H):
-    """M = H_oe H_eo of the bipartite chain H (bands, see _bipartite) in
-    O(D) work, written into the one floor(D/2)-square array LAPACK needs.
-    With a_k = H[2k+1, 2k], b_k = H[2k+1, 2k+2], c_k = H[2k, 2k+1] and
-    d_k = H[2k+2, 2k+1], M is tridiagonal: M[k, k] = a_k c_k + b_k d_k,
-    M[k, k+1] = b_k c_{k+1} and M[k+1, k] = a_{k+1} d_k.  On an even ring
-    b and d end in the corners, whose wrap bond closes M cyclically."""
-    upper, lower, corners = H
+    """M = H_oe H_eo of the open chain H (bands) in O(D) work, written
+    into the one floor(D/2)-square array LAPACK needs.  With
+    a_k = H[2k+1, 2k], b_k = H[2k+1, 2k+2], c_k = H[2k, 2k+1] and
+    d_k = H[2k+2, 2k+1] (b and d zero past the chain's end), M is
+    tridiagonal: M[k, k] = a_k c_k + b_k d_k, M[k, k+1] = b_k c_{k+1}
+    and M[k+1, k] = a_{k+1} d_k."""
+    upper, lower, _ = H
     n = (len(upper) + 1) // 2
     a, c = lower[0::2], upper[0::2]
-    b = np.append(upper[1::2], corners[0])[:n]
-    d = np.append(lower[1::2], corners[1])[:n]
+    b = np.append(upper[1::2], 0.0)[:n]
+    d = np.append(lower[1::2], 0.0)[:n]
     M = np.zeros((n, n), dtype=np.result_type(a, b, c, d))
     k = np.arange(n)
     M[k, k] = a * c + b * d
     M[k[:-1], k[1:]] = b[:-1] * c[1:]
     M[k[1:], k[:-1]] = a[1:] * d[:-1]
-    if corners.any():
-        M[-1, 0] += b[-1] * c[0]
-        M[0, -1] += a[0] * d[-1]
     return M
 
 
 def _hop(H, x, rows):
     """Rows rows, rows + 2, ... of H v from the block x = v[1-rows::2] of
-    columns (H_eo x for rows=0, H_oe x for rows=1), H a bipartite chain's
-    bands (see _bipartite), in O(D) work per column; an even ring's
-    corners add H[0, D-1] v[D-1] to row 0 and H[D-1, 0] v[0] to row D-1."""
-    upper, lower, corners = H
+    columns (H_eo x for rows=0, H_oe x for rows=1), H an open chain's
+    bands, in O(D) work per column."""
+    upper, lower, _ = H
     up, down = upper[rows::2], lower[1 - rows::2]
     y = np.zeros(((len(upper) + 2 - rows) // 2,) + x.shape[1:],
                  dtype=np.result_type(upper, x))
     np.multiply(up[:, None], x[rows:rows + len(up)], out=y[:len(up)])
     y[1 - rows:1 - rows + len(down)] += down[:, None] * x[:len(down)]
-    y[-rows] += corners[1 - rows] * x[rows - 1]  # zero on an open chain
     return y
 
 
@@ -284,7 +268,7 @@ def _squaring_ok(values, error):
 
 
 def _half_solve(H, tol_eig, vectors, reads=None):
-    """Sublattice solve of a bipartite chain H from its bands (_split).
+    """Sublattice solve of an open chain H from its bands (_split).
 
     The eigenvalues are +-sqrt(mu), mu running over the eigenvalues of
     the floor(D/2)-square product M = H_oe H_eo (_band_product, the only
@@ -302,10 +286,10 @@ def _half_solve(H, tol_eig, vectors, reads=None):
     (_hop), or lambda H_oe^-1 x for a refined value, so that no step
     divides by a tiny lambda; the vectors of +-lambda are images of each
     other under S = diag((-1)^i) up to a sign.  Otherwise vecs is None.
-    Returns None for a dense matrix, an odd ring (see _bipartite),
-    vectors=True at odd D (an even number of bonds) and a LAPACK failure.
+    Returns None for a dense matrix, vectors=True at odd D (an even
+    number of bonds) and a LAPACK failure.
     """
-    if not _bipartite(H) or (vectors and len(H.upper) % 2 == 0):
+    if not isinstance(H, ChainBands) or (vectors and len(H.upper) % 2 == 0):
         return None
     D = len(H.upper) + 1
     M = _band_product(H)
@@ -364,54 +348,26 @@ def _signed(root, root_error, D, tol_eig):
 
 
 def _factor_solve(H):
-    """solve(X, factor, adjoint) applying the inverse of a bidiagonal
-    factor of the even bipartite chain H (_split bands) to the columns of
-    X: factor "oe" is H_oe = H[1::2, 0::2] (upper bidiagonal, diagonal
-    a_k = H[2k+1, 2k]), "eo" is H_eo = H[0::2, 1::2] (lower bidiagonal,
-    diagonal c_k = H[2k, 2k+1]), each by one LAPACK ?tbtrs substitution
-    in O(D) work per column, trans 'C' for the adjoint.  An even ring's
-    corners put one entry in each factor's far corner, a rank-1 term
-    solved by Sherman-Morrison.  Returns None when a factor is singular:
-    an exactly zero diagonal entry, or a zero Sherman-Morrison
-    denominator."""
-    upper, lower, corners = H
+    """solve(X, factor) applying the inverse of a bidiagonal factor of
+    the even open chain H (_split bands) to the columns of X: factor "oe"
+    is H_oe = H[1::2, 0::2] (upper bidiagonal, diagonal a_k = H[2k+1, 2k]),
+    "eo" is H_eo = H[0::2, 1::2] (lower bidiagonal, diagonal
+    c_k = H[2k, 2k+1]), each by one LAPACK ?tbtrs substitution in O(D)
+    work per column.  Returns None when a factor is singular (an exactly
+    zero diagonal entry)."""
+    upper, lower, _ = H
     n = (len(upper) + 1) // 2
-    dtype = np.result_type(upper, lower, corners)
-    oe, eo = np.zeros((2, 2, n), dtype=dtype)
+    oe, eo = np.zeros((2, 2, n), dtype=np.result_type(upper, lower))
     oe[1], oe[0, 1:] = lower[0::2], upper[1::2]
     eo[0], eo[1, :-1] = upper[0::2], lower[1::2]
     if not (oe[1].all() and eo[0].all()):
         return None
     (tbtrs,) = scipy.linalg.get_lapack_funcs(("tbtrs",), (oe,))
-    # each factor's band storage, triangle and far-corner entry u at (p, q)
-    factors = {"oe": (oe, "U", (n - 1, 0, corners[0])),
-               "eo": (eo, "L", (0, n - 1, corners[1]))}
+    factors = {"oe": (oe, "U"), "eo": (eo, "L")}
 
-    def triangular(B, factor, adjoint):
-        ab, uplo, _ = factors[factor]
-        return tbtrs(ab, B, uplo=uplo, trans="C" if adjoint else "N")[0]
-
-    fixes = {}
-    for factor, (_, _, (p, q, u)) in factors.items():
-        if u == 0:
-            continue
-        # F = T + u e_p e_q^T and F^H = T^H + conj(u) e_q e_p^T
-        for adjoint, (p, q, u) in ((False, (p, q, u)),
-                                   (True, (q, p, np.conj(u)))):
-            e = np.zeros((n, 1), dtype=dtype)
-            e[p] = u
-            z = triangular(e, factor, adjoint)[:, 0]
-            denom = 1.0 + z[q]
-            if denom == 0:
-                return None
-            fixes[factor, adjoint] = (z / denom, q)
-
-    def solve(B, factor, adjoint=False):
-        y = triangular(B, factor, adjoint)
-        if (factor, adjoint) in fixes:
-            z, q = fixes[factor, adjoint]
-            y = y - np.outer(z, y[q])
-        return y
+    def solve(B, factor):
+        ab, uplo = factors[factor]
+        return tbtrs(ab, B, uplo=uplo)[0]
 
     return solve
 
@@ -477,10 +433,10 @@ def _frobenius(H):
 
 
 def _residuals(H, vecs, values):
-    """||H v - lambda v||_2 for each column v of vecs, H from _split: a
-    bipartite chain's two halves (_hop) replace the D x D product, which
-    is taken only for a dense matrix or an odd ring."""
-    if _bipartite(H):
+    """||H v - lambda v||_2 for each column v of vecs, H from _split: an
+    open chain's two halves (_hop) replace the D x D product, which is
+    taken only for a dense matrix."""
+    if isinstance(H, ChainBands):
         parts = ((0, vecs[1::2], vecs[0::2]), (1, vecs[0::2], vecs[1::2]))
     else:
         H, parts = _dense(H), ((None, vecs, vecs),)
@@ -495,8 +451,8 @@ def _residuals(H, vecs, values):
 
 def residuals(H, vecs, values):
     """Per-pair ||H v - lambda v||_2 of the columns of vecs, as
-    full_spectrum takes them: H is a chain's bands, applied in O(D) work
-    per vector when the chain is bipartite, or a dense matrix."""
+    full_spectrum takes them: H is an open chain's bands, applied in O(D)
+    work per vector, or a dense matrix."""
     return _residuals(_split(H), vecs, values)
 
 
@@ -509,10 +465,10 @@ def steady_neighbours(values):
 
 
 def sublattice_eigenvalues(H):
-    """Sorted eigenvalues of a bipartite chain from a half-size solve.
+    """Sorted eigenvalues of an open chain from a half-size solve.
 
-    H is model.ChainBands or a dense matrix.  The bands of an open chain
-    or an even ring couple even to odd positions only; then
+    H is an open chain's model.ChainBands or a dense matrix.  The bands
+    of an open chain couple even to odd positions only; then
     S H S = -H for S = diag((-1)^i), and _half_solve gives the eigenvalues
     from the floor(D/2)-square product H_oe H_eo (H_oe = H[1::2, 0::2],
     H_eo = H[0::2, 1::2]), written from the bands in O(D) work
@@ -524,9 +480,9 @@ def sublattice_eigenvalues(H):
     steady_neighbours) are held to the squaring gate.  Where one of them
     fails it, every failing value is refined on the bidiagonal factors,
     as full_spectrum(H, vectors=False) refines them; where the
-    refinement cannot run, and for an odd ring or a dense matrix, this
-    returns the dense solve's eigenvalues instead, without a second half
-    solve; only then are a chain's bands made dense.
+    refinement cannot run, and for a dense matrix, this returns the
+    dense solve's eigenvalues instead, without a second half solve; only
+    then are a chain's bands made dense.
     """
     H = _split(H)
     half = _half_solve(H, DEFAULT_TOL_EIG, vectors=False, reads=_steady_reads)
@@ -535,7 +491,6 @@ def sublattice_eigenvalues(H):
         read = _steady_reads(values)
         if _squaring_ok(values[read], error[read]):
             return values
-    _count_fall_back(H, half, vectors=False)
     return _dense_solve(_dense(H), DEFAULT_TOL_EIG, vectors=False)
 
 
@@ -583,44 +538,14 @@ def _complex_bands(H):
     return ChainBands(*(np.asarray(_finite(b), dtype=complex) for b in H))
 
 
-def _rank_one(solve, u, v):
-    """Solve for T + u v^T from solve for T (Sherman-Morrison): one more
-    solve, for T^-1 u, and O(D) work per right-hand side.  An exactly zero
-    denominator (T + u v^T exactly singular) is replaced by eps, as an
-    exactly zero pivot is."""
-    with np.errstate(all="ignore"):
-        z = solve(u)
-    denom = 1.0 + v @ z
-    if denom == 0:
-        denom = np.finfo(float).eps
-
-    def corrected(b):
-        y = solve(b)
-        return y - z * ((v @ y) / denom)
-
-    return corrected
-
-
 def _shifted(H, lam, pivot):
-    """shifted(adjoint) -> (solve, residual) for H - lam, H complex bands,
-    from one ?gttrf factorization: solve applies the inverse of H - lam
-    (adjoint=False) or of its conjugate transpose (adjoint=True), and
-    residual(x) is that matrix times x, through the bands.  Exactly zero
-    pivots are replaced by pivot.  A ring's corners c0 = H[D-1, 0] and
-    c1 = H[0, D-1] are the rank-1 term u v^T, u = g e_0 + c0 e_{D-1},
-    v = e_0 + (c1 / g) e_{D-1}, whose diagonal entries g and c0 c1 / g the
-    factored tridiagonal subtracts; g = max(|c0|, |c1|) keeps both within
-    the corners' size.  Open chains factor H - lam itself.
+    """shifted(adjoint) -> (solve, residual) for H - lam, H an open
+    chain's complex bands, from one ?gttrf factorization: solve applies
+    the inverse of H - lam (adjoint=False) or of its conjugate transpose
+    (adjoint=True), and residual(x) is that matrix times x, through the
+    bands.  Exactly zero pivots are replaced by pivot.
     """
-    D = len(H.upper) + 1
-    diag = np.zeros(D, dtype=complex) - lam
-    ring = H.corners.any()
-    if ring:
-        c0, c1 = H.corners
-        g = max(abs(c0), abs(c1))
-        uv = np.zeros((2, D), dtype=complex)  # rows u and v
-        uv[:, [0, -1]] = [[g, c0], [1.0, c1 / g]]
-        diag[[0, -1]] -= g, c0 * c1 / g
+    diag = np.zeros(len(H.upper) + 1, dtype=complex) - lam
     gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
     # gttrf completes the factorization past an exactly zero pivot
     dl, d, du, du2, ipiv, _ = gttrf(H.lower, diag, H.upper)
@@ -630,15 +555,11 @@ def _shifted(H, lam, pivot):
         trans, M, mu = "N", H, lam
         if adjoint:
             trans, mu = "C", np.conj(lam)
-            M = ChainBands(H.lower.conj(), H.upper.conj(),
-                           H.corners[::-1].conj())
+            M = ChainBands(H.lower.conj(), H.upper.conj(), H.corners)
 
         def solve(b):
             return gttrs(dl, d, du, du2, ipiv, b, trans=trans)[0]
 
-        if ring:
-            # (T + u v^T)^H = T^H + conj(v) conj(u)^T
-            solve = _rank_one(solve, *(uv[::-1].conj() if adjoint else uv))
         return solve, lambda x: M @ x - mu * x
 
     return shifted
@@ -649,12 +570,12 @@ def eigenpair(H, lam, left=False):
 
     One factorization of H - lam I drives inverse iteration for the right
     vector r (H r = lam r) and, with left=True, the left vector l
-    (l^H H = lam l^H), returned as (r, l).  H is model.ChainBands, an open
-    chain or a PBC ring, with D >= 3 (scipy's ?gttrf wrapper needs three
-    rows; every model chain has four or more).  Its tridiagonal part is
-    factored by LAPACK ?gttrf and solved by ?gttrs, trans 'N' for r and
-    'C' for l, in O(D) work, a ring's corners entering as a rank-1
-    correction (_shifted), with residuals from the bands.  Each vector is
+    (l^H H = lam l^H), returned as (r, l).  H is an open chain's
+    model.ChainBands with D >= 3 (scipy's ?gttrf wrapper needs three
+    rows; every model chain has four or more); a ring's bands raise
+    ValidationError.  H - lam is factored by LAPACK ?gttrf and solved by
+    ?gttrs, trans 'N' for r and 'C' for l, in O(D) work (_shifted), with
+    residuals from the bands.  Each vector is
     kept only if its residual is at most DEFAULT_TOL_EIG *
     max(||H||_F, 1), full_spectrum's default gate, so a value lam that is
     not an eigenvalue of H to that accuracy raises ConvergenceError, as
@@ -663,7 +584,7 @@ def eigenpair(H, lam, left=False):
     eps * max(||H||_F, 1).  The start vector is fixed, so the result is
     deterministic.
     """
-    return _eigenpair(_complex_bands(H), lam, left)
+    return _eigenpair(_complex_bands(_open_chain(H)), lam, left)
 
 
 def _eigenpair(H, lam, left):
@@ -682,11 +603,26 @@ def _eigenpair(H, lam, left):
 
 def certify(H, values):
     """Raise ConvergenceError unless each value is an eigenvalue of the
-    chain H to full_spectrum's residual gate: one inverse-iteration vector
-    each, from one factorization of H - lambda each, as in eigenpair."""
-    H = _complex_bands(H)
+    open chain H to full_spectrum's residual gate: one inverse-iteration
+    vector each, from one factorization of H - lambda each, as in
+    eigenpair."""
+    H = _complex_bands(_open_chain(H))
     for lam in values:
         _eigenpair(H, lam, left=False)
+
+
+def _opened(H, k):
+    """(chain, order): the open chain H leaves without site k, its sites
+    taken in the order k+1, ..., D-1, 0, ..., k-1 (order), so that its
+    bond from position D-1 to 0 is a ring's wrap bond (H[D-1, 0] above
+    the diagonal, H[0, D-1] below), zero on an open chain."""
+    D = len(H.upper) + 1
+    order = (k + 1 + np.arange(D - 1)) % D
+    # bond i couples i and i+1 mod D, so the opened chain's bonds are
+    # those starting at order[:-1]
+    upper, lower = (np.append(band, corner)[order[:-1]] for band, corner
+                    in zip(H[:2], H.corners))
+    return ChainBands(upper, lower, np.zeros(2, dtype=upper.dtype)), order
 
 
 def bordered_solve(H, lam, r, l, rhs):
@@ -698,31 +634,23 @@ def bordered_solve(H, lam, r, l, rhs):
     method, solved by Nelson's deletion in O(D) work.  The (k, k)
     cofactor of H - lam is proportional to r_k l_k^*, so for
     k = argmax |r_k l_k| the matrix without row and column k has the
-    largest determinant of any such deletion.  Taken in the order
-    k+1, ..., D-1, 0, ..., k-1 it is an open chain, whose bond from
-    position D-1 to 0 is the ring's wrap bond (H[D-1, 0] above the
-    diagonal, H[0, D-1] below), zero on an open chain.  One ?gttrf
-    factorization solves it for every b with x_k = 0 (row k of the full
-    system is a combination of the others, with weights from l), and the
-    r component is projected out so that l^H x = 0.  The reduced chain
-    needs three sites for ?gttrf, so D >= 4, as on every model chain.  A
-    singular reduced system raises numpy.linalg.LinAlgError.
+    largest determinant of any such deletion, and it is an open chain
+    (_opened), a ring's included.  One ?gttrf factorization solves it for
+    every b with x_k = 0 (row k of the full system is a combination of
+    the others, with weights from l), and the r component is projected
+    out so that l^H x = 0.  The reduced chain needs three sites for
+    ?gttrf, so D >= 4, as on every model chain.  A singular reduced
+    system raises numpy.linalg.LinAlgError.
     """
-    H = _complex_bands(H)
-    D = len(r)
-    k = int(np.argmax(np.abs(r * l)))
-    order = (k + 1 + np.arange(D - 1)) % D
-    # bond i couples i and i+1 mod D, so the rotated chain's bonds are
-    # those starting at order[:-1]
-    upper, lower = (np.append(band, corner)[order[:-1]] for band, corner
-                    in zip(H[:2], H.corners))
-    gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (upper,))
+    chain, order = _opened(_complex_bands(H), int(np.argmax(np.abs(r * l))))
+    gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"),
+                                                 (chain.upper,))
     dl, d, du, du2, ipiv, info = gttrf(
-        lower, np.zeros(D - 1, dtype=complex) - lam, upper)
+        chain.lower, np.zeros(len(order), dtype=complex) - lam, chain.upper)
     if info > 0:
         raise np.linalg.LinAlgError(
             "exactly zero pivot %d in the reduced system" % info)
-    x = np.zeros((D, rhs.shape[1]), dtype=complex)
+    x = np.zeros((len(r), rhs.shape[1]), dtype=complex)
     x[order] = gttrs(dl, d, du, du2, ipiv, rhs[order])[0]
     return x - np.outer(r, l.conj() @ x) / np.vdot(l, r)
 

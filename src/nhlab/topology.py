@@ -24,7 +24,8 @@ from .errors import (AtTransitionError, NumericalError, UnsupportedStructureErro
                      ValidationError)
 from .gbz import beta_polynomial, contour_radius, gbz_contour
 from .metrology import model_eigenvalues, model_spectrum
-from .model import SHIFTED, build_bloch, build_generalized_bloch, chiral_blocks
+from .model import (OBC, SHIFTED, build_bloch, build_generalized_bloch,
+                    chiral_blocks)
 from .spectral import DEFAULT_TOL_EIG, certify
 
 LINE_GAP_CENTRAL = "LINE_GAP_CENTRAL"
@@ -448,6 +449,11 @@ def _edge_weights(p, vectors):
     return edge
 
 
+def _require_obc(p, name):
+    if p.boundary != OBC:
+        raise ValidationError("%s requires OBC" % name)
+
+
 def edge_states(p, energy_window):
     """OBC eigenpairs inside the energy window that live on the edges.
 
@@ -458,8 +464,7 @@ def edge_states(p, energy_window):
     solve is refined on the chain's bidiagonal factors, and its vectors'
     even parts are built as lambda H_oe^-1 x, without dividing by lambda.
     """
-    if p.boundary != "OBC":
-        raise ValidationError("edge_states requires OBC")
+    _require_obc(p, "edge_states")
     dec = model_spectrum(p)
     inside = np.abs(dec.values) < energy_window
     if not np.any(inside):
@@ -491,8 +496,9 @@ def obc_central_gap(p):
     is excluded before taking the minimum.  Close to a closing on its
     winding-1 side the pair has not yet localized, the factor 20 is not
     reached, and the value returned is the edge pair's splitting, which
-    lies below the bulk gap.
+    lies below the bulk gap.  A PBC model raises ValidationError.
     """
+    _require_obc(p, "obc_central_gap")
     H, E = model_eigenvalues(p)
     smallest = E[np.argsort(np.abs(E), kind="stable")[:3]]
     certify(H, smallest)
@@ -511,8 +517,10 @@ def obc_side_gap(p):
     are solved without vectors (model_eigenvalues, on one sublattice,
     a value too close to zero for the squared solve refined on the
     bidiagonal factors); the closest central/side pair, which gives the
-    result, is certified by inverse iteration.
+    result, is certified by inverse iteration.  A PBC model raises
+    ValidationError.
     """
+    _require_obc(p, "obc_side_gap")
     H, E = model_eigenvalues(p)
     mags = np.sort(np.abs(E))
     nlo = len(mags) // 4

@@ -36,7 +36,9 @@ def lapack_calls(monkeypatch):
     np.linalg.eigh calls, the D x D matrices built from bands, the band
     sets built from couplings (bond_bands, which chain_bands calls), the
     chain_bands and build_current_operator calls, and the ModelParams
-    updates (with_updates)."""
+    updates (with_updates).  "eig order" is the largest order of a matrix
+    handed to scipy.linalg.eig/eigvals or np.linalg.eig/eigvals (the
+    last axis of a stack)."""
     counts = Counter()
 
     def counting(name, fn):
@@ -54,6 +56,16 @@ def lapack_calls(monkeypatch):
         return tuple(counting(n, f) for n, f in zip(names, funcs))
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted_fetch)
+
+    def ordered(fn):
+        def call(a, *args, **kwargs):
+            counts["eig order"] = max(counts["eig order"], np.shape(a)[-1])
+            return fn(a, *args, **kwargs)
+        return call
+
+    for module in (scipy.linalg, np.linalg):
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(module, name, ordered(getattr(module, name)))
     for name in ("solve", "eigh"):
         monkeypatch.setattr(np.linalg, name, counting(
             "np.linalg." + name, getattr(np.linalg, name)))

@@ -533,20 +533,22 @@ def test_open_chain_point_runs_on_the_bands(lapack_calls, name):
 
 
 def test_ring_point_runs_on_the_bands(lapack_calls):
-    p = preset("FIG4_HN").resized(34).with_updates(boundary=PBC)
+    # an even and an odd ring: the eigenvalues and r and l come from the
+    # (r d)-square Bloch blocks, and the one ?gttrf is the bordered
+    # solve's, whose site deletion opens the ring
     ps = ParamSpec(("JR",), (-0.4,), (DEFAULT_STEP,))
-    certified = certified_count(p, ps)
-    lapack_calls.clear()
-    got = state_derivatives(p, ps)
-    # the corners are a rank-1 correction to the open chain's ?gttrf, and
-    # the bordered solve deletes a site, which opens the ring
-    assert lapack_calls["gttrf"] == 1 + certified + 1
-    assert lapack_calls["getrf"] == 0
-    assert lapack_calls["np.linalg.solve"] == 0
-    assert lapack_calls["dense"] == 0
-    want = fisher_entries(p, ps, *dense_state_derivatives(p, ps))
-    got = fisher_entries(p, ps, *got)
-    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    for L in (34, 35):
+        p = preset("FIG4_HN").resized(L).with_updates(boundary=PBC)
+        lapack_calls.clear()
+        got = state_derivatives(p, ps)
+        assert lapack_calls["dense"] == 0
+        assert lapack_calls["eig order"] == p.r * p.d
+        assert lapack_calls["gttrf"] == 1
+        assert lapack_calls["getrf"] == 0
+        assert lapack_calls["np.linalg.solve"] == 0
+        want = fisher_entries(p, ps, *dense_state_derivatives(p, ps))
+        got = fisher_entries(p, ps, *got)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), L
 
 
 def one_way_blocks():

@@ -19,8 +19,9 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, OBC, PBC, PRESET_NAMES,
 from nhlab import spectral
 from nhlab.metrology import model_eigenvalues
 from nhlab.model import ChainBands, chain_bands
-from nhlab.spectral import (DEFAULT_TOL_EIG, _band_product, _hop, _order,
-                            eigenpair, sublattice_eigenvalues)
+from nhlab.spectral import (DEFAULT_TOL_EIG, _band_product, _hop, _opened,
+                            _order, bordered_solve, certify, eigenpair,
+                            sublattice_eigenvalues)
 
 
 def test_diagonal_matrix():
@@ -251,8 +252,7 @@ def _record_eigvals(monkeypatch, name="eigvals"):
 
 SUBLATTICE_CASES = (
     [(n, preset(n).resized(34)) for n in PRESET_NAMES]
-    + [("FIG4_HN_odd_D", preset("FIG4_HN").resized(35)),
-       ("FIG4_HN_PBC", preset("FIG4_HN").resized(34).with_updates(boundary=PBC))])
+    + [("FIG4_HN_odd_D", preset("FIG4_HN").resized(35))])
 
 
 @pytest.mark.parametrize("p", [c[1] for c in SUBLATTICE_CASES],
@@ -337,39 +337,30 @@ def test_dense_fall_backs_are_counted(monkeypatch):
     values = np.sort(np.abs(full_spectrum(H, vectors=False)))
     assert np.max(np.abs(values - np.repeat(np.sort(dimers), 2))) <= 1e-15
     assert spectral.FALL_BACKS == {"unconverged": 1}
-    # an odd ring is not bipartite
-    spectral.FALL_BACKS.clear()
-    full_spectrum(chain_bands(preset("FIG4_HN").resized(35).with_updates(
-        boundary=PBC)), vectors=False)
-    assert spectral.FALL_BACKS == {"odd ring": 1}
 
 
-def test_even_ring_pair_is_refined_through_the_corners(lapack_calls):
+def test_even_ring_pair_is_exact_in_its_bloch_sector(lapack_calls):
     # a non-Hermitian dimerized ring, H[2k+1, 2k] = H[2k, 2k+1] = 1,
-    # H[2k+1, 2k+2] = b, H[2k+2, 2k+1] = d, closed by the corners: M is
-    # circulant with mu(q) = (1 + b e^{iq})(1 + d e^{-iq}), and at q = pi
-    # the pair +-sqrt((1 - b)(1 - d)) = +-1.4e-5 i fails the squaring gate.
-    # The corners' Sherman-Morrison correction divides by 1 + z_q = 1 - b^n
-    # = -8e-5, which costs the refined pair about four of the digits an
-    # open chain keeps
+    # H[2k+1, 2k+2] = b, H[2k+2, 2k+1] = d, closed by the wrap bond: its
+    # Bloch block at k has lambda^2 = (1 + b e^{ik})(1 + d e^{-ik}), and at
+    # k = pi the pair +-sqrt((1 - b)(1 - d)) = +-1.4e-5 i lies far below
+    # ||H||.  The sector's 2 x 2 solve keeps it to the last digit, where
+    # a squared solve on the ring would lose it
     b, d, n = 1.0 + 1e-5, 1.0 - 2e-5, 8
-    upper = np.ones(2 * n - 1)
-    lower = np.ones(2 * n - 1)
-    upper[1::2], lower[1::2] = b, d
-    H = ChainBands(upper, lower, np.array([b, d], dtype=complex))
+    p = make_params(1, 2, n, JL=1, JR=1, Jm=b, JmP=d, boundary=PBC)
     q = 2.0 * np.pi * np.arange(n) / n
     mu = (1.0 + b * np.exp(1j * q)) * (1.0 + d * np.exp(-1j * q))
     mu[n // 2] = (1.0 - b) * (1.0 - d)  # exactly, without the rounding of e^{i pi}
     want = np.sqrt(mu.astype(complex))
     lapack_calls.clear()
-    dec = full_spectrum(H)
-    values = full_spectrum(H, vectors=False)
-    assert lapack_calls["dense"] == 0 and lapack_calls["tbtrs"] > 0
+    dec = model_spectrum(p)
+    H, values = model_eigenvalues(p)
+    assert lapack_calls["dense"] == 0 and lapack_calls["eig order"] == 2
     for got in (dec.values, values):
         assert_multiset_close(got, np.concatenate([want, -want]), 1e-14)
         small = got[np.argsort(np.abs(got))[:2]]
         assert np.all(np.abs(np.abs(small) - abs(want[n // 2]))
-                      <= 1e-10 * abs(want[n // 2]))
+                      <= 1e-14 * abs(want[n // 2]))
     assert np.all(dec.residuals <= DEFAULT_TOL_EIG * np.linalg.norm(H.entries))
 
 
@@ -458,10 +449,8 @@ def test_fisher_point_solves_one_sublattice(monkeypatch):
     assert seen == [((p.D // 2, p.D // 2), np.float64)]
 
 
-HALF_PATH_CASES = (
-    [("%s_L%d" % (n, L), preset(n).resized(L))
-     for L in (34, 50) for n in PRESET_NAMES]
-    + [("FIG4_HN_PBC", preset("FIG4_HN").resized(34).with_updates(boundary=PBC))])
+HALF_PATH_CASES = [("%s_L%d" % (n, L), preset(n).resized(L))
+                   for L in (34, 50) for n in PRESET_NAMES]
 
 
 @pytest.mark.parametrize("p", [c[1] for c in HALF_PATH_CASES],
@@ -532,16 +521,14 @@ BAND_IDENTITY_CASES = [(n, L) for n in PRESET_NAMES for L in (34, 35)]
 @pytest.mark.parametrize("name, L", BAND_IDENTITY_CASES,
                          ids=["%s-%d" % c for c in BAND_IDENTITY_CASES])
 def test_bands_solve_bit_for_bit_as_their_dense_matrix(name, L):
-    # where the bands take ?geev too (an odd ring, the vectors of an odd
-    # chain) the pairs are bit for bit those of the dense matrix; where
-    # they take the half-size solve, the same values in the same order at
-    # rounding level.  Either way every pair passes the gate against the
-    # dense matrix
+    # where the bands take ?geev too (the vectors of an odd chain) the
+    # pairs are bit for bit those of the dense matrix; where they take the
+    # half-size solve, the same values in the same order at rounding
+    # level.  Either way every pair passes the gate against the dense
+    # matrix
     p = preset(name).resized(L)
-    # the balanced chain every model spectrum solves, the raw one and the
-    # ring
-    for bands in (model_eigenvalues(p)[0], chain_bands(p),
-                  chain_bands(p.with_updates(boundary=PBC))):
+    # the balanced chain every model spectrum solves and the raw one
+    for bands in (model_eigenvalues(p)[0], chain_bands(p)):
         H = bands.dense()
         got, want = full_spectrum(bands), full_spectrum(H)
         if p.D % 2:
@@ -556,8 +543,6 @@ def test_bands_solve_bit_for_bit_as_their_dense_matrix(name, L):
         for values in (full_spectrum(bands, vectors=False),
                        sublattice_eigenvalues(bands)):
             assert np.all(np.abs(values - want.values) <= 1e-12 * scale)
-            if p.D % 2 and bands.corners.any():
-                assert np.array_equal(values, want.values)
 
 
 BAND_PRODUCT_CASES = [(n, L, boundary) for n in PRESET_NAMES
@@ -566,9 +551,20 @@ BAND_PRODUCT_CASES = [(n, L, boundary) for n in PRESET_NAMES
 
 
 def _bipartite_chains(name, L, boundary):
-    """The raw and the skin-balanced bands of an open chain or even ring."""
+    """The raw and the skin-balanced bands of an open chain; for PBC the
+    open chains the ring leaves when bordered_solve deletes its first or
+    its middle site (the one way a ring's bands reach band code), checked
+    against the ring's dense minor."""
     p = preset(name).resized(L).with_updates(boundary=boundary)
-    return chain_bands(p), model_eigenvalues(p)[0]
+    if boundary == OBC:
+        return chain_bands(p), model_eigenvalues(p)[0]
+    ring = chain_bands(p)
+    chains = []
+    for k in (0, p.D // 2):
+        chain, order = _opened(ring, k)
+        assert np.array_equal(chain.dense(), ring.dense()[np.ix_(order, order)])
+        chains.append(chain)
+    return chains
 
 
 @pytest.mark.parametrize("name, L, boundary", BAND_PRODUCT_CASES,
@@ -600,13 +596,55 @@ def test_hops_match_the_dense_blocks(name, L, boundary):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_ring_eigenpairs_pass_at_rounding_level(name):
-    # the corners enter the open chain's factorization as a rank-1
-    # correction; the vectors reach the residuals of a dense LU
-    for L in (34, 35):
-        ring = chain_bands(preset(name).resized(L).with_updates(boundary=PBC))
-        H = ring.dense()
-        bound = 1e-12 * np.linalg.norm(H)
-        for lam in full_spectrum(ring, vectors=False)[:2]:
-            r, l = eigenpair(ring, lam, left=True)
-            assert np.linalg.norm(H @ r - lam * r) <= bound
-            assert np.linalg.norm(l.conj() @ H - lam * l.conj()) <= bound
+    # a ring's spectrum is the union of its Bloch sectors': the values
+    # match the dense ?geev of the ring as multisets, and every plane-wave
+    # vector passes the gate against the dense ring, with the residual
+    # its Bloch block gave
+    for L in (34, 35) + ((100, 101) if name == "FIG4_HN" else ()):
+        p = preset(name).resized(L).with_updates(boundary=PBC)
+        dec = model_spectrum(p)
+        H = build_hamiltonian(p)
+        want = scipy.linalg.eig(H, right=False)
+        scale = max(float(np.max(np.abs(want))), 1.0)
+        assert_multiset_close(dec.values, want, 1e-12 * scale)
+        # the values-only solve gives the same values in the same order
+        assert np.max(np.abs(dec.values - model_eigenvalues(p)[1])) <= 1e-14 * scale
+        V = dec.right_vectors
+        assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-13)
+        res = np.linalg.norm(H @ V - V * dec.values, axis=0)
+        assert np.all(res <= DEFAULT_TOL_EIG * max(np.linalg.norm(H), 1.0))
+        assert np.allclose(dec.residuals, res, rtol=0, atol=1e-13)
+
+
+RING_REFUSALS = {
+    "full_spectrum": lambda H: full_spectrum(H),
+    "sublattice_eigenvalues": sublattice_eigenvalues,
+    "residuals": lambda H: spectral.residuals(H, np.eye(len(H.upper) + 1),
+                                              np.zeros(len(H.upper) + 1)),
+    "eigenpair": lambda H: eigenpair(H, 0.5),
+    "certify": lambda H: certify(H, [0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_REFUSALS))
+def test_band_layer_refuses_a_ring(name):
+    # a ring's bands would lose their corners in the chain solvers, so
+    # they are refused and the message names the ring's two routes
+    p = preset("FIG4_HN").resized(34).with_updates(boundary=PBC)
+    ring = chain_bands(p)
+    with pytest.raises(ValidationError,
+                       match="model_spectrum.*build_hamiltonian"):
+        RING_REFUSALS[name](ring)
+    # ChainBands.dense and @, and the bordered solve, take it
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((p.D, 2)) + 0j
+    H = ring.dense()
+    assert np.allclose(ring @ x[:, 0], H @ x[:, 0], rtol=0, atol=1e-14)
+    w, vl, vr = scipy.linalg.eig(H, left=True)
+    i = int(np.argmax(w.imag))
+    lam, r, l = w[i], vr[:, i], vl[:, i]
+    x -= np.outer(r, l.conj() @ x) / np.vdot(l, r)  # l^+ b = 0
+    y = bordered_solve(ring, lam, r, l, x)
+    A = H - lam * np.eye(p.D)
+    assert (np.linalg.norm(A @ y - x)
+            <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(y))

@@ -184,6 +184,18 @@ def test_obc_gaps_certify_the_eigenvalues_they_read(monkeypatch):
             gap(p)
 
 
+@pytest.mark.parametrize("obc_only", [obc_central_gap, obc_side_gap,
+                                      lambda p: edge_states(p, 0.2)],
+                         ids=["obc_central_gap", "obc_side_gap", "edge_states"])
+def test_obc_results_refuse_a_ring(obc_only):
+    # a ring's spectrum is not the open chain's, so no OBC result is
+    # measured on it; the open chain itself is accepted
+    p = shifted(-1.0, L=20)
+    obc_only(p)
+    with pytest.raises(ValidationError, match="requires OBC"):
+        obc_only(p.with_updates(boundary=PBC))
+
+
 def test_obc_gaps_build_no_dense_matrix(lapack_calls):
     # near FIG3's -0.5685 closing every |E| passes the squaring gate: the
     # product comes from the bands and the three certificates factor them
