@@ -4,8 +4,9 @@ The probe is the steady state of the lattice Hamiltonian (right
 eigenvector with the largest imaginary eigenvalue).  Each point costs
 one eigenvalue solve in the skin-balancing frame, which is the model
 itself with module bonds (Jm rho, JmP / rho), on one sublattice
-(spectral.sublattice_eigenvalues, a (D/2)-square solve), plus inverse
-iteration for the steady eigenvalue's right and left vectors
+(spectral.full_spectrum without vectors, a (D/2)-square solve, as for
+the OBC gaps), plus inverse iteration for the steady eigenvalue's right
+and left vectors
 (spectral.eigenpair; spectral.certify holds the eigenvalues the guards
 read to the same gate).  Parameter derivatives are analytic: H' = dH/dtheta
 is the exact derivative of the chain's bonds (_tangent), the steady
@@ -19,8 +20,8 @@ norms are bands, and every factorization is a tridiagonal ?gttrf, so a
 point costs one (D/2)-square ?geev plus O(D) work and builds no D x D
 matrix.  A PBC ring is block-circulant: its eigenpairs are its Bloch
 blocks' at k = 2 pi j / L (model.build_bloch) as plane waves, so
-model_spectrum, model_eigenvalues and the Fisher point solve it by those
-(r d)-square sectors.  The built-in measurement bases
+model_spectrum and the Fisher point solve it by those (r d)-square
+sectors.  The built-in measurement bases
 (position_basis, current_basis) are amplitude maps, the identity or one
 fast transform, so a classical Fisher information builds none either.
 
@@ -44,8 +45,8 @@ from .model import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED, bond_bands,
                     build_bloch, chain_bands)
 from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, _order,
                        bordered_solve, certify, eigenpair, full_spectrum,
-                       phase_fixed, residuals, steady_neighbours,
-                       steady_state, sublattice_eigenvalues)
+                       phase_fixed, residuals, sort_resolution,
+                       steady_neighbours, steady_state)
 
 QUANTUM = "QUANTUM"
 CLASSICAL = "CLASSICAL"
@@ -298,19 +299,22 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
 
 
 def model_eigenvalues(p):
-    """Eigenvalues of the model in its skin-balancing frame, no vectors.
+    """Eigenvalues of an open chain in its skin-balancing frame, no
+    vectors.
 
     Returns (H, values): the balanced Hamiltonian's bands and its
     eigenvalues, sorted at DEFAULT_TOL_EIG's resolution, from
     full_spectrum's values-only solve (on one sublattice, a value too
     close to zero for the squared solve refined on the bidiagonal
-    factors), or a PBC ring's from its Bloch sectors (_ring_values).
-    Nothing here checks a residual; certify each eigenvalue an open
-    chain's result reads with spectral.certify(H, values).
+    factors).  Nothing here checks a residual; certify each eigenvalue a
+    result reads with spectral.certify(H, values).  A PBC model raises
+    ValidationError: a ring's spectrum is its Bloch sectors'
+    (model_spectrum).
     """
-    H = _skin_balanced(p)[0]
     if p.boundary == PBC:
-        return H, _ring_values(p)[0]
+        raise ValidationError("model_eigenvalues requires OBC; a ring is "
+                              "solved by model_spectrum")
+    H = _skin_balanced(p)[0]
     return H, full_spectrum(H, vectors=False)
 
 
@@ -360,7 +364,7 @@ def _check_isolated(lam, motion, step):
     im_gap = lam[0].imag - lam[1].imag
     if im_gap > motion:
         return
-    im_res = DEFAULT_TOL_EIG * max(float(np.max(np.abs(lam))), 1.0)
+    im_res = sort_resolution(lam)
     tie = np.round(lam[0].imag / im_res) == np.round(lam[1].imag / im_res)
     if tie and abs(lam[0] - lam[1]) > motion:
         return
@@ -456,8 +460,9 @@ def _steady_derivatives(p, ps, indices):
     solve.
 
     The steady solve is one eigenvalue solve in the skin-balancing frame
-    on one sublattice (sublattice_eigenvalues) plus inverse iteration for
-    the steady eigenvalue's right and left vectors; the eigenvalues the
+    on one sublattice (full_spectrum without vectors, every value held to
+    its squaring gate) plus inverse iteration for the steady eigenvalue's
+    right and left vectors; the eigenvalues the
     guards read (values[1] and the one nearest the steady eigenvalue,
     spectral.steady_neighbours) are certified as well.  A degenerate
     steady eigenvalue has no steady state, so every call, the state alone
@@ -480,8 +485,8 @@ def _steady_derivatives(p, ps, indices):
     bands, eigenpair, certify and the bordered solve (Nelson's deletion,
     which opens a ring) factor tridiagonals with ?gttrf, and H, H' and
     their norms are bands, so a point costs one (D/2)-square ?geev plus
-    O(D) work.  Only the dense fall-back of sublattice_eigenvalues builds
-    H, where the bidiagonal refinement cannot run.  A PBC ring takes its
+    O(D) work.  Only the dense fall-back of full_spectrum builds H, where
+    the bidiagonal refinement cannot run.  A PBC ring takes its
     eigenvalues from its Bloch sectors (_ring_values) and r and l as the
     plane waves of the steady sector's right and left Bloch vectors.
     """
@@ -497,7 +502,7 @@ def _steady_derivatives(p, ps, indices):
         wave = _plane_waves(q, sector[:1])[:, 0]
         r, l = (np.kron(wave, v[:, b]) for v in (right, left))
     else:
-        values = sublattice_eigenvalues(H)
+        values = full_spectrum(H, vectors=False)
         _check_nondegenerate(values)
         r, l = eigenpair(H, values[0], left=True)
         certify(H, values[steady_neighbours(values)])

@@ -18,34 +18,33 @@ residual gate does not see.
 
 An open chain comes as model.ChainBands, and eigenpair and certify take
 nothing else: it is exactly tridiagonal, so H - lambda is factored by
-LAPACK ?gttrf and solved by ?gttrs in O(D) work.  full_spectrum,
-residuals and sublattice_eigenvalues read an open chain's bands directly
-and also accept a dense matrix, which always takes the dense solve.  A
-PBC ring is block-circulant and is solved by its Bloch sectors
-(metrology.model_spectrum), so these five functions refuse a ring's
+LAPACK ?gttrf and solved by ?gttrs in O(D) work.  full_spectrum and
+residuals read an open chain's bands directly and also accept a dense
+matrix, which always takes the dense solve.  A PBC ring is
+block-circulant and is solved by its Bloch sectors
+(metrology.model_spectrum), so these four functions refuse a ring's
 bands; bordered_solve still takes them, since deleting one site of a
 ring leaves an open chain.  A D x D matrix is built only for what has no
 half-size path: the vectors of an odd D and the few near-zero values the
 refinement below cannot take, each only when it runs (FALL_BACKS counts
 them by cause).
 
-Both eigensolvers work on one sublattice where they can: every open
-chain couples even to odd positions only, so the eigenvalues are +-sqrt
-of those of the (D/2)-square product M = H_oe H_eo of the two
-off-diagonal blocks, about 1/8 of the flops (_half_solve).  M is written
-from the bands in O(D) work (_band_product), and the eigenvectors follow
-from M's through band products (_hop), which also give the residuals.
-full_spectrum (model spectra, skin profiles, edge states, the OBC gaps)
-and sublattice_eigenvalues (the steady solve, no vectors) share that
-solve.  Squaring loses absolute accuracy near zero
-(eps ||H||^2 / |lambda| instead of eps ||H||), so each value is held to
-the squaring gate: full_spectrum holds every value to it, the steady
-solve only the values it reads.  A value that fails, such as an edge
-pair near zero deep in a topological phase, is refined by inverse
-iteration on M^-1 through the two bidiagonal factors of M (_refine),
-which keeps the relative accuracy that squaring throws away; only
-odd dimension, a singular factor, a refinement that does not converge
-and a pair that fails the residual gate run the dense LAPACK ?geev.
+full_spectrum works on one sublattice where it can: every open chain
+couples even to odd positions only, so the eigenvalues are +-sqrt of
+those of the (D/2)-square product M = H_oe H_eo of the two off-diagonal
+blocks, about 1/8 of the flops (_half_solve).  M is written from the
+bands in O(D) work (_band_product), and the eigenvectors follow from
+M's through band products (_hop), which also give the residuals.  Every
+consumer shares that solve: model spectra, skin profiles and edge states
+with vectors, the OBC gaps and the steady solve without.  Squaring loses
+absolute accuracy near zero (eps ||H||^2 / |lambda| instead of
+eps ||H||), so every value is held to the squaring gate.  A value that
+fails, such as an edge pair near zero deep in a topological phase, is
+refined by inverse iteration on M^-1 through the two bidiagonal factors
+of M (_refine), which keeps the relative accuracy that squaring throws
+away; only odd dimension, a singular factor, a refinement that does not
+converge and a pair that fails the residual gate run the dense LAPACK
+?geev.
 
 A matrix whose imaginary part is all zero is solved in real arithmetic
 (LAPACK dgeev instead of zgeev, about twice as fast); every preset but
@@ -140,11 +139,16 @@ def _dense(H):
     return _real_if_possible(H.dense()) if isinstance(H, ChainBands) else H
 
 
+def sort_resolution(values, tol_eig=DEFAULT_TOL_EIG):
+    """The sort's resolution, tol_eig * max(max |values|, 1): parts of
+    eigenvalues that round to the same multiple of it are ties."""
+    return tol_eig * max(float(np.max(np.abs(values), initial=0.0)), 1.0)
+
+
 def _order(values, tol_eig):
-    """Sort permutation: Im descending at resolution tol_eig*max(|lambda|, 1),
+    """Sort permutation: Im descending at sort_resolution(values, tol_eig),
     ties by Re descending."""
-    im_res = tol_eig * max(float(np.max(np.abs(values), initial=0.0)), 1.0)
-    im_key = np.round(values.imag / im_res)
+    im_key = np.round(values.imag / sort_resolution(values, tol_eig))
     return np.lexsort((-values.real, -im_key))
 
 
@@ -176,7 +180,7 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
 
     vectors=False returns only the sorted eigenvalues (an ndarray): the
     solve skips the eigenvectors and so has no residual to check; a
-    caller certifies the eigenvalues it reads with eigenpair.
+    caller certifies the eigenvalues it reads with certify.
 
     Raises
     ------
@@ -187,19 +191,17 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     H = _split(H)
     half = _half_solve(H, tol_eig, vectors)
     if not vectors:
-        if half is not None and _squaring_ok(*half[:2]):
-            return half[0]
+        if half is not None:
+            return half
         return _dense_solve(_dense(H), tol_eig, vectors=False)
     bound = tol_eig * max(_frobenius(H), 1.0)
-    if half is not None and half[2] is not None:
-        values, _, vecs = half
+    if half is not None:
+        values, vecs = half
         residuals = _residuals(H, vecs, values)
         if np.all(residuals <= bound):
             return SpectralDecomposition(values=values, right_vectors=vecs,
                                          residuals=residuals)
         FALL_BACKS["residual"] += 1
-    elif isinstance(H, ChainBands) and len(H.upper) % 2 == 0:
-        FALL_BACKS["odd vectors"] += 1
     half = vecs = None  # frees the rejected vectors before the dense solve
     values, vecs = _dense_solve(_dense(H), tol_eig, vectors=True)
     residuals = _residuals(H, vecs, values)
@@ -261,35 +263,31 @@ def _hop(H, x, rows):
     return y
 
 
-def _squaring_ok(values, error):
-    """True when every value's squaring error is within
-    SQUARING_GATE * max(|lambda|, 1)."""
-    return bool(np.all(error <= SQUARING_GATE * np.maximum(np.abs(values), 1.0)))
-
-
-def _half_solve(H, tol_eig, vectors, reads=None):
+def _half_solve(H, tol_eig, vectors):
     """Sublattice solve of an open chain H from its bands (_split).
 
     The eigenvalues are +-sqrt(mu), mu running over the eigenvalues of
     the floor(D/2)-square product M = H_oe H_eo (_band_product, the only
     array of that size a values-only solve makes besides LAPACK's own),
     plus an exact 0 when D is odd; they are exactly symmetric under
-    E -> -E and sorted as full_spectrum sorts.  Returns (values, error,
-    vecs): error is each value's squaring error eps ||M||_1 / |lambda|
-    (0 for the exact zero).  The values the caller reads (reads(values),
-    every value when reads is None) are held to _squaring_ok; where one
-    fails, every failing mu is refined on the bidiagonal factors
-    (_refine) and its error replaced by the refinement's.  With
-    vectors=True and every value then within _squaring_ok, vecs holds the
-    unit right eigenvectors: the odd part of lambda's vector is x, M's
-    eigenvector of mu = lambda^2, and the even part H_eo x / lambda
+    E -> -E and sorted as full_spectrum sorts.  Every value is held to
+    the squaring gate: its squaring error eps ||M||_1 / |lambda| must be
+    within SQUARING_GATE * max(|lambda|, 1), and the mu of every value
+    that fails it are refined on the bidiagonal factors (_refine), whose
+    own gate is the same.  Returns the values, or (values, vecs) with
+    vectors=True: the unit right eigenvectors, whose odd part is x, M's
+    eigenvector of mu = lambda^2, and whose even part is H_eo x / lambda
     (_hop), or lambda H_oe^-1 x for a refined value, so that no step
     divides by a tiny lambda; the vectors of +-lambda are images of each
-    other under S = diag((-1)^i) up to a sign.  Otherwise vecs is None.
-    Returns None for a dense matrix, vectors=True at odd D (an even
-    number of bonds) and a LAPACK failure.
+    other under S = diag((-1)^i) up to a sign.  Returns None wherever the
+    dense ?geev must run: a dense matrix, vectors=True at odd D (an even
+    number of bonds), a LAPACK failure and a refinement that cannot run
+    (each of the last three counted in FALL_BACKS).
     """
-    if not isinstance(H, ChainBands) or (vectors and len(H.upper) % 2 == 0):
+    if not isinstance(H, ChainBands):
+        return None
+    if vectors and len(H.upper) % 2 == 0:
+        FALL_BACKS["odd vectors"] += 1
         return None
     D = len(H.upper) + 1
     M = _band_product(H)
@@ -305,25 +303,23 @@ def _half_solve(H, tol_eig, vectors, reads=None):
     del M
     root = np.sqrt(mu)
     with np.errstate(divide="ignore"):
-        root_error = np.finfo(float).eps * norm1 / np.abs(root)
-    values, error, order = _signed(root, root_error, D, tol_eig)
-    read = slice(None) if reads is None else reads(values)
+        fail = np.flatnonzero(np.finfo(float).eps * norm1 / np.abs(root)
+                              > SQUARING_GATE * np.maximum(np.abs(root), 1.0))
     even = None
-    if not _squaring_ok(values[read], error[read]):
-        fail = np.flatnonzero(root_error > SQUARING_GATE
-                              * np.maximum(np.abs(root), 1.0))
+    if len(fail):
         refined = _refine(H, len(fail))
         if refined is None:
-            return values, error, None
-        mu_fail, x, even, root_error[fail] = refined
-        root = root.copy()
+            return None
+        mu_fail, x, even = refined
         root[fail] = np.sqrt(mu_fail.astype(complex))
-        values, error, order = _signed(root, root_error, D, tol_eig)
         if vectors:
             X = X.astype(np.result_type(X, x), copy=False)
             X[:, fail] = x
-    if not (vectors and _squaring_ok(values, error)):
-        return values, error, None
+    values = np.concatenate([root, -root, np.zeros(D % 2)])
+    order = _order(values, tol_eig)
+    values = values[order]
+    if not vectors:
+        return values
     k = order % len(root)
     vecs = np.empty((D, D), dtype=complex)
     vecs[1::2] = X[:, k]
@@ -334,17 +330,7 @@ def _half_solve(H, tol_eig, vectors, reads=None):
         slot = np.searchsorted(fail, k[cols])
         vecs[0::2, cols] = even[:, slot] * values[cols]
     vecs /= _column_norms(vecs)
-    return values, error, vecs
-
-
-def _signed(root, root_error, D, tol_eig):
-    """(values, error, order): +-root plus D's exact zero, sorted as
-    full_spectrum sorts, with each value's error (0 for the zero) and the
-    sort permutation."""
-    values = np.concatenate([root, -root, np.zeros(D % 2)])
-    error = np.concatenate([root_error, root_error, np.zeros(D % 2)])
-    order = _order(values, tol_eig)
-    return values[order], error[order], order
+    return values, vecs
 
 
 def _factor_solve(H):
@@ -384,9 +370,9 @@ def _refine(H, m):
     current orthonormal basis Q (the eigenpairs (nu, w) of Q^H M^-1 Q) and
     stops once every pair's relative residual ||M^-1 x - nu x|| / |nu|
     gives an error |lambda| * residual within the squaring gate.  Returns
-    (mu, x, h, error) with mu = 1/nu, x the unit Ritz vectors (M's
-    eigenvectors), h = H_oe^-1 x (lambda h is the even part of lambda's
-    vector) and each value's error, or None when H has odd dimension
+    (mu, x, h) with mu = 1/nu, x the unit Ritz vectors (M's
+    eigenvectors) and h = H_oe^-1 x (lambda h is the even part of
+    lambda's vector), or None when H has odd dimension
     (no square factors), a factor is singular or the refinement does not
     converge; each of those is counted in FALL_BACKS.
     """
@@ -411,10 +397,10 @@ def _refine(H, m):
         x = Q @ W
         with np.errstate(all="ignore"):
             mu = 1.0 / nu
+            size = np.sqrt(np.abs(mu))
             residual = np.linalg.norm(Y @ W - x * nu, axis=0) / np.abs(nu)
-            error = np.sqrt(np.abs(mu)) * residual
-        if _squaring_ok(np.sqrt(np.abs(mu)), error):
-            return mu, x, h @ W, error
+        if np.all(size * residual <= SQUARING_GATE * np.maximum(size, 1.0)):
+            return mu, x, h @ W
         Q = np.linalg.qr(Y)[0]
     FALL_BACKS["unconverged"] += 1
     return None
@@ -462,41 +448,6 @@ def steady_neighbours(values):
     values[0]'s nearest neighbour."""
     nearest = 1 + int(np.argmin(np.abs(values[1:] - values[0])))
     return sorted({1, nearest})
-
-
-def sublattice_eigenvalues(H):
-    """Sorted eigenvalues of an open chain from a half-size solve.
-
-    H is an open chain's model.ChainBands or a dense matrix.  The bands
-    of an open chain couple even to odd positions only; then
-    S H S = -H for S = diag((-1)^i), and _half_solve gives the eigenvalues
-    from the floor(D/2)-square product H_oe H_eo (H_oe = H[1::2, 0::2],
-    H_eo = H[0::2, 1::2]), written from the bands in O(D) work
-    (_band_product) and solved in real arithmetic when H is real, as
-    full_spectrum does, so no D x D matrix is built.  The output is
-    exactly symmetric under E -> -E and sorted as full_spectrum sorts.
-
-    Only the values a steady solve reads (values[0] and
-    steady_neighbours) are held to the squaring gate.  Where one of them
-    fails it, every failing value is refined on the bidiagonal factors,
-    as full_spectrum(H, vectors=False) refines them; where the
-    refinement cannot run, and for a dense matrix, this returns the
-    dense solve's eigenvalues instead, without a second half solve; only
-    then are a chain's bands made dense.
-    """
-    H = _split(H)
-    half = _half_solve(H, DEFAULT_TOL_EIG, vectors=False, reads=_steady_reads)
-    if half is not None:
-        values, error, _ = half
-        read = _steady_reads(values)
-        if _squaring_ok(values[read], error[read]):
-            return values
-    return _dense_solve(_dense(H), DEFAULT_TOL_EIG, vectors=False)
-
-
-def _steady_reads(values):
-    """Indices of the values a steady solve reads."""
-    return [0] + steady_neighbours(values)
 
 
 def _finite(band):
@@ -693,7 +644,8 @@ class LocalizationProfile:
     P[j] sums |c|^2 over all eigenstates and over the d sublevels of site
     j, so sum(P) equals the number of eigenstates.  slope_per_module is
     the least-squares slope of ln(per-module population) against the
-    module index over the bulk (edge modules excluded).
+    module index over the bulk (edge modules excluded), and fit_r2 its
+    coefficient of determination, 1 on a flat bulk.
     """
 
     P: np.ndarray
@@ -726,7 +678,10 @@ def cumulative_population(dec, p):
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    # a population sums D unit-norm states, so it carries about D eps
+    # relative rounding: a bulk whose spread is within 8 D eps is flat
+    flat = np.ptp(y) <= 8 * p.D * np.finfo(float).eps
+    r2 = 1.0 if flat else 1.0 - ss_res / ss_tot
     return LocalizationProfile(P=per_site, slope_per_module=float(slope),
                                fit_r2=r2, module_population=per_module)
 

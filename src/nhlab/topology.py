@@ -26,7 +26,7 @@ from .gbz import beta_polynomial, contour_radius, gbz_contour
 from .metrology import model_eigenvalues, model_spectrum
 from .model import (OBC, SHIFTED, build_bloch, build_generalized_bloch,
                     chiral_blocks)
-from .spectral import DEFAULT_TOL_EIG, certify
+from .spectral import certify, sort_resolution
 
 LINE_GAP_CENTRAL = "LINE_GAP_CENTRAL"
 LINE_GAP_SIDE = "LINE_GAP_SIDE"
@@ -405,8 +405,8 @@ def _gap_reports(p, bands):
     # mean real parts differ only by rounding (all three of FIG2_HN's sit
     # at 0) would otherwise be paired by that rounding
     mean = bands.mean(axis=1)
-    res = DEFAULT_TOL_EIG * max(float(np.max(np.abs(bands), initial=0.0)), 1.0)
-    bands = bands[np.lexsort((mean.imag, np.round(mean.real / res)))]
+    bands = bands[np.lexsort((mean.imag,
+                              np.round(mean.real / sort_resolution(bands))))]
     m = bands.shape[0]
     reports = []
     for i in range(m - 1):

@@ -19,9 +19,9 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, PRESET_NAMES, RECIPROCAL_MODULAR,
                    state_derivative, state_derivatives, total_variance_bound)
 from nhlab.cli import main
 from nhlab.model import OBC, PBC, ChainBands, chain_bands
-from nhlab.spectral import (bordered_solve, eigenpair, participation_ratio,
-                            phase_fixed, steady_neighbours,
-                            sublattice_eigenvalues)
+from nhlab.spectral import (bordered_solve, eigenpair, full_spectrum,
+                            participation_ratio, phase_fixed,
+                            steady_neighbours)
 from nhlab.metrology import QUANTUM
 
 
@@ -259,12 +259,12 @@ def analytic_and_oracle_qfim(p, ps):
 def count_solves(monkeypatch):
     """Count the eigensolves behind every model spectrum and steady state."""
     counter = {"solves": 0}
-    for name in ("full_spectrum", "sublattice_eigenvalues"):
-        def counted(*args, _solve=getattr(metrology, name), **kwargs):
-            counter["solves"] += 1
-            return _solve(*args, **kwargs)
 
-        monkeypatch.setattr(metrology, name, counted)
+    def counted(*args, _solve=metrology.full_spectrum, **kwargs):
+        counter["solves"] += 1
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(metrology, "full_spectrum", counted)
     return counter
 
 
@@ -322,14 +322,14 @@ def test_qfi_work_counts(count_solves):
 
 def test_steady_solve_certifies_the_eigenvalues_the_guards_read(monkeypatch):
     # a runner-up eigenvalue off by 1e-3 fails its certificate
-    solve = metrology.sublattice_eigenvalues
+    solve = metrology.full_spectrum
 
     def off(*args, **kwargs):
         values = solve(*args, **kwargs).copy()
         values[1] += 1e-3
         return values
 
-    monkeypatch.setattr(metrology, "sublattice_eigenvalues", off)
+    monkeypatch.setattr(metrology, "full_spectrum", off)
     p, ps = preset_point("FIG4_HN", 34)
     with pytest.raises(ConvergenceError):
         probe_state(p, ps)
@@ -449,7 +449,7 @@ def dense_state_derivatives(p, ps):
     q = apply_params(p, ps)
     bands, rho, frame = metrology._skin_balanced(q)
     H = bands.dense()
-    lam = sublattice_eigenvalues(H)[0]
+    lam = full_spectrum(H, vectors=False)[0]
     D = len(H)
     lu = scipy.linalg.lu_factor(H - lam * np.eye(D))
     start = np.random.default_rng(0).standard_normal(D) + 0j
@@ -510,7 +510,7 @@ def test_banded_point_matches_the_dense_bordered_solve(name, L, boundary):
 def certified_count(p, ps):
     """How many eigenvalues besides the steady one a point certifies."""
     bands = metrology._skin_balanced(apply_params(p, ps))[0]
-    return len(steady_neighbours(sublattice_eigenvalues(bands)))
+    return len(steady_neighbours(full_spectrum(bands, vectors=False)))
 
 
 @pytest.mark.parametrize("name", ["FIG4_HN", "FIG5_TOP", "FIG5_BOTTOM",
@@ -530,6 +530,31 @@ def test_open_chain_point_runs_on_the_bands(lapack_calls, name):
     probe_state(p, ps)
     assert lapack_calls["gttrf"] == 1 + certified
     assert lapack_calls["dense"] == 0
+
+
+def test_edge_pair_point_refines_on_the_bidiagonal_factors(monkeypatch,
+                                                           lapack_calls):
+    # FIG3 at L=100, JR=-1: the edge pair at +-1.87e-4 fails the squaring
+    # gate, so the Fisher point's values-only solve refines it on the
+    # bidiagonal factors, as the OBC gaps do, with no dense solve
+    p = preset("FIG3").resized(100)
+    ps = ParamSpec(("JR",), (-1.0,), (DEFAULT_STEP,))
+    seen = []
+
+    def recorded(a, *args, _solve=scipy.linalg.eigvals, **kwargs):
+        seen.append(a.shape)
+        return _solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", recorded)
+    lapack_calls.clear()
+    psi, (dpsi,) = state_derivatives(p, ps)
+    half = p.D // 2
+    assert seen == [(half, half)] and lapack_calls["eig order"] == half
+    assert lapack_calls["tbtrs"] >= 2
+    assert lapack_calls["dense"] == 0
+    psi0, (dpsi0,) = dense_state_derivatives(p, ps)
+    want = qfi(psi0, dpsi0)
+    assert abs(qfi(psi, dpsi) - want) <= 1e-9 * want
 
 
 def test_ring_point_runs_on_the_bands(lapack_calls):

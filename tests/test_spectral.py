@@ -16,12 +16,11 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, OBC, PBC, PRESET_NAMES,
                    full_spectrum, gbz_radius, make_params, model_spectrum,
                    obc_central_gap, obc_side_gap, participation_ratio, preset,
                    state_derivatives, steady_state)
-from nhlab import spectral
+from nhlab import metrology, spectral
 from nhlab.metrology import model_eigenvalues
 from nhlab.model import ChainBands, chain_bands
 from nhlab.spectral import (DEFAULT_TOL_EIG, _band_product, _hop, _opened,
-                            _order, bordered_solve, certify, eigenpair,
-                            sublattice_eigenvalues)
+                            _order, bordered_solve, certify, eigenpair)
 
 
 def test_diagonal_matrix():
@@ -111,7 +110,19 @@ def test_hermitian_chain_is_flat():
     dec = full_spectrum(build_hamiltonian(p))
     prof = cumulative_population(dec, p)
     assert abs(prof.slope_per_module) < 1e-9
+    # the bulk spreads by rounding alone (2.9e-14), which is no fit
+    assert prof.fit_r2 == 1.0
     assert np.max(np.abs(dec.values.imag)) < 1e-9
+
+
+def test_ring_profile_is_flat():
+    # every plane wave spreads evenly over the ring, so the bulk's
+    # log-populations differ by a few eps at most and fit exactly
+    p = preset("FIG5_BOTTOM").resized(35).with_updates(boundary=PBC)
+    prof = cumulative_population(model_spectrum(p), p)
+    assert np.ptp(np.log(prof.module_population)) <= 8 * p.D * np.finfo(float).eps
+    assert abs(prof.slope_per_module) < 1e-12
+    assert prof.fit_r2 == 1.0
 
 
 def test_skin_slope_tracks_gbz_radius():
@@ -255,32 +266,42 @@ SUBLATTICE_CASES = (
     + [("FIG4_HN_odd_D", preset("FIG4_HN").resized(35))])
 
 
+def _dense_eigvals(H):
+    """The dense ?geev's eigenvalues of H (bands or dense), sorted as
+    full_spectrum sorts."""
+    ref = scipy.linalg.eigvals(H.dense() if isinstance(H, ChainBands) else H)
+    return ref[_order(ref, DEFAULT_TOL_EIG)]
+
+
 @pytest.mark.parametrize("p", [c[1] for c in SUBLATTICE_CASES],
                          ids=[c[0] for c in SUBLATTICE_CASES])
-def test_sublattice_eigenvalues_match_the_full_solve(monkeypatch, p):
-    H, full = model_eigenvalues(p)
+def test_values_only_solve_matches_the_dense_eigvals(monkeypatch, p):
+    H, _ = model_eigenvalues(p)
+    ref = _dense_eigvals(H)
+    dtype = np.complex128 if np.any(H.dense().imag) else np.float64
     seen = _record_eigvals(monkeypatch)
-    values = sublattice_eigenvalues(H)
+    values = full_spectrum(H, vectors=False)
     half = p.D // 2
-    assert seen == [((half, half), np.complex128 if np.any(H.dense().imag)
-                     else np.float64)]
+    assert seen == [((half, half), dtype)]
     # same values in the same order; an odd D adds one exact zero
-    assert np.all(np.abs(values - full) <= 1e-12 * np.maximum(np.abs(full), 1.0))
+    assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
     assert np.sum(values == 0) == p.D % 2
     # the spectrum is exactly symmetric under E -> -E
     assert np.array_equal(np.sort_complex(values), np.sort_complex(-values))
 
 
-def test_sublattice_eigenvalues_fall_back_off_bipartite_matrices(monkeypatch):
+def test_values_only_solve_falls_back_off_bipartite_matrices(monkeypatch):
     odd_ring = build_hamiltonian(
         preset("FIG4_HN").resized(35).with_updates(boundary=PBC))
     rng = np.random.default_rng(3)
     dense = rng.standard_normal((6, 6))
     for H in (odd_ring, dense):
+        ref = _dense_eigvals(H)
         seen = _record_eigvals(monkeypatch)
-        values = sublattice_eigenvalues(H)
+        values = full_spectrum(H, vectors=False)
         assert [shape for shape, _ in seen] == [H.shape]
-        assert np.array_equal(values, full_spectrum(H, vectors=False))
+        assert np.all(np.abs(values - ref)
+                      <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
 
 def _dimers(upper, lower, extra_site=False):
@@ -293,7 +314,7 @@ def _dimers(upper, lower, extra_site=False):
     return ChainBands(upper, lower, np.zeros(2, dtype=complex))
 
 
-def test_sublattice_eigenvalues_refine_near_zero(monkeypatch, lapack_calls):
+def test_values_only_solve_refines_near_zero(monkeypatch, lapack_calls):
     # four decoupled dimers, eigenvalues +-3e-6i, +-1i, +-2i, +-3i: the
     # largest-Im eigenvalue is 1e-6 ||H||, which the squared solve would
     # miss by about eps ||H||^2 / |lambda|; the bidiagonal factors give it
@@ -302,12 +323,13 @@ def test_sublattice_eigenvalues_refine_near_zero(monkeypatch, lapack_calls):
     H = _dimers(dimers, dimers * [-1, 1, 1, 1])
     norm = np.linalg.norm(H.dense(), 2)
     assert abs(norm - 3.0) < 1e-12
+    ref = _dense_eigvals(H)
     lapack_calls.clear()
     seen = _record_eigvals(monkeypatch)
-    values = sublattice_eigenvalues(H)
+    values = full_spectrum(H, vectors=False)
     assert [shape for shape, _ in seen] == [(4, 4)]
     assert lapack_calls["dense"] == 0 and lapack_calls["tbtrs"] >= 2
-    assert np.array_equal(values, full_spectrum(H, vectors=False))
+    assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
     assert abs(values[0] - 3e-6j) <= 1e-15 * 3e-6
 
 
@@ -354,14 +376,15 @@ def test_even_ring_pair_is_exact_in_its_bloch_sector(lapack_calls):
     want = np.sqrt(mu.astype(complex))
     lapack_calls.clear()
     dec = model_spectrum(p)
-    H, values = model_eigenvalues(p)
+    values = metrology._ring_values(p)[0]
     assert lapack_calls["dense"] == 0 and lapack_calls["eig order"] == 2
     for got in (dec.values, values):
         assert_multiset_close(got, np.concatenate([want, -want]), 1e-14)
         small = got[np.argsort(np.abs(got))[:2]]
         assert np.all(np.abs(np.abs(small) - abs(want[n // 2]))
                       <= 1e-14 * abs(want[n // 2]))
-    assert np.all(dec.residuals <= DEFAULT_TOL_EIG * np.linalg.norm(H.entries))
+    bound = DEFAULT_TOL_EIG * np.linalg.norm(chain_bands(p).entries)
+    assert np.all(dec.residuals <= bound)
 
 
 def _recurrence_root(H, lam, digits=50):
@@ -399,7 +422,6 @@ def test_edge_pairs_match_a_50_digit_reference(lapack_calls, L, JR):
     lapack_calls.clear()
     dec = model_spectrum(p)
     H, values = model_eigenvalues(p)
-    steady = sublattice_eigenvalues(H)
     spectral.residuals(H, dec.right_vectors[:, :2], dec.values[:2])
     assert lapack_calls["dense"] == 0
     assert np.all(H.upper.imag == 0) and np.all(H.lower.imag == 0)
@@ -409,8 +431,6 @@ def test_edge_pairs_match_a_50_digit_reference(lapack_calls, L, JR):
         assert abs(pair[0] + pair[1]) == 0
         err = abs(abs(pair[0].real) - abs(float(ref))) / abs(float(ref))
         assert err <= 1e-12 and pair.imag.tolist() == [0, 0]
-    # the steady solve refines only when a value it reads fails the gate
-    assert steady[0] == values[0]
     assert np.all(dec.residuals <= DEFAULT_TOL_EIG * np.linalg.norm(H.entries))
 
 
@@ -430,9 +450,9 @@ def test_values_only_solve_allocates_only_the_product():
 
 
 def test_fisher_point_solves_one_sublattice(monkeypatch):
-    # the steady solve hands LAPACK a floor(D/2)-square matrix, real or
-    # complex as the Hamiltonian is; so do the OBC gaps, through
-    # full_spectrum, where every eigenvalue passes the squaring gate
+    # the steady solve and the OBC gaps both take full_spectrum without
+    # vectors, which hands LAPACK a floor(D/2)-square matrix, real or
+    # complex as the Hamiltonian is
     for name, L, dtype in (("FIG4_HN", 34, np.float64),
                            ("FIG5_BOTTOM", 70, np.float64),
                            ("FIG5_TOP", 34, np.complex128)):
@@ -540,9 +560,8 @@ def test_bands_solve_bit_for_bit_as_their_dense_matrix(name, L):
         res = np.linalg.norm(H @ V - V * got.values, axis=0)
         assert np.all(res <= DEFAULT_TOL_EIG * np.linalg.norm(H))
         assert np.allclose(got.residuals, res, rtol=0, atol=1e-13)
-        for values in (full_spectrum(bands, vectors=False),
-                       sublattice_eigenvalues(bands)):
-            assert np.all(np.abs(values - want.values) <= 1e-12 * scale)
+        values = full_spectrum(bands, vectors=False)
+        assert np.all(np.abs(values - want.values) <= 1e-12 * scale)
 
 
 BAND_PRODUCT_CASES = [(n, L, boundary) for n in PRESET_NAMES
@@ -608,7 +627,8 @@ def test_ring_eigenpairs_pass_at_rounding_level(name):
         scale = max(float(np.max(np.abs(want))), 1.0)
         assert_multiset_close(dec.values, want, 1e-12 * scale)
         # the values-only solve gives the same values in the same order
-        assert np.max(np.abs(dec.values - model_eigenvalues(p)[1])) <= 1e-14 * scale
+        values = metrology._ring_values(p)[0]
+        assert np.max(np.abs(dec.values - values)) <= 1e-14 * scale
         V = dec.right_vectors
         assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-13)
         res = np.linalg.norm(H @ V - V * dec.values, axis=0)
@@ -618,7 +638,6 @@ def test_ring_eigenpairs_pass_at_rounding_level(name):
 
 RING_REFUSALS = {
     "full_spectrum": lambda H: full_spectrum(H),
-    "sublattice_eigenvalues": sublattice_eigenvalues,
     "residuals": lambda H: spectral.residuals(H, np.eye(len(H.upper) + 1),
                                               np.zeros(len(H.upper) + 1)),
     "eigenpair": lambda H: eigenpair(H, 0.5),

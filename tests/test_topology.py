@@ -17,6 +17,7 @@ from nhlab import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED,
                    obc_side_gap, pbc_zero_gap_solutions, point_gap_residual,
                    PRESET_NAMES, preset, spectral_winding)
 from conftest import track_bands_loop
+from nhlab.metrology import model_eigenvalues
 from nhlab.topology import (LOOP_K_POINTS, IllConditionedContourError,
                             _band_sweep, _contour_blochs, _gap_reports,
                             _min_distance, _track_bands)
@@ -185,8 +186,10 @@ def test_obc_gaps_certify_the_eigenvalues_they_read(monkeypatch):
 
 
 @pytest.mark.parametrize("obc_only", [obc_central_gap, obc_side_gap,
-                                      lambda p: edge_states(p, 0.2)],
-                         ids=["obc_central_gap", "obc_side_gap", "edge_states"])
+                                      lambda p: edge_states(p, 0.2),
+                                      model_eigenvalues],
+                         ids=["obc_central_gap", "obc_side_gap", "edge_states",
+                              "model_eigenvalues"])
 def test_obc_results_refuse_a_ring(obc_only):
     # a ring's spectrum is not the open chain's, so no OBC result is
     # measured on it; the open chain itself is accepted
