@@ -22,7 +22,7 @@ from .metrology import (DEFAULT_STEP, ParamSpec, cfi, cfim, current_basis,
                         model_spectrum, position_basis, qfi, qfim,
                         state_derivatives, total_variance_bound)
 from .model import build_bloch, params_from_config, params_to_config
-from .spectral import DEFAULT_TOL_EIG, cumulative_population
+from .spectral import cumulative_population
 from .topology import band_winding, count_spectral_loops, line_gap_minima, spectral_winding
 
 CSV_SCHEMA = "nhlab-csv-1"
@@ -180,7 +180,7 @@ def _out_settings(args, cfg):
 
 def cmd_spectrum(args, cfg):
     p = _model_params(cfg, _parse_overrides(args.set))
-    dec = model_spectrum(p, args.tol_eig)
+    dec = model_spectrum(p)
     header = ("index", "value_re", "value_im", "residual")
     rows = [(i, float(v.real), float(v.imag), float(res))
             for i, (v, res) in enumerate(zip(dec.values, dec.residuals))]
@@ -193,7 +193,7 @@ def cmd_spectrum(args, cfg):
 
 def cmd_skin(args, cfg):
     p = _model_params(cfg, _parse_overrides(args.set))
-    dec = model_spectrum(p, args.tol_eig)
+    dec = model_spectrum(p)
     prof = cumulative_population(dec, p)
     header = ("site", "population")
     rows = [(j, float(v)) for j, v in enumerate(prof.P)]
@@ -227,7 +227,7 @@ def cmd_gaps(args, cfg):
 def cmd_winding(args, cfg):
     p = _model_params(cfg, _parse_overrides(args.set))
     top = cfg.get("topology", {})
-    kind = str(top.get("kind", args.kind)).strip().lower()
+    kind = args.kind or str(top.get("kind", "band")).strip().lower()
     if kind == "band":
         res = band_winding(p)
         eref = 0j
@@ -432,13 +432,12 @@ def build_parser():
         cmd.set_defaults(fn=fn)
         return cmd
 
-    for cmd in (command("spectrum", cmd_spectrum, "eigenvalues of the chain"),
-                command("skin", cmd_skin, "site population profile and skin slope")):
-        cmd.add_argument("--tol-eig", type=float, default=DEFAULT_TOL_EIG,
-                         help="eigensolver residual gate")
+    command("spectrum", cmd_spectrum, "eigenvalues of the chain")
+    command("skin", cmd_skin, "site population profile and skin slope")
     command("gaps", cmd_gaps, "line-gap minima and point-gap residual")
     command("winding", cmd_winding, "band or spectral winding number").add_argument(
-        "--kind", choices=("band", "spectral"), default="band")
+        "--kind", choices=("band", "spectral"),
+        help="winding kind (default: [topology] kind, else band)")
     command("qfi", cmd_qfi, "quantum/classical Fisher information")
     command("qfim", cmd_qfim, "Fisher information matrices")
     command("sweep", cmd_sweep, "observable sweep over a parameter grid").add_argument(

@@ -129,28 +129,35 @@ def gbz_contour(p, n_points=DEFAULT_CONTOUR_POINTS):
     return GbzContour(radius=contour_radius(p), n_points=n_points)
 
 
+def balancing_radius(p):
+    """The rho of p's skin-balancing frame (skin_frame), in O(1) work:
+    the GBZ radius, or 1.0 where no balancing is needed or possible (PBC
+    rings, whose periodicity the gauge would break, and couplings without
+    a finite positive radius)."""
+    if p.boundary != OBC:
+        return 1.0
+    try:
+        rho = gbz_radius(p)
+    except (SingularModelError, ValidationError):
+        return 1.0
+    return rho if np.isfinite(rho) and rho > 0 else 1.0
+
+
 def skin_frame(p):
     """Logarithm of the per-component gauge that balances the skin
     accumulation, or None.
 
     Conjugating the OBC Hamiltonian by diag(rho^n), with n the module
-    index and rho the GBZ radius, rescales every inter-module bond so
-    the left/right hopping product becomes unimodular.  The similarity
+    index and rho = balancing_radius(p), rescales every inter-module bond
+    so the left/right hopping product becomes unimodular.  The similarity
     is exact, so eigenvalues and (back-transformed) eigenvectors are
     unchanged; what changes is conditioning, which stops growing
     exponentially with L.  The frame is returned as ln s = n ln(rho),
     since rho^n itself overflows on long or strongly nonreciprocal
-    chains.  Returns None when no balancing is needed or possible: PBC
-    rings (the gauge would break periodicity), rho = 1, or couplings
-    without a finite positive radius.
+    chains.  Returns None where rho is 1.
     """
-    if p.boundary != OBC:
-        return None
-    try:
-        rho = gbz_radius(p)
-    except (SingularModelError, ValidationError):
-        return None
-    if not np.isfinite(rho) or rho <= 0 or rho == 1.0:
+    rho = balancing_radius(p)
+    if rho == 1.0:
         return None
     n = np.repeat(np.arange(p.L, dtype=float) - 0.5 * (p.L - 1), p.r * p.d)
     return n * np.log(rho)

@@ -128,11 +128,6 @@ def _point_values(spec, x, names):
          else apply_params(spec.base, ps))
     cache = {}
 
-    def decomposition():
-        if "dec" not in cache:
-            cache["dec"] = model_spectrum(q)
-        return cache["dec"]
-
     def probe():
         if "probe" not in cache:
             try:
@@ -163,7 +158,8 @@ def _point_values(spec, x, names):
             elif name == WINDING_SPECTRAL:
                 values[name] = float(spectral_winding(q, 0j).value)
             elif name == SLOPE:
-                values[name] = cumulative_population(decomposition(), q).slope_per_module
+                values[name] = cumulative_population(
+                    model_spectrum(q), q).slope_per_module
             elif name == PR:
                 values[name] = participation_ratio(state())
             elif name == QFI:

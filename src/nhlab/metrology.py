@@ -40,7 +40,7 @@ import scipy.linalg
 from .errors import (BoundUndefinedError, ConvergenceError,
                      DegenerateSteadyStateError, DerivativeIllDefinedError,
                      NumericalError, ValidationError)
-from .gbz import gbz_radius, skin_frame
+from .gbz import balancing_radius, skin_frame
 from .model import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED, bond_bands,
                     build_bloch, chain_bands)
 from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, _order,
@@ -214,11 +214,12 @@ def _skin_balanced(q):
     the module bonds (Jm, JmP) to (Jm rho, JmP / rho), so S^-1 H S is the
     chain with those couplings.  frame is skin_frame's ln s; on PBC rings
     and unbalanced chains it is None, rho is 1 and H is the raw
-    Hamiltonian, bit for bit.
+    Hamiltonian, bit for bit.  The bands come before the frame, so the
+    dimension cap (model.bond_bands) fires before any D-sized array.
     """
-    frame = skin_frame(q)
-    rho = 1.0 if frame is None else gbz_radius(q)
-    return bond_bands(q, q.J0, q.JL, q.JR, q.Jm * rho, q.JmP / rho), rho, frame
+    rho = balancing_radius(q)
+    H = bond_bands(q, q.J0, q.JL, q.JR, q.Jm * rho, q.JmP / rho)
+    return H, rho, skin_frame(q)
 
 
 def _sectors(p, j):
@@ -238,30 +239,32 @@ def _ring_values(p):
     """(values, sector): the sorted eigenvalues of p's PBC ring, its L
     Bloch blocks' from one batched ?geev, and the sector j of each."""
     values = np.linalg.eigvals(_sectors(p, np.arange(p.L))).ravel()
-    order = _order(values, DEFAULT_TOL_EIG)
+    order = _order(values)
     return values[order], order // (p.r * p.d)
 
 
-def _ring_spectrum(p, tol_eig):
+def _ring_spectrum(p):
     """model_spectrum of a PBC ring from its L Bloch sectors: the pair
     (lambda, u) of the block at k gives (lambda, exp(i k n) u / sqrt(L)),
     whose residual is the block's ||H_k u - lambda u||, held to
-    full_spectrum's gate with ||H||_F of the ring's bands."""
+    full_spectrum's gate with ||H||_F of the ring's bands (built first,
+    so the dimension cap fires before any sector is solved)."""
+    norm = float(np.linalg.norm(chain_bands(p).entries))
+    bound = DEFAULT_TOL_EIG * max(norm, 1.0)
     blocks = _sectors(p, np.arange(p.L))
     w, U = np.linalg.eig(blocks)
     res = np.linalg.norm(blocks @ U - U * w[:, None, :], axis=1).ravel()
-    bound = tol_eig * max(float(np.linalg.norm(chain_bands(p).entries)), 1.0)
     if np.any(res > bound):
         raise ConvergenceError("eigensolver residual %.3e exceeds %.3e (dim %d)"
                                % (res.max(), bound, p.D))
-    order = _order(w.ravel(), tol_eig)
+    order = _order(w.ravel())
     j, b = np.divmod(order, p.r * p.d)
     vecs = (_plane_waves(p, j)[:, None] * U[j, :, b].T).reshape(p.D, p.D)
     return SpectralDecomposition(values=w.ravel()[order], right_vectors=vecs,
                                  residuals=res[order])
 
 
-def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
+def model_spectrum(p):
     """Spectrum of the model's Hamiltonian, solved in its skin-balancing
     frame (the one spectral path every consumer of a model shares).
 
@@ -278,9 +281,9 @@ def model_spectrum(p, tol_eig=DEFAULT_TOL_EIG):
     its Bloch sectors (_ring_spectrum).
     """
     if p.boundary == PBC:
-        return _ring_spectrum(p, tol_eig)
+        return _ring_spectrum(p)
     Hb, _, ln_s = _skin_balanced(p)
-    dec = full_spectrum(Hb, tol_eig)
+    dec = full_spectrum(Hb)
     if ln_s is None:
         return dec
     values, vecs = dec.values, dec.right_vectors

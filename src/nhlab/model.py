@@ -236,36 +236,27 @@ def _bands(p, upper, lower, Jm, JmP):
                       np.array(corners, dtype=complex))
 
 
-def bond_bands(p, J0, JL, JR, Jm, JmP, dim_cap=DEFAULT_DIM_CAP):
+def bond_bands(p, J0, JL, JR, Jm, JmP):
     """ChainBands of p's chain (d, r, L and boundary) with the given
-    couplings in place of p's (_bond_table); dim_cap as in
-    build_hamiltonian."""
-    if p.D > dim_cap:
+    couplings in place of p's (_bond_table); the one check of the
+    dimension cap, DEFAULT_DIM_CAP."""
+    if p.D > DEFAULT_DIM_CAP:
         raise DimensionCapError(
-            "dimension D=%d exceeds cap %d" % (p.D, dim_cap))
+            "dimension D=%d exceeds cap %d" % (p.D, DEFAULT_DIM_CAP))
     return _bands(p, *_bond_table(p, J0, JL, JR, Jm, JmP))
 
 
-def chain_bands(p, dim_cap=DEFAULT_DIM_CAP):
+def chain_bands(p):
     """The chain's Hamiltonian as ChainBands, the one source of
-    build_hamiltonian's dense matrix; dim_cap as there."""
-    return bond_bands(p, p.J0, p.JL, p.JR, p.Jm, p.JmP, dim_cap)
+    build_hamiltonian's dense matrix."""
+    return bond_bands(p, p.J0, p.JL, p.JR, p.Jm, p.JmP)
 
 
-def build_hamiltonian(p, dim_cap=DEFAULT_DIM_CAP):
-    """Real-space Hamiltonian of the full chain.
-
-    Parameters
-    ----------
-    p : ModelParams
-    dim_cap : int
-        Refuse to build matrices larger than this (dense eigensolve cost).
-
-    Returns
-    -------
-    ndarray of shape (D, D), complex
-    """
-    return chain_bands(p, dim_cap).dense()
+def build_hamiltonian(p):
+    """Real-space Hamiltonian of the full chain, a dense (D, D) complex
+    ndarray made from its bands (chain_bands): a D above DEFAULT_DIM_CAP
+    raises DimensionCapError before anything is built."""
+    return chain_bands(p).dense()
 
 
 def build_bloch(p, k):
@@ -394,7 +385,7 @@ def params_from_config(cfg):
             v = float(cfg[key])
         except (TypeError, ValueError):
             raise ValidationError("config key %s is not a number: %r" % (key, cfg[key]))
-        if v != int(v):
+        if not (np.isfinite(v) and v == int(v)):
             raise ValidationError("config key %s must be an integer" % key)
         return int(v)
 

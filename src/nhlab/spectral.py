@@ -139,20 +139,20 @@ def _dense(H):
     return _real_if_possible(H.dense()) if isinstance(H, ChainBands) else H
 
 
-def sort_resolution(values, tol_eig=DEFAULT_TOL_EIG):
-    """The sort's resolution, tol_eig * max(max |values|, 1): parts of
-    eigenvalues that round to the same multiple of it are ties."""
-    return tol_eig * max(float(np.max(np.abs(values), initial=0.0)), 1.0)
+def sort_resolution(values):
+    """The sort's resolution, DEFAULT_TOL_EIG * max(max |values|, 1):
+    parts of eigenvalues that round to the same multiple of it are ties."""
+    return DEFAULT_TOL_EIG * float(np.max(np.abs(values), initial=1.0))
 
 
-def _order(values, tol_eig):
-    """Sort permutation: Im descending at sort_resolution(values, tol_eig),
-    ties by Re descending."""
-    im_key = np.round(values.imag / sort_resolution(values, tol_eig))
+def _order(values):
+    """Sort permutation: Im descending at sort_resolution(values), ties by
+    Re descending."""
+    im_key = np.round(values.imag / sort_resolution(values))
     return np.lexsort((-values.real, -im_key))
 
 
-def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
+def full_spectrum(H, vectors=True):
     """Diagonalize an open chain (model.ChainBands) or a dense matrix with
     a residual guarantee.
 
@@ -174,9 +174,9 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     Eigenpairs are sorted by decreasing imaginary part, ties broken by
     decreasing real part, so the ordering (and therefore steady-state
     selection) is deterministic for identical input.  Imaginary parts are
-    compared at resolution tol_eig * max(|lambda|, 1): a real spectrum
-    carries O(1e-16) imaginary noise that would otherwise scramble the
-    primary key and make the tie-break unreachable.
+    compared at sort_resolution, DEFAULT_TOL_EIG * max(|lambda|, 1): a
+    real spectrum carries O(1e-16) imaginary noise that would otherwise
+    scramble the primary key and make the tie-break unreachable.
 
     vectors=False returns only the sorted eigenvalues (an ndarray): the
     solve skips the eigenvectors and so has no residual to check; a
@@ -186,15 +186,15 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
     ------
     ConvergenceError
         If the dense solve fails in LAPACK or leaves a residual above
-        tol_eig * max(||H||_F, 1).
+        DEFAULT_TOL_EIG * max(||H||_F, 1), the residual gate.
     """
     H = _split(H)
-    half = _half_solve(H, tol_eig, vectors)
+    half = _half_solve(H, vectors)
     if not vectors:
         if half is not None:
             return half
-        return _dense_solve(_dense(H), tol_eig, vectors=False)
-    bound = tol_eig * max(_frobenius(H), 1.0)
+        return _dense_solve(_dense(H), vectors=False)
+    bound = DEFAULT_TOL_EIG * max(_frobenius(H), 1.0)
     if half is not None:
         values, vecs = half
         residuals = _residuals(H, vecs, values)
@@ -203,7 +203,7 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
                                          residuals=residuals)
         FALL_BACKS["residual"] += 1
     half = vecs = None  # frees the rejected vectors before the dense solve
-    values, vecs = _dense_solve(_dense(H), tol_eig, vectors=True)
+    values, vecs = _dense_solve(_dense(H), vectors=True)
     residuals = _residuals(H, vecs, values)
     if np.any(residuals > bound):
         raise ConvergenceError(
@@ -213,17 +213,17 @@ def full_spectrum(H, tol_eig=DEFAULT_TOL_EIG, vectors=True):
                                  residuals=residuals)
 
 
-def _dense_solve(A, tol_eig, vectors):
+def _dense_solve(A, vectors):
     """Sorted eigenvalues of A and, with vectors=True, its unit right
     eigenvectors as (values, vecs): LAPACK ?geev, no residual check."""
     try:
         if not vectors:
             values = scipy.linalg.eigvals(A)
-            return values[_order(values, tol_eig)]
+            return values[_order(values)]
         values, vecs = scipy.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError("eigensolver failed: %s" % exc)
-    order = _order(values, tol_eig)
+    order = _order(values)
     # dgeev returns real vectors when every eigenvalue is real
     vecs = vecs[:, order].astype(complex, copy=False)
     vecs /= np.linalg.norm(vecs, axis=0)
@@ -263,7 +263,7 @@ def _hop(H, x, rows):
     return y
 
 
-def _half_solve(H, tol_eig, vectors):
+def _half_solve(H, vectors):
     """Sublattice solve of an open chain H from its bands (_split).
 
     The eigenvalues are +-sqrt(mu), mu running over the eigenvalues of
@@ -316,7 +316,7 @@ def _half_solve(H, tol_eig, vectors):
             X = X.astype(np.result_type(X, x), copy=False)
             X[:, fail] = x
     values = np.concatenate([root, -root, np.zeros(D % 2)])
-    order = _order(values, tol_eig)
+    order = _order(values)
     values = values[order]
     if not vectors:
         return values

@@ -1,14 +1,17 @@
 """Command-line interface: exit codes, emitted files, determinism."""
 
+import argparse
 import json
 import math
+import pathlib
+import re
 
 import pytest
 
 from conftest import run_python
 from nhlab import (exponent_vs_delta, gbz_radius, model_spectrum,
-                   params_from_config)
-from nhlab.cli import main
+                   params_from_config, spectral)
+from nhlab.cli import build_parser, main
 
 HN = """\
 [model]
@@ -161,6 +164,15 @@ def test_winding_band_at_a_transition_exits_3(tmp_path, capsys):
                 .replace("RECIPROCAL_MODULAR\nJ_re = 2.0", "NON_MODULAR"))
     assert main(["winding", "--config", ini, "--kind", "band"]) == 3
     assert "at a band transition" in capsys.readouterr().err
+
+
+def test_winding_kind_flag_beats_the_config(tmp_path, capsys):
+    # as --out and --format beat [output], --kind beats [topology] kind
+    ini = write(tmp_path, SSH + "\n[topology]\nkind = band\n")
+    out = tmp_path / "w.csv"
+    assert main(["winding", "--config", ini, "--kind", "spectral",
+                 "--out", str(out)]) == 0
+    assert read_table(out)[2][0][0] == "spectral"
 
 
 def test_winding_spectral(tmp_path, capsys):
@@ -357,6 +369,8 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     ["gaps", "--config", "run.ini", "--threads", "7"],
     ["scaling", "--config", "run.ini", "--set", "JX=1"],
     ["preset", "FIG2_HN", "--config", "run.ini"],
+    ["spectrum", "--config", "run.ini", "--tol-eig", "1e-9"],
+    ["skin", "--config", "run.ini", "--tol-eig", "1e-9"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -365,11 +379,12 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_numerical_failures_exit_3(tmp_path, capsys):
+def test_numerical_failures_exit_3(tmp_path, capsys, monkeypatch):
     out = tmp_path / "never.csv"
     ini = write(tmp_path, HN)
-    assert main(["spectrum", "--config", ini, "--tol-eig", "1e-18",
-                 "--out", str(out)]) == 3
+    # a residual gate below rounding level fails the solve
+    monkeypatch.setattr(spectral, "DEFAULT_TOL_EIG", 1e-18)
+    assert main(["spectrum", "--config", ini, "--out", str(out)]) == 3
     assert "error: numerical:" in capsys.readouterr().err
     assert not out.exists()
     # band winding is undefined off the two-sublevel structure: every
@@ -382,6 +397,13 @@ observables = WINDING_BAND
 """, "w.ini")
     assert main(["sweep", "--config", ini, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+def test_non_finite_integer_keys_exit_2(tmp_path, capsys, value):
+    ini = write(tmp_path, HN)
+    assert main(["spectrum", "--config", ini, "--set", "L=" + value]) == 2
+    assert "L must be an integer" in capsys.readouterr().err
 
 
 def test_preset_overrides_move_the_derived_couplings(tmp_path, capsys):
@@ -420,3 +442,20 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
     # the preset command's --set list did not reach the spectrum call
     extras, _, rows = read_table(tmp_path / "again.csv")
     assert extras["D"] == "24" and len(rows) == 24
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README's "Subcommand | Flags" table lists each subcommand's options
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    rows = text.split("| Subcommand")[1].split("\n\n")[0].splitlines()[2:]
+    table = {}
+    for line in rows:
+        names, flags = line.strip("|").split("|")
+        for name in re.findall(r"`(\w+)", names):
+            table[name] = set(re.findall(r"`(--[\w-]+)`", flags))
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {opt for a in cmd._actions for opt in a.option_strings
+                     if opt.startswith("--") and opt != "--help"}
+              for name, cmd in sub.choices.items()}
+    assert table == parsed

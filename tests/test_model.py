@@ -1,15 +1,18 @@
 """Builder tests: explicit small matrices, structural properties, config."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_multiset_close
 from nhlab import (NON_MODULAR, OBC, PBC, RECIPROCAL_MODULAR, SHIFTED,
-                   CouplingPreset, DimensionCapError, ValidationError,
-                   build_bloch, build_current_operator, build_generalized_bloch,
-                   build_hamiltonian, make_params, params_from_config,
-                   params_to_config)
+                   CouplingPreset, DimensionCapError, ParamSpec,
+                   ValidationError, build_bloch, build_current_operator,
+                   build_generalized_bloch, build_hamiltonian, make_params,
+                   model_spectrum, obc_central_gap, params_from_config,
+                   params_to_config, preset, probe_state)
 
 
 def reference_hamiltonian(d, r, L, J0, JL, JR, Jm, JmP, pbc=False):
@@ -155,9 +158,29 @@ def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         build_hamiltonian(big)
     small = make_params(1, 3, 50, JL=1, JR=0.5, Jm=0.3, JmP=0.7)
-    with pytest.raises(DimensionCapError):
-        build_hamiltonian(small, dim_cap=100)
     assert build_hamiltonian(small).shape == (150, 150)
+
+
+FIG2_HN_LONG = preset("FIG2_HN").params.with_updates(L=2 * 10 ** 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: model_spectrum(FIG2_HN_LONG),
+    lambda: model_spectrum(preset("FIG4_HN").params.with_updates(
+        L=2 * 10 ** 5, boundary=PBC)),
+    lambda: probe_state(FIG2_HN_LONG, ParamSpec(("JR",), (-2.5,), (1e-5,))),
+    lambda: obc_central_gap(FIG2_HN_LONG),
+], ids=["open_spectrum", "ring_spectrum", "probe_state", "obc_central_gap"])
+def test_dimension_cap_fires_before_any_d_sized_array(call):
+    # D = 6e6 open and 6e5 ring: one D-vector of doubles is 48 MB and 4.8 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 def test_config_round_trip():
