@@ -17,12 +17,12 @@ import numpy as np
 
 from . import harness
 from .errors import NumericalError, ValidationError
-from .gbz import point_gap_residual
+from .gbz import contour_eigenvalues, point_gap_residual
 from .metrology import (DEFAULT_STEP, ParamSpec, cfi, cfim, current_basis,
                         model_spectrum, position_basis, qfi, qfim,
                         state_derivatives, total_variance_bound)
-from .model import build_bloch, params_from_config, params_to_config
-from .spectral import cumulative_population
+from .model import params_from_config, params_to_config
+from .spectral import cumulative_population, sort_resolution
 from .topology import band_winding, count_spectral_loops, line_gap_minima, spectral_winding
 
 CSV_SCHEMA = "nhlab-csv-1"
@@ -397,8 +397,11 @@ def cmd_preset(args, cfg):
     p = params_from_config({str(k): str(v) for k, v in model_cfg.items()})
     loops = count_spectral_loops(p)
     ks = np.linspace(-np.pi, np.pi, 512, endpoint=False)
-    vals = np.linalg.eigvals(build_bloch(p, ks))
-    vals = np.take_along_axis(vals, np.lexsort((vals.imag, vals.real)), axis=-1)
+    vals = contour_eigenvalues(p, np.exp(1j * ks))
+    # bands by Re at the sort's resolution, then Im: a mirror pair x +- iy
+    # keeps its labels whatever the rounding of its two real parts
+    re_key = np.round(vals.real / sort_resolution(vals))
+    vals = np.take_along_axis(vals, np.lexsort((vals.imag, re_key)), axis=-1)
     header = ("k", "band", "value_re", "value_im")
     rows = [(float(k), b, float(v.real), float(v.imag))
             for k, row in zip(ks, vals) for b, v in enumerate(row)]

@@ -1,10 +1,15 @@
 """Generalized-Brillouin-zone quantities.
 
-For nearest-module coupling the bulk characteristic equation
-det(H_beta - E) = 0 multiplied by beta is a quadratic a*beta^2 + b*beta + c
-with a = J0^{r(d-1)} JL^{r-1} Jm and c = J0^{r(d-1)} JR^{r-1} JmP.  The two
-roots at any energy share the product c/a, so the GBZ is the circle of
-radius sqrt(|c/a|); the point gap closes when that radius is one.
+For nearest-module coupling the bulk characteristic polynomial of the
+m-site module (m = r*d) is det(E - H_beta) = Delta(E) - a*beta - c/beta,
+with a = J0^{r(d-1)} JL^{r-1} Jm and c = J0^{r(d-1)} JR^{r-1} JmP the
+products of the bonds around the ring one way and the other, and Delta
+a monic polynomial of degree m in E alone (bulk_polynomial).  At fixed E
+it is a quadratic in beta whose two roots share the product c/a, so the
+GBZ is the circle of radius sqrt(|c/a|); the point gap closes when that
+radius is one.  At fixed beta it is a polynomial in E, so a contour's
+spectra are the roots of Delta(E) = a*beta + c/beta, solved in closed
+form for m <= 4 (contour_eigenvalues).
 """
 
 from dataclasses import dataclass, field
@@ -12,10 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularModelError, ValidationError
-from .model import OBC, build_generalized_bloch
+from .model import OBC, _bond_table, build_generalized_bloch
+from .spectral import FALL_BACKS
 
 DEFAULT_CONTOUR_POINTS = 2048
 MIN_CONTOUR_RADIUS = 1e-8
+# a contour sample's closed-form roots are kept when the monic polynomial
+# rebuilt from them matches Delta(E) - w coefficientwise within this
+# fraction of the sum of its coefficients' moduli
+CONTOUR_GATE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,25 +63,144 @@ def beta_quadratic_coeffs(p):
 
 
 def bulk_determinant(p, E, beta):
-    """det(H_beta - E * Id) at a scalar or an array of beta, evaluated numerically."""
+    """det(H_beta - E * Id) at a scalar or an array of beta, evaluated
+    numerically: an oracle for beta_polynomial and bulk_polynomial."""
     H = build_generalized_bloch(p, beta)
     return np.linalg.det(H - complex(E) * np.eye(H.shape[-1]))
 
 
-_INTERP_BETAS = (1.0 + 0j, -1.0 + 0j, 2.0 + 0j)
+def _continuant(bonds):
+    """det(E - T), highest power first, for the zero-diagonal chain T of
+    len(bonds) + 1 sites whose i-th bond has upper*lower product bonds[i]."""
+    prev, cur = np.ones(1, dtype=complex), np.array([1, 0], dtype=complex)
+    for b in bonds:
+        prev, cur = cur, np.append(cur, 0) - b * np.concatenate([[0, 0], prev])
+    return cur
+
+
+def bulk_polynomial(p):
+    """Coefficients of Delta(E), highest power first (m + 1 of them, the
+    first 1): det(E - H_beta) = Delta(E) - a*beta - c/beta for every beta,
+    with (a, c) = beta_quadratic_coeffs(p).
+
+    Delta is the continuant of the open module (model._bond_table) minus
+    Jm*JmP times that of its interior sites 1 ... m-2.  Every bond links
+    neighbouring sites, so only powers E^(m-2j) appear.
+    """
+    upper, lower, Jm, JmP = _bond_table(p, p.J0, p.JL, p.JR, p.Jm, p.JmP)
+    bonds = upper * lower
+    inner = _continuant(bonds[1:-1]) if len(bonds) > 1 else np.ones(1)
+    return _continuant(bonds) - Jm * JmP * np.append([0, 0], inner)
 
 
 def beta_polynomial(p, E):
-    """Coefficients (c2, c1, c0) of beta * det(H_beta - E) as a quadratic.
+    """Coefficients (c2, c1, c0) of beta * det(H_beta - E) as a quadratic:
+    (-1)^m (-a, Delta(E), -c), from bulk_polynomial and
+    beta_quadratic_coeffs."""
+    delta = bulk_polynomial(p)
+    a, c = beta_quadratic_coeffs(p)
+    sign = -1.0 if len(delta) % 2 == 0 else 1.0  # (-1)^m, m = len(delta) - 1
+    return (-sign * a, sign * np.polyval(delta, complex(E)), -sign * c)
 
-    Recovered by exact interpolation through three sample beta values,
-    avoiding any symbolic expansion of the bulk determinant.
+
+def _over(num, den):
+    """num / den elementwise, and 0 where den is 0."""
+    return np.where(den == 0, 0.0, num / np.where(den == 0, 1.0, den))
+
+
+def _stable_quadratic(b, c):
+    """Both roots of x^2 + b x + c, the larger one without cancellation
+    and the other as c over it."""
+    sq = np.sqrt(b * b - 4.0 * c)
+    big = np.where(np.abs(b + sq) >= np.abs(b - sq), -0.5 * (b + sq), -0.5 * (b - sq))
+    return big, _over(c, big)
+
+
+def _depressed_cubic(p, q):
+    """The three roots of x^3 + p x + q (arrays of equal shape).
+
+    Cardano's formula gives the root t of largest modulus, which is simple
+    unless all three vanish (the roots sum to zero); two Newton steps
+    polish it, each kept only where it lowers |t^3 + p t + q|, and the
+    other two are the stable roots of the deflated x^2 + t x - q/t.
     """
-    xs = np.array(_INTERP_BETAS)
-    ys = xs * bulk_determinant(p, E, xs)
-    # Vandermonde solve is exact for a degree-2 polynomial
-    V = np.vander(xs, 3)
-    return tuple(np.linalg.solve(V, ys))
+    half = 0.5 * q
+    s = np.sqrt(half * half + (p / 3.0) ** 3)
+    u3 = np.where(np.abs(-half + s) >= np.abs(-half - s), -half + s, -half - s)
+    u = np.power(u3, 1.0 / 3.0)[..., None] * np.exp(2j * np.pi / 3.0) ** np.arange(3)
+    cands = u - _over(p[..., None], 3.0 * u)
+    t = np.take_along_axis(cands, np.abs(cands).argmax(axis=-1)[..., None],
+                           axis=-1)[..., 0]
+    for _ in range(2):
+        f = t ** 3 + p * t + q
+        step = t - _over(f, 3.0 * t * t + p)
+        t = np.where(np.abs(step ** 3 + p * step + q) < np.abs(f), step, t)
+    x1, x2 = _stable_quadratic(t, _over(-q, t))
+    return np.stack([t, x1, x2], axis=-1)
+
+
+def _closed_form_roots(target):
+    """Roots of each row of target, monic polynomials of degree m in (2,
+    3, 4) with only the powers of Delta: +-sqrt for m = 2,
+    _depressed_cubic for m = 3, and for m = 4 (even) the stable quadratic
+    in E^2, then +-sqrt."""
+    m = target.shape[1] - 1
+    if m == 2:
+        e = np.sqrt(-target[:, 2])
+        return np.stack([e, -e], axis=-1)
+    if m == 3:
+        return _depressed_cubic(target[:, 2], target[:, 3])
+    e1, e2 = np.sqrt(_stable_quadratic(target[:, 2], target[:, 4]))
+    return np.stack([e1, -e1, e2, -e2], axis=-1)
+
+
+def contour_eigenvalues(p, beta):
+    """Eigenvalues of build_generalized_bloch(p, beta), values only, without
+    building the matrices for m = r*d <= 4.
+
+    Each beta's eigenvalues are the m roots of Delta(E) - w with w = a*beta
+    + c/beta (bulk_polynomial, beta_quadratic_coeffs), solved in closed
+    form.  At m = 2 each entry of h_beta adds a corner to a bond, and the
+    constant Delta(0) - w = det(h_beta) is taken as minus the product of
+    the two entries, which keeps a small E accurate where the four terms of
+    the sum cancel.  A sample is kept when the monic polynomial rebuilt from its
+    roots matches Delta(E) - w coefficientwise within CONTOUR_GATE times
+    the sum of that polynomial's coefficient moduli; a sample that fails is
+    solved by np.linalg.eigvals of its matrix and counted in
+    FALL_BACKS["contour"].  m >= 5 takes np.linalg.eigvals of the whole
+    stack.  The order within a sample is not LAPACK's.
+
+    Returns
+    -------
+    ndarray of shape beta.shape + (m,), complex
+    """
+    beta = np.asarray(beta, dtype=complex)
+    if np.any(beta == 0):
+        raise ValidationError("beta must be nonzero")
+    delta = bulk_polynomial(p)
+    m = len(delta) - 1
+    if m > 4:
+        return np.linalg.eigvals(build_generalized_bloch(p, beta))
+    b = beta.ravel()
+    target = np.tile(delta, (len(b), 1))
+    if m == 2:
+        upper, lower, Jm, JmP = _bond_table(p, p.J0, p.JL, p.JR, p.Jm, p.JmP)
+        target[:, 2] = -(upper[0] + JmP / b) * (lower[0] + Jm * b)
+    else:
+        a, c = beta_quadratic_coeffs(p)
+        target[:, -1] -= a * b + c / b
+    roots = _closed_form_roots(target)
+    rebuilt = np.ones((len(b), 1), dtype=complex)
+    zero = np.zeros((len(b), 1))
+    for k in range(m):
+        rebuilt = (np.append(rebuilt, zero, axis=1)
+                   - roots[:, k:k + 1] * np.append(zero, rebuilt, axis=1))
+    err = np.abs(rebuilt - target).max(axis=1)
+    failed = ~(err <= CONTOUR_GATE * np.abs(target).sum(axis=1))
+    if failed.any():
+        FALL_BACKS["contour"] += int(failed.sum())
+        roots[failed] = np.linalg.eigvals(build_generalized_bloch(p, b[failed]))
+    return roots.reshape(beta.shape + (m,))
 
 
 def beta_roots(p, E):

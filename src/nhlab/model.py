@@ -236,13 +236,19 @@ def _bands(p, upper, lower, Jm, JmP):
                       np.array(corners, dtype=complex))
 
 
-def bond_bands(p, J0, JL, JR, Jm, JmP):
-    """ChainBands of p's chain (d, r, L and boundary) with the given
-    couplings in place of p's (_bond_table); the one check of the
-    dimension cap, DEFAULT_DIM_CAP."""
+def _check_dim(p):
+    """The one check of the dimension cap, DEFAULT_DIM_CAP, made before
+    anything D-sized is built."""
     if p.D > DEFAULT_DIM_CAP:
         raise DimensionCapError(
             "dimension D=%d exceeds cap %d" % (p.D, DEFAULT_DIM_CAP))
+
+
+def bond_bands(p, J0, JL, JR, Jm, JmP):
+    """ChainBands of p's chain (d, r, L and boundary) with the given
+    couplings in place of p's (_bond_table), after the cap check
+    (_check_dim)."""
+    _check_dim(p)
     return _bands(p, *_bond_table(p, J0, JL, JR, Jm, JmP))
 
 
@@ -332,12 +338,14 @@ def build_current_operator(p):
 
     T is the sum of every rightward hop with unit amplitude (sublevel,
     intra-module, and inter-module bonds alike), so the operator is
-    Hermitian and shares the hop support of the Hamiltonian.
+    Hermitian and shares the hop support of the Hamiltonian.  A D above
+    DEFAULT_DIM_CAP raises DimensionCapError before anything is built.
 
     Returns
     -------
     ndarray of shape (D, D), complex Hermitian
     """
+    _check_dim(p)
     m = p.r * p.d
     T = _bands(p, np.ones(m - 1), np.zeros(m - 1), 1.0, 0.0).dense()
     return 1j * (T - T.conj().T)

@@ -73,7 +73,8 @@ SQUARING_GATE = 1e-12
 REFINE_STEPS = 6
 # dense solves of a chain's bands, by cause: "odd vectors", "odd
 # dimension", "singular factor", "unconverged", "residual" (a pair failed
-# the residual gate) and "lapack"
+# the residual gate) and "lapack"; and "contour", the Bloch and GBZ
+# samples whose closed-form roots fail gbz.CONTOUR_GATE
 FALL_BACKS = Counter()
 
 

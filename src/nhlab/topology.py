@@ -22,10 +22,9 @@ import numpy as np
 
 from .errors import (AtTransitionError, NumericalError, UnsupportedStructureError,
                      ValidationError)
-from .gbz import beta_polynomial, contour_radius, gbz_contour
+from .gbz import beta_polynomial, contour_eigenvalues, contour_radius, gbz_contour
 from .metrology import model_eigenvalues, model_spectrum
-from .model import (OBC, SHIFTED, build_bloch, build_generalized_bloch,
-                    chiral_blocks)
+from .model import OBC, SHIFTED, chiral_blocks
 from .spectral import certify, sort_resolution
 
 LINE_GAP_CENTRAL = "LINE_GAP_CENTRAL"
@@ -75,7 +74,7 @@ def spectral_winding(p, Eref):
     """
     Eref = complex(Eref)
     roots = np.roots(beta_polynomial(p, Eref))
-    evs = np.linalg.eigvals(build_bloch(p, np.append(np.angle(roots), 0.0)))
+    evs = contour_eigenvalues(p, np.exp(1j * np.append(np.angle(roots), 0.0)))
     dist = float(np.min(np.abs(evs - Eref)))
     if dist <= DEFAULT_TOL_GAP:
         raise IllConditionedContourError(
@@ -233,12 +232,12 @@ def _dedupe_sorted(values):
 # -- band tracking and line gaps --------------------------------------------
 
 
-def _contour_blochs(p, use_gbz, n):
-    """Stack of n Bloch matrices over the k-grid, or of generalized-Bloch
-    matrices over the GBZ circle (use_gbz True)."""
+def _contour_betas(p, use_gbz, n):
+    """n Bloch factors exp(ik) over the k-grid, or n points of the GBZ
+    circle (use_gbz True); their spectra come from contour_eigenvalues."""
     if use_gbz:
-        return build_generalized_bloch(p, gbz_contour(p, n_points=n).points)
-    return build_bloch(p, np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+        return gbz_contour(p, n_points=n).points
+    return np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
 
 
 TIE_RESOLUTION = 1e-10  # assignment costs closer than this are a tie
@@ -378,8 +377,8 @@ def line_gap_minima(p, use_gbz=False):
     Ambiguous tracking raises NumericalError; a finer grid does not
     resolve it on any preset.
     """
-    bands = _track_bands(np.linalg.eigvals(
-        _contour_blochs(p, use_gbz, LINE_GAP_K_POINTS)))
+    bands = _track_bands(contour_eigenvalues(
+        p, _contour_betas(p, use_gbz, LINE_GAP_K_POINTS)))
     return _gap_reports(p, bands)
 
 
@@ -392,7 +391,7 @@ def direct_band_minimum(p, use_gbz=False):
     reports depend on how bands are ordered.  The contour is sampled at
     BAND_MINIMUM_K_POINTS points.
     """
-    ev = np.linalg.eigvals(_contour_blochs(p, use_gbz, BAND_MINIMUM_K_POINTS))
+    ev = contour_eigenvalues(p, _contour_betas(p, use_gbz, BAND_MINIMUM_K_POINTS))
     d = np.abs(ev[:, :, None] - ev[:, None, :])
     i = np.arange(ev.shape[1])
     d[:, i, i] = np.inf
@@ -551,7 +550,7 @@ def count_spectral_loops(p):
     """
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial import cKDTree
-    ev = np.linalg.eigvals(_contour_blochs(p, False, LOOP_K_POINTS))
+    ev = contour_eigenvalues(p, _contour_betas(p, False, LOOP_K_POINTS))
     bands = _track_bands(np.concatenate([ev, ev[:1]]))
     start = bands[:, 0]
     end = bands[:, -1]

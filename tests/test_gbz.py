@@ -1,14 +1,25 @@
-"""Non-Bloch factor: radius formula, beta roots, contour, gauge frame."""
+"""Non-Bloch factor: radius formula, beta roots, contour, gauge frame,
+closed-form contour spectra."""
 
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import assert_multiset_close
-from nhlab import (PBC, RECIPROCAL_MODULAR, SHIFTED, CouplingPreset,
-                   SingularModelError, build_bloch, build_hamiltonian,
-                   beta_roots, gbz_contour, gbz_radius, make_params,
-                   point_gap_residual, skin_frame)
-from nhlab.gbz import beta_quadratic_coeffs, bulk_determinant
+from nhlab import (PBC, PRESET_NAMES, RECIPROCAL_MODULAR, SHIFTED,
+                   CouplingPreset, SingularModelError, ValidationError,
+                   beta_polynomial, beta_roots, build_bloch,
+                   build_generalized_bloch, build_hamiltonian, gbz_contour,
+                   gbz_radius, make_params, point_gap_residual, preset,
+                   skin_frame)
+from nhlab import gbz
+from nhlab.gbz import (beta_quadratic_coeffs, bulk_determinant,
+                       contour_eigenvalues)
+from nhlab.model import _bond_table
+from nhlab.spectral import FALL_BACKS
+from nhlab.topology import _contour_betas
 
 
 def hn(jr, J=2.0, L=12):
@@ -127,3 +138,142 @@ def test_skin_frame_absent_when_not_applicable():
     pbc = make_params(1, 3, 8, JL=1, JR=-2.5, boundary=PBC,
                       preset=CouplingPreset(RECIPROCAL_MODULAR, 2.0))
     assert skin_frame(pbc) is None
+
+
+def interpolated_beta_polynomial(p, E):
+    # beta * det(H_beta - E) is a quadratic in beta: its coefficients by
+    # exact interpolation through three samples of the determinant
+    xs = np.array([1.0, -1.0, 2.0], dtype=complex)
+    return np.linalg.solve(np.vander(xs, 3), xs * bulk_determinant(p, E, xs))
+
+
+def test_beta_polynomial_is_the_interpolated_determinant():
+    rng = np.random.default_rng(17)
+    for name in PRESET_NAMES:
+        p = preset(name).params
+        for _ in range(5):
+            E = complex(*rng.normal(size=2) * 3.0)
+            got = np.array(beta_polynomial(p, E))
+            want = interpolated_beta_polynomial(p, E)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_bulk_polynomial_is_the_generalized_bloch_determinant():
+    # det(E - h_beta) = Delta(E) - a beta - c / beta on modules of m = 2 ... 7
+    # sites, with every coupling complex
+    rng = np.random.default_rng(23)
+    for d, r in [(1, 2), (2, 1), (1, 3), (1, 4), (2, 2), (1, 5), (2, 3), (1, 7)]:
+        couplings = rng.normal(size=(4, 2)) @ np.array([1.0, 1j])
+        p = make_params(d, r, 4, J0=float(rng.normal()) if d > 1 else 0.0,
+                        JL=couplings[0], JR=couplings[1], Jm=couplings[2],
+                        JmP=couplings[3])
+        delta = gbz.bulk_polynomial(p)
+        a, c = beta_quadratic_coeffs(p)
+        assert len(delta) == d * r + 1 and delta[0] == 1
+        for _ in range(4):
+            E, beta = rng.normal(size=(2, 2)) @ np.array([1.0, 1j])
+            want = (-1) ** (d * r) * bulk_determinant(p, E, beta)
+            got = np.polyval(delta, E) - a * beta - c / beta
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (d, r)
+
+
+M2 = make_params(1, 2, 10, JL=1.0, JR=-2.5,
+                 preset=CouplingPreset(RECIPROCAL_MODULAR, 2.0))
+M6 = make_params(2, 3, 10, J0=1.25, JL=1.0, JR=0.5,
+                 preset=CouplingPreset(SHIFTED, 2.0))
+CONTOUR_MODELS = [(name, preset(name).params) for name in PRESET_NAMES] + [
+    ("m2", M2), ("m6", M6)]
+
+
+def bottleneck(a, b):
+    """Per sample, the multiset distance of a[j] and b[j]: the smallest
+    largest distance over the pairings of their values."""
+    best = np.full(a.shape[:-1], np.inf)
+    for perm in itertools.permutations(range(a.shape[-1])):
+        best = np.minimum(best, np.abs(a - b[..., list(perm)]).max(axis=-1))
+    return best
+
+
+def reference_roots(p, beta):
+    """Roots of det(E - H_beta) at 50 digits: the continuants of the bond
+    table and the two ring products, in mpmath from the same doubles."""
+    upper, lower, Jm, JmP = _bond_table(p, p.J0, p.JL, p.JR, p.Jm, p.JmP)
+
+    def continuant(bonds):
+        prev, cur = [mpmath.mpc(1)], [mpmath.mpc(1), mpmath.mpc(0)]
+        for b in bonds:
+            prev, cur = cur, [x - b * y for x, y in zip(cur + [0], [0, 0] + prev)]
+        return cur
+
+    with mpmath.workdps(50):
+        bonds = [mpmath.mpc(u) * mpmath.mpc(l) for u, l in zip(upper, lower)]
+        inner = continuant(bonds[1:-1]) if len(bonds) > 1 else [mpmath.mpc(1)]
+        JJ = mpmath.mpc(Jm) * mpmath.mpc(JmP)
+        poly = [x - JJ * y for x, y in zip(continuant(bonds), [0, 0] + inner)]
+        a, c = mpmath.mpc(Jm), mpmath.mpc(JmP)
+        for u, l in zip(upper, lower):
+            a, c = a * mpmath.mpc(u), c * mpmath.mpc(l)
+        b = mpmath.mpc(complex(beta))
+        poly[-1] -= a * b + c / b
+        roots = mpmath.polyroots(poly, maxsteps=400, extraprec=400)
+        return np.array([complex(r) for r in roots])
+
+
+@pytest.mark.parametrize("p", [c[1] for c in CONTOUR_MODELS],
+                         ids=[c[0] for c in CONTOUR_MODELS])
+def test_contour_eigenvalues_match_lapack(p):
+    # both contours at 2048 points over 21 JR in [-3, 1]: each sample the
+    # same multiset as LAPACK's within 1e-12 ||h_beta||_1, or, where the two
+    # part (at an exceptional point), no farther than LAPACK from the
+    # 50-digit roots
+    before = FALL_BACKS["contour"]
+    for jr in np.linspace(-3.0, 1.0, 21):
+        q = p.with_updates(JR=jr)
+        for use_gbz in (False, True):
+            betas = _contour_betas(q, use_gbz, 2048)
+            H = build_generalized_bloch(q, betas)
+            want, got = np.linalg.eigvals(H), contour_eigenvalues(q, betas)
+            assert got.shape == want.shape
+            if p.r * p.d > 4:  # the stack itself
+                assert np.array_equal(got, want)
+                continue
+            dist = bottleneck(got, want)
+            for j in np.flatnonzero(dist > 1e-12 * np.abs(H).sum(axis=-2).max(axis=-1)):
+                ref = reference_roots(q, betas[j])[None]
+                assert bottleneck(got[j][None], ref) <= bottleneck(want[j][None], ref)
+    assert FALL_BACKS["contour"] == before
+
+
+def test_contour_eigenvalues_at_a_double_root():
+    # FIG4_HN at JR = 1 meets beta = -2.5 half way round its GBZ circle,
+    # where Delta(E) - w = (E - 1)^2 (E + 2): the roots sit on the 50-digit
+    # ones, and det(E - h_beta) vanishes at each
+    p = preset("FIG4_HN").params.with_updates(JR=1.0)
+    beta = _contour_betas(p, True, 2048)[1024]
+    got = contour_eigenvalues(p, beta)
+    ref = reference_roots(p, beta)
+    lapack = np.linalg.eigvals(build_generalized_bloch(p, beta))
+    assert bottleneck(got[None], ref[None]) <= bottleneck(lapack[None], ref[None])
+    assert bottleneck(got[None], np.array([[1.0, 1.0, -2.0]])) <= 1e-12
+    h = build_generalized_bloch(p, beta)
+    dets = [abs(np.linalg.det(E * np.eye(3) - h)) for E in got]
+    assert max(dets) <= 1e-14
+
+
+def test_contour_samples_failing_the_gate_take_the_stack(monkeypatch):
+    # a gate nothing passes sends every sample to np.linalg.eigvals of its
+    # own matrix, and counts each
+    monkeypatch.setattr(gbz, "CONTOUR_GATE", -1.0)
+    for name in ("FIG2_HN", "FIG3"):
+        p = preset(name).params
+        betas = _contour_betas(p, True, 512).reshape(2, 256)
+        before = FALL_BACKS["contour"]
+        got = contour_eigenvalues(p, betas)
+        assert FALL_BACKS["contour"] - before == 512
+        assert np.array_equal(got, np.linalg.eigvals(build_generalized_bloch(p, betas)))
+
+
+def test_contour_eigenvalues_refuse_a_zero_beta():
+    for p in (preset("FIG3").params, M6):
+        with pytest.raises(ValidationError, match="nonzero"):
+            contour_eigenvalues(p, np.array([1.0, 0.0]))

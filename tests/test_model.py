@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_multiset_close
+from nhlab import model
 from nhlab import (NON_MODULAR, OBC, PBC, RECIPROCAL_MODULAR, SHIFTED,
                    CouplingPreset, DimensionCapError, ParamSpec,
                    ValidationError, build_bloch, build_current_operator,
@@ -170,9 +171,12 @@ FIG2_HN_LONG = preset("FIG2_HN").params.with_updates(L=2 * 10 ** 6)
         L=2 * 10 ** 5, boundary=PBC)),
     lambda: probe_state(FIG2_HN_LONG, ParamSpec(("JR",), (-2.5,), (1e-5,))),
     lambda: obc_central_gap(FIG2_HN_LONG),
-], ids=["open_spectrum", "ring_spectrum", "probe_state", "obc_central_gap"])
+    lambda: build_current_operator(FIG2_HN_LONG.with_updates(L=10 ** 6)),
+], ids=["open_spectrum", "ring_spectrum", "probe_state", "obc_central_gap",
+        "current_operator"])
 def test_dimension_cap_fires_before_any_d_sized_array(call):
-    # D = 6e6 open and 6e5 ring: one D-vector of doubles is 48 MB and 4.8 MB
+    # D = 6e6 open and 6e5 ring: one D-vector of doubles is 48 MB and 4.8 MB;
+    # the current operator's D = 3e6 square matrix would be 131 TiB
     tracemalloc.start()
     try:
         with pytest.raises(DimensionCapError):
@@ -181,6 +185,17 @@ def test_dimension_cap_fires_before_any_d_sized_array(call):
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
+
+
+def test_every_builder_reads_the_cap(monkeypatch):
+    # the cap is read at call time, so a lowered one holds for the dense
+    # Hamiltonian and the current operator alike, and D at the cap passes
+    monkeypatch.setattr(model, "DEFAULT_DIM_CAP", 90)
+    p = make_params(1, 3, 31, JL=1, JR=0.5, Jm=0.3, JmP=0.7)
+    for build in (build_hamiltonian, build_current_operator):
+        with pytest.raises(DimensionCapError, match="D=93 exceeds cap 90"):
+            build(p)
+        assert build(p.with_updates(L=30)).shape == (90, 90)
 
 
 def test_config_round_trip():

@@ -2,6 +2,8 @@
 
 import itertools
 import time
+from contextlib import redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -10,17 +12,33 @@ import scipy.linalg
 from nhlab import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED,
                    AtTransitionError, ConvergenceError, CouplingPreset,
                    NumericalError, UnsupportedStructureError, ValidationError,
-                   band_winding, build_bloch, build_hamiltonian, chiral_blocks,
+                   band_winding, build_bloch, build_generalized_bloch,
+                   build_hamiltonian, chiral_blocks,
                    count_spectral_loops, direct_band_minimum, edge_states,
                    gbz_contour, gbz_radius, gbz_zero_gap_solutions,
                    line_gap_minima, make_params, metrology, obc_central_gap,
                    obc_side_gap, pbc_zero_gap_solutions, point_gap_residual,
                    PRESET_NAMES, preset, spectral_winding)
 from conftest import track_bands_loop
+from nhlab import topology
+from nhlab.cli import main
 from nhlab.metrology import model_eigenvalues
+from nhlab.spectral import FALL_BACKS
 from nhlab.topology import (LOOP_K_POINTS, IllConditionedContourError,
-                            _band_sweep, _contour_blochs, _gap_reports,
+                            _band_sweep, _contour_betas, _gap_reports,
                             _min_distance, _track_bands)
+
+
+def lapack_contour_eigenvalues(p, beta):
+    """LAPACK's eigenvalues of the generalized-Bloch matrices at beta: the
+    reference the closed-form contour spectra are held to."""
+    return np.linalg.eigvals(build_generalized_bloch(p, beta))
+
+
+def stack_eigvals(p, use_gbz, n):
+    """lapack_contour_eigenvalues on the n samples of the Bloch (or GBZ,
+    use_gbz) contour the topology results read."""
+    return lapack_contour_eigenvalues(p, _contour_betas(p, use_gbz, n))
 
 
 def shifted(jr, L=50, J=2.0, J0=1.25):
@@ -349,7 +367,7 @@ def test_line_gap_pairs_do_not_depend_on_band_order(jr, use_gbz):
     # bands count as adjacent must not follow the stack order or a
     # rounding-level shift of the bands
     p = hn(jr)
-    bands = _track_bands(np.linalg.eigvals(_contour_blochs(p, use_gbz, 512)))
+    bands = _track_bands(stack_eigvals(p, use_gbz, 512))
     want = [rep.min_gap for rep in line_gap_minima(p, use_gbz=use_gbz)]
     # the imaginary-axis mirror pair keeps the two side gaps equal
     assert want[0] == pytest.approx(want[1], rel=1e-9)
@@ -393,10 +411,10 @@ def _stacks(p):
     samples of the k-grid and of the GBZ circle, and the loop count's
     closed k-grid of LOOP_K_POINTS + 1 samples."""
     for use_gbz in (False, True):
-        yield np.linalg.eigvals(_contour_blochs(p, use_gbz, 512))
-    ev = np.linalg.eigvals(_contour_blochs(p, False, LOOP_K_POINTS))
+        yield stack_eigvals(p, use_gbz, 512)
+    ev = stack_eigvals(p, False, LOOP_K_POINTS)
     yield np.concatenate([ev, ev[:1]])
-    ev = np.linalg.eigvals(_contour_blochs(p, True, LOOP_K_POINTS))
+    ev = stack_eigvals(p, True, LOOP_K_POINTS)
     yield np.concatenate([ev, ev[:1]])
 
 
@@ -437,10 +455,10 @@ def test_band_sweep_work_counts():
     # deterministic work counters of the sweep: passes over all steps and
     # the steps handed to linear_sum_assignment, at two fixed points
     p = preset("FIG3").params
-    sweep = _band_sweep(np.linalg.eigvals(_contour_blochs(p, False, 512)))
+    sweep = _band_sweep(stack_eigvals(p, False, 512))
     assert (sweep.passes, sweep.solved) == (2, 0)
     p = preset("FIG4_SSH").params
-    ev = np.linalg.eigvals(_contour_blochs(p, False, LOOP_K_POINTS))
+    ev = stack_eigvals(p, False, LOOP_K_POINTS)
     sweep = _band_sweep(np.concatenate([ev, ev[:1]]))
     assert (sweep.passes, sweep.solved) == (3, 6)
     # the tie rule reads only the flagged rows, all in the solved steps
@@ -470,3 +488,66 @@ def test_loop_count_at_fig3():
     # another: the bounded tree queries keep the count the unbounded ones
     # gave
     assert count_spectral_loops(preset("FIG3").params.with_updates(JR=-1.2)) == 3
+
+
+M6 = make_params(2, 3, 10, J0=1.25, JL=1.0, JR=0.5,
+                 preset=CouplingPreset(SHIFTED, 2.0))
+
+
+def contour_results(p):
+    """Every result read from contour spectra at p: both line-gap modes,
+    the direct band minimum and the loop count, each a value or its
+    error's text, and the winding at 0 or its error's type (its text
+    gives the distance to the spectrum)."""
+    results = []
+    for call, keep in ((lambda: line_gap_minima(p), str),
+                       (lambda: line_gap_minima(p, use_gbz=True), str),
+                       (lambda: direct_band_minimum(p), str),
+                       (lambda: direct_band_minimum(p, use_gbz=True), str),
+                       (lambda: count_spectral_loops(p), str),
+                       (lambda: spectral_winding(p, 0j), type)):
+        try:
+            results.append(call())
+        except NumericalError as exc:
+            results.append(keep(exc))
+    return results
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + ("m6",))
+def test_contour_results_solve_no_bloch_matrix(name, lapack_calls, tmp_path):
+    # m = r*d <= 4 solves every contour sample in closed form, no eigvals
+    # call at all, and so does `nhlab preset`; m = 6 hands its stacks to
+    # LAPACK
+    p = M6 if name == "m6" else preset(name).params
+    lapack_calls.clear()
+    contour_results(p)
+    assert lapack_calls["eig order"] == (0 if name != "m6" else 6)
+    if name != "m6":
+        lapack_calls.clear()
+        with redirect_stdout(StringIO()):
+            main(["preset", name, "--out", str(tmp_path / "bands.csv")])
+        assert lapack_calls["eig order"] == 0
+
+
+@pytest.mark.parametrize("p", [c[1] for c in TRACKING_POINTS],
+                         ids=[c[0] for c in TRACKING_POINTS])
+def test_closed_form_contours_give_the_lapack_results(p, monkeypatch):
+    # the same errors, loop counts, windings and closed flags as the LAPACK
+    # stacks give, and the same gaps to 1e-10; no sample falls back
+    before = FALL_BACKS["contour"]
+    got = contour_results(p)
+    assert FALL_BACKS["contour"] == before
+    monkeypatch.setattr(topology, "contour_eigenvalues", lapack_contour_eigenvalues)
+    want = contour_results(p)
+    for g, w in zip(got, want):
+        if isinstance(w, (str, int)):
+            assert g == w
+        elif isinstance(w, float):
+            assert abs(g - w) <= 1e-10
+        elif isinstance(w, list):
+            assert [r.closed for r in g] == [r.closed for r in w]
+            assert [r.kind for r in g] == [r.kind for r in w]
+            assert np.allclose([r.min_gap for r in g], [r.min_gap for r in w],
+                               rtol=0.0, atol=1e-10)
+        else:
+            assert g == w
