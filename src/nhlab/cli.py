@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Every command reads an INI config (strict: unknown sections or keys are
-rejected), computes, prints a one-line summary to stdout, and optionally
-writes a CSV or JSON file.  Identical configs produce byte-identical
-files: floats are emitted with repr() and complex values as paired
-_re/_im columns.  Exit codes: 0 success, 2 validation error, 3 numerical
-error.
+rejected), computes, and returns its table as (header, rows, extra,
+summary).  main alone reads the [output] settings, optionally writes the
+table as a CSV or JSON file and prints the one-line summary to stdout.
+Identical configs produce byte-identical files: floats are emitted with
+repr() and complex values as paired _re/_im columns.  Exit codes: 0
+success, 2 validation error, 3 numerical error.
 """
 
 import argparse
@@ -184,11 +185,9 @@ def cmd_spectrum(args, cfg):
     header = ("index", "value_re", "value_im", "residual")
     rows = [(i, float(v.real), float(v.imag), float(res))
             for i, (v, res) in enumerate(zip(dec.values, dec.residuals))]
-    out, fmt = _out_settings(args, cfg)
-    emit(out, fmt, header, rows, extra={"D": p.D, "boundary": p.boundary})
-    print("spectrum: D=%d boundary=%s top_im=%s"
-          % (p.D, p.boundary, repr(float(dec.values[0].imag))))
-    return 0
+    return (header, rows, {"D": p.D, "boundary": p.boundary},
+            "spectrum: D=%d boundary=%s top_im=%s"
+            % (p.D, p.boundary, repr(float(dec.values[0].imag))))
 
 
 def cmd_skin(args, cfg):
@@ -197,13 +196,10 @@ def cmd_skin(args, cfg):
     prof = cumulative_population(dec, p)
     header = ("site", "population")
     rows = [(j, float(v)) for j, v in enumerate(prof.P)]
-    out, fmt = _out_settings(args, cfg)
-    emit(out, fmt, header, rows,
-         extra={"slope_per_module": prof.slope_per_module,
-                "fit_r2": prof.fit_r2})
-    print("skin: slope_per_module=%s fit_r2=%s"
-          % (repr(prof.slope_per_module), repr(prof.fit_r2)))
-    return 0
+    return (header, rows,
+            {"slope_per_module": prof.slope_per_module, "fit_r2": prof.fit_r2},
+            "skin: slope_per_module=%s fit_r2=%s"
+            % (repr(prof.slope_per_module), repr(prof.fit_r2)))
 
 
 def cmd_gaps(args, cfg):
@@ -214,14 +210,10 @@ def cmd_gaps(args, cfg):
     reports = line_gap_minima(p, use_gbz=use_gbz)
     header = ("kind", "min_gap", "closed")
     rows = [(rep.kind, float(rep.min_gap), bool(rep.closed)) for rep in reports]
-    out, fmt = _out_settings(args, cfg)
-    emit(out, fmt, header, rows, extra={"point_gap_residual": residual,
-                                        "use_gbz": use_gbz})
     central = [rep for rep in reports if rep.kind == "LINE_GAP_CENTRAL"]
-    print("gaps: residual=%s central_min=%s"
-          % (repr(residual),
-             repr(central[0].min_gap) if central else "none"))
-    return 0
+    return (header, rows, {"point_gap_residual": residual, "use_gbz": use_gbz},
+            "gaps: residual=%s central_min=%s"
+            % (repr(residual), repr(central[0].min_gap) if central else "none"))
 
 
 def cmd_winding(args, cfg):
@@ -241,10 +233,7 @@ def cmd_winding(args, cfg):
     header = ("kind", "value", "raw_phase", "eref_re", "eref_im")
     rows = [(kind, int(res.value), float(res.raw_phase),
              float(eref.real), float(eref.imag))]
-    out, fmt = _out_settings(args, cfg)
-    emit(out, fmt, header, rows)
-    print("winding=%d" % res.value)
-    return 0
+    return header, rows, None, "winding=%d" % res.value
 
 
 def _param_spec(cfg):
@@ -284,10 +273,7 @@ def cmd_qfi(args, cfg):
     for name in bases:
         header.append("cfi_" + name)
         row.append(float(cfi(psi, dpsi, _basis(name, p))))
-    out, fmt = _out_settings(args, cfg)
-    emit(out, fmt, tuple(header), [tuple(row)])
-    print("qfi=%s" % repr(float(val)))
-    return 0
+    return header, [row], None, "qfi=%s" % repr(float(val))
 
 
 def cmd_qfim(args, cfg):
@@ -306,11 +292,8 @@ def cmd_qfim(args, cfg):
         for i, li in enumerate(ps.labels):
             for j, lj in enumerate(ps.labels):
                 rows.append(("cfim_" + name, li, lj, float(C.entries[i, j])))
-    out, fmt = _out_settings(args, cfg)
-    emit(out, fmt, header, rows,
-         extra={"total_variance_bound": bound})
-    print("qfim: inv_trace_bound=%s" % repr(1.0 / bound))
-    return 0
+    return (header, rows, {"total_variance_bound": bound},
+            "qfim: inv_trace_bound=%s" % repr(1.0 / bound))
 
 
 def _sweep_spec(cfg, p):
@@ -339,11 +322,8 @@ def cmd_sweep(args, cfg):
     table = harness.run_sweep(spec, workers=args.threads)
     header = table.columns
     rows = [tuple(row[c] for c in header) for row in table]
-    out, fmt = _out_settings(args, cfg)
-    emit(out, fmt, header, rows)
     failed = sum(1 for row in table if row["error"])
-    print("sweep: rows=%d failed=%d" % (len(rows), failed))
-    return 0
+    return header, rows, None, "sweep: rows=%d failed=%d" % (len(rows), failed)
 
 
 def cmd_scaling(args, cfg):
@@ -354,35 +334,33 @@ def cmd_scaling(args, cfg):
     mode = str(sc.get("mode", "size")).strip().lower()
     Lgrid = (_integers("scaling", "Lgrid", _float_list("scaling", sc, "Lgrid"))
              if "Lgrid" in sc else None)
-    out, fmt = _out_settings(args, cfg)
     if mode == "size":
         delta = _float("scaling", sc, "delta", 0.0)
         rows = harness.size_scaling(name, Lgrid=Lgrid, delta=delta)
         fit = harness.fit_power_law([r["N"] for r in rows],
                                     [r["value"] for r in rows])
         header = ("L", "N", "location", "value")
-        emit(out, fmt, header, [tuple(r[c] for c in header) for r in rows],
-             extra={"exponent": fit.exponent, "prefactor": fit.prefactor,
-                    "r2": fit.r2})
-        print("scaling: exponent=%s r2=%s" % (repr(fit.exponent), repr(fit.r2)))
+        extra = {"exponent": fit.exponent, "prefactor": fit.prefactor,
+                 "r2": fit.r2}
+        summary = "scaling: exponent=%s r2=%s" % (repr(fit.exponent), repr(fit.r2))
     elif mode == "delta":
         deltas = _float_list("scaling", sc, "deltas")
         rows = harness.exponent_vs_delta(name, deltas, Lgrid=Lgrid)
         header = ("delta", "exponent", "r2")
-        emit(out, fmt, header, [tuple(r[c] for c in header) for r in rows])
-        print("scaling: deltas=%d b_first=%s b_last=%s"
-              % (len(rows), repr(rows[0]["exponent"]), repr(rows[-1]["exponent"])))
+        extra = None
+        summary = ("scaling: deltas=%d b_first=%s b_last=%s"
+                   % (len(rows), repr(rows[0]["exponent"]),
+                      repr(rows[-1]["exponent"])))
     elif mode == "coupling":
         Jgrid = _float_list("scaling", sc, "Jgrid")
         (L,) = _integers("scaling", "L", [_float("scaling", sc, "L", 50)])
         rows, slope, r2 = harness.coupling_scaling(Jgrid, L=L)
         header = ("J", "location", "value")
-        emit(out, fmt, header, [tuple(r[c] for c in header) for r in rows],
-             extra={"exponent": slope, "r2": r2})
-        print("scaling: exponent=%s r2=%s" % (repr(slope), repr(r2)))
+        extra = {"exponent": slope, "r2": r2}
+        summary = "scaling: exponent=%s r2=%s" % (repr(slope), repr(r2))
     else:
         raise ValidationError("scaling mode must be size, delta, or coupling")
-    return 0
+    return header, [tuple(r[c] for c in header) for r in rows], extra, summary
 
 
 def cmd_preset(args, cfg):
@@ -405,10 +383,8 @@ def cmd_preset(args, cfg):
     header = ("k", "band", "value_re", "value_im")
     rows = [(float(k), b, float(v.real), float(v.imag))
             for k, row in zip(ks, vals) for b, v in enumerate(row)]
-    out, fmt = _out_settings(args, cfg)
-    emit(out, fmt, header, rows, extra={"preset": args.name, "loops": loops})
-    print("preset=%s loops=%d" % (args.name, loops))
-    return 0
+    return (header, rows, {"preset": args.name, "loops": loops},
+            "preset=%s loops=%d" % (args.name, loops))
 
 
 # -- argument parsing --------------------------------------------------------
@@ -466,7 +442,11 @@ def main(argv=None):
             if not args.config:
                 raise ValidationError("command %r needs --config" % args.command)
             cfg = load_config(args.config)
-        return args.fn(args, cfg)
+        out, fmt = _out_settings(args, cfg)
+        header, rows, extra, summary = args.fn(args, cfg)
+        emit(out, fmt, header, rows, extra)
+        print(summary)
+        return 0
     except ValidationError as exc:
         print("error: validation: %s" % exc, file=sys.stderr)
         return 2

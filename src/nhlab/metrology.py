@@ -348,7 +348,7 @@ def _shifted(p, ps, i, delta):
 
 def _check_nondegenerate(lam):
     scale = max(float(np.max(np.abs(lam))), 1.0)
-    if len(lam) > 1 and abs(lam[0] - lam[1]) <= 1e-12 * scale:
+    if abs(lam[0] - lam[1]) <= 1e-12 * scale:
         raise DegenerateSteadyStateError("steady-state eigenvalue is degenerate")
 
 
@@ -362,8 +362,6 @@ def _check_isolated(lam, motion, step):
     a tie that the real part resolves, exactly as the steady-state
     ordering does; in neighbouring buckets rounding picks the state.
     """
-    if len(lam) == 1:
-        return
     im_gap = lam[0].imag - lam[1].imag
     if im_gap > motion:
         return
@@ -384,8 +382,6 @@ def _check_resolved(norm, lam, r, l):
     rounding, with nearly parallel left and right vectors; its state has
     no derivative, yet the bordered solve would return one.
     """
-    if len(lam) == 1:
-        return
     dist = float(np.min(np.abs(lam[1:] - lam[0])))
     uncertainty = np.finfo(float).eps * norm
     overlap = abs(np.vdot(l, r))

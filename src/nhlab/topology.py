@@ -339,11 +339,8 @@ def _band_sweep(evs):
         pred = 2.0 * evs[:-1] - prev2
         cost = np.abs(pred[:, :, None] - evs[1:, None, :])
         best = cost.argmin(axis=2)
-        if n > 1:
-            srt = np.sort(cost, axis=2)
-            flagged = (srt[:, :, 1] - srt[:, :, 0]) < TIE_RESOLUTION
-        else:
-            flagged = np.zeros(best.shape, dtype=bool)
+        srt = np.sort(cost, axis=2)
+        flagged = (srt[:, :, 1] - srt[:, :, 0]) < TIE_RESOLUTION
         unique = ~flagged.any(axis=1) & (np.sort(best, axis=1) == ident).all(axis=1)
         new = np.where(unique[:, None], best, sigma)
         slow = np.flatnonzero(~unique)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, emitted files, determinism."""
 
 import argparse
+import ast
 import json
 import math
 import pathlib
@@ -9,9 +10,10 @@ import re
 import pytest
 
 from conftest import run_python
-from nhlab import (exponent_vs_delta, gbz_radius, model_spectrum,
-                   params_from_config, spectral)
+from nhlab import (cli, exponent_vs_delta, gbz_radius, model_spectrum,
+                   params_from_config, preset, spectral)
 from nhlab.cli import build_parser, main
+from nhlab.model import params_to_config
 
 HN = """\
 [model]
@@ -182,6 +184,37 @@ def test_winding_spectral(tmp_path, capsys):
     assert "winding=-1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gaps_file_holds_closed_flags_and_the_gbz_mode(tmp_path, capsys, fmt):
+    # FIG3 at its last bulk closing: the GBZ central gap closes, the Bloch
+    # one stays open at this size
+    model = params_to_config(preset("FIG3").params)
+    model["JR_re"] = 0.3467746965744988
+    for key in ("Jm_re", "Jm_im", "JmP_re", "JmP_im"):
+        del model[key]  # SHIFTED derives them from JR
+    text = "[model]\n" + "".join("%s = %s\n" % kv for kv in model.items())
+    closed = {}
+    for use_gbz in ("false", "true"):
+        ini = write(tmp_path, text + "\n[topology]\nuse_gbz = %s\n" % use_gbz)
+        out = tmp_path / ("gaps_%s.%s" % (use_gbz, fmt))
+        assert main(["gaps", "--config", ini, "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("gaps: residual=")
+        if fmt == "csv":
+            extras, header, rows = read_table(out)
+            assert extras["use_gbz"] == use_gbz
+            assert header == ["kind", "min_gap", "closed"]
+            assert {r[2] for r in rows} <= {"true", "false"}
+            closed[use_gbz] = [r[2] == "true" for r in rows]
+        else:
+            payload = json.loads(out.read_text())
+            assert payload["use_gbz"] is (use_gbz == "true")
+            assert all(isinstance(r["closed"], bool) for r in payload["rows"])
+            closed[use_gbz] = [r["closed"] for r in payload["rows"]]
+    assert closed == {"false": [False, False, False],
+                      "true": [False, True, False]}
+
+
 def test_qfi_emits_requested_bases(tmp_path, capsys):
     ini = write(tmp_path, """\
 [model]
@@ -342,6 +375,19 @@ def test_output_section_sets_path_and_format(tmp_path, capsys):
     assert out.read_text().startswith("# schema=nhlab-csv-1")
 
 
+def test_invalid_output_format_exits_2_before_computing(tmp_path, capsys,
+                                                        monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "model_spectrum",
+                        lambda p: calls.append(p) or model_spectrum(p))
+    ini = write(tmp_path, HN + "\n[output]\nformat = xml\n")
+    assert main(["spectrum", "--config", ini]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: validation: output format must be csv "
+                            "or json, not 'xml'\n")
+    assert captured.out == "" and calls == []
+
+
 def test_validation_failures_exit_2(tmp_path, capsys):
     out = tmp_path / "never.csv"
     # config parse error
@@ -459,3 +505,19 @@ def test_readme_flag_table_matches_the_parser():
                      if opt.startswith("--") and opt != "--help"}
               for name, cmd in sub.choices.items()}
     assert table == parsed
+
+
+def test_only_main_writes_the_file_and_the_summary():
+    # each command returns its table; main alone reads [output], emits
+    # the file and prints the summary
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    callers = {"emit": set(), "print": set(), "_out_settings": set()}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in callers):
+                callers[node.func.id].add(fn.name)
+    assert callers == {"emit": {"main"}, "print": {"main"},
+                       "_out_settings": {"main"}}

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nhlab import (NumericalError, ParamSpec, SweepSpec, ValidationError,
-                   apply_params, coupling_scaling, exponent_vs_delta,
-                   find_peak, fit_power_law, matrix_size_scaling,
+from nhlab import (DEFAULT_STEP, DerivativeIllDefinedError, NumericalError,
+                   ParamSpec, SweepSpec, ValidationError, apply_params,
+                   coupling_scaling, exponent_vs_delta, find_peak,
+                   fit_power_law, matrix_size_scaling, participation_ratio,
                    point_gap_residual, preset, preset_manifest, probe_state,
                    qfi, run_sweep, size_scaling, spectral_winding,
                    state_derivative)
@@ -95,6 +96,38 @@ def test_sweep_qfi_is_the_probe_state_qfi():
     ps = ParamSpec(("JR",), (-3.0,), (1e-5,))
     direct = qfi(probe_state(base, ps), state_derivative(base, ps, 0))
     assert run_sweep(spec).column("QFI")[0] == direct
+
+
+def test_sweep_pr_alone_takes_the_probe_state(monkeypatch):
+    base = hn_base()
+    calls = []
+    monkeypatch.setattr(harness, "state_derivatives",
+                        lambda *a: calls.append(a))
+    spec = SweepSpec(base=base, axis="JR", grid=(-2.6,),
+                     observables=frozenset(["PR"]))
+    ps = ParamSpec(("JR",), (-2.6,), (DEFAULT_STEP,))
+    want = participation_ratio(probe_state(base, ps))
+    table = run_sweep(spec)
+    assert table.column("PR")[0] == want and calls == []
+    assert table.column("error") == [""]
+
+
+def test_sweep_pr_survives_an_ill_defined_derivative(monkeypatch):
+    # the state exists where its derivative does not: PR is still read,
+    # QFI carries NaN and the error
+    base = hn_base()
+
+    def ill_defined(p, ps):
+        raise DerivativeIllDefinedError("steady eigenvalue not isolated")
+
+    monkeypatch.setattr(harness, "state_derivatives", ill_defined)
+    spec = SweepSpec(base=base, axis="JR", grid=(-2.6,),
+                     observables=frozenset(["PR", "QFI"]))
+    row = harness._sweep_row(spec, -2.6)
+    ps = ParamSpec(("JR",), (-2.6,), (DEFAULT_STEP,))
+    assert row["PR"] == participation_ratio(probe_state(base, ps))
+    assert np.isfinite(row["PR"]) and np.isnan(row["QFI"])
+    assert row["error"] == "QFI: steady eigenvalue not isolated"
 
 
 def test_sweep_tags_failing_points():

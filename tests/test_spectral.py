@@ -181,6 +181,14 @@ def test_eigenpair_gate_rejects_a_non_eigenvalue():
         eigenpair(H, lam)
 
 
+def test_eigenpair_raises_where_the_inverse_iteration_overflows():
+    # bonds of 1e-300 leave H - 0 with D tiny, nonzero pivots: 0 is a
+    # D-fold eigenvalue and the first solve overflows
+    tiny = np.full(5, 1e-300)
+    with pytest.raises(ConvergenceError, match="degenerate or defective"):
+        eigenpair(ChainBands(tiny, tiny, np.zeros(2)), 0.0)
+
+
 def test_eigenpair_accepts_a_defective_eigenvalue_at_its_first_step():
     # with one-way bonds inside each module (JL = 0) the steady eigenvalue
     # is defective: the first inverse-iteration step reaches a residual
