@@ -205,7 +205,11 @@ def cmd_skin(args, cfg):
 def cmd_gaps(args, cfg):
     p = _model_params(cfg, _parse_overrides(args.set))
     top = cfg.get("topology", {})
-    use_gbz = str(top.get("use_gbz", "false")).strip().lower() in ("1", "true", "yes")
+    spelled = str(top.get("use_gbz", "false")).strip().lower()
+    if spelled not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValidationError("[topology] use_gbz must be 1/yes/true/on or "
+                              "0/no/false/off, not %r" % (top["use_gbz"],))
+    use_gbz = configparser.ConfigParser.BOOLEAN_STATES[spelled]
     residual = point_gap_residual(p)
     reports = line_gap_minima(p, use_gbz=use_gbz)
     header = ("kind", "min_gap", "closed")
@@ -249,15 +253,15 @@ def _param_spec(cfg):
              if "steps" in met else (DEFAULT_STEP,) * len(labels))
     bases = tuple(s.strip() for s in str(met.get("bases", "position")).split(",")
                   if s.strip())
+    for name in bases:
+        if name not in ("position", "current"):
+            raise ValidationError("unknown basis %r (position or current)"
+                                  % (name,))
     return ParamSpec(labels, values, steps), bases
 
 
 def _basis(name, p):
-    if name == "position":
-        return position_basis(p.D)
-    if name == "current":
-        return current_basis(p)
-    raise ValidationError("unknown basis %r (position or current)" % (name,))
+    return position_basis(p.D) if name == "position" else current_basis(p)
 
 
 def cmd_qfi(args, cfg):

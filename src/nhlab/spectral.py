@@ -18,7 +18,8 @@ residual gate does not see.
 
 An open chain comes as model.ChainBands, and eigenpair and certify take
 nothing else: it is exactly tridiagonal, so H - lambda is factored by
-LAPACK ?gttrf and solved by ?gttrs in O(D) work.  full_spectrum and
+LAPACK ?gttrf and solved by ?gttrs in O(D) work, in one place (_lu)
+for eigenpair, certify and bordered_solve.  full_spectrum and
 residuals read an open chain's bands directly and also accept a dense
 matrix, which always takes the dense solve.  A PBC ring is
 block-circulant and is solved by its Bloch sectors
@@ -334,65 +335,47 @@ def _half_solve(H, vectors):
     return values, vecs
 
 
-def _factor_solve(H):
-    """solve(X, factor) applying the inverse of a bidiagonal factor of
-    the even open chain H (_split bands) to the columns of X: factor "oe"
-    is H_oe = H[1::2, 0::2] (upper bidiagonal, diagonal a_k = H[2k+1, 2k]),
-    "eo" is H_eo = H[0::2, 1::2] (lower bidiagonal, diagonal
-    c_k = H[2k, 2k+1]), each by one LAPACK ?tbtrs substitution in O(D)
-    work per column.  Returns None when a factor is singular (an exactly
-    zero diagonal entry)."""
-    upper, lower, _ = H
-    n = (len(upper) + 1) // 2
-    oe, eo = np.zeros((2, 2, n), dtype=np.result_type(upper, lower))
-    oe[1], oe[0, 1:] = lower[0::2], upper[1::2]
-    eo[0], eo[1, :-1] = upper[0::2], lower[1::2]
-    if not (oe[1].all() and eo[0].all()):
-        return None
-    (tbtrs,) = scipy.linalg.get_lapack_funcs(("tbtrs",), (oe,))
-    factors = {"oe": (oe, "U"), "eo": (eo, "L")}
-
-    def solve(B, factor):
-        ab, uplo = factors[factor]
-        return tbtrs(ab, B, uplo=uplo)[0]
-
-    return solve
-
-
 def _refine(H, m):
     """The m smallest-magnitude eigenvalues of M = H_oe H_eo, refined on
     its bidiagonal factors (Demmel & Kahan: a bidiagonal determines its
     small singular values to high relative accuracy, which squaring M
     throws away).
 
-    Subspace inverse iteration runs on M^-1 = H_eo^-1 H_oe^-1, two ?tbtrs
-    substitutions per column (_factor_solve), from a fixed start, for at
-    most REFINE_STEPS steps: each step takes the Ritz pairs of M^-1 on the
-    current orthonormal basis Q (the eigenpairs (nu, w) of Q^H M^-1 Q) and
-    stops once every pair's relative residual ||M^-1 x - nu x|| / |nu|
-    gives an error |lambda| * residual within the squaring gate.  Returns
+    The factors are H_oe = H[1::2, 0::2] (upper bidiagonal, diagonal
+    a_k = H[2k+1, 2k]) and H_eo = H[0::2, 1::2] (lower bidiagonal, diagonal
+    c_k = H[2k, 2k+1]), held in band storage.  Subspace inverse iteration
+    runs on M^-1 = H_eo^-1 H_oe^-1, two LAPACK ?tbtrs substitutions per
+    column in O(D) work, from a fixed start, for at most REFINE_STEPS
+    steps: each step takes the Ritz pairs of M^-1 on the current
+    orthonormal basis Q (the eigenpairs (nu, w) of Q^H M^-1 Q) and stops
+    once every pair's relative residual ||M^-1 x - nu x|| / |nu| gives an
+    error |lambda| * residual within the squaring gate.  Returns
     (mu, x, h) with mu = 1/nu, x the unit Ritz vectors (M's
     eigenvectors) and h = H_oe^-1 x (lambda h is the even part of
-    lambda's vector), or None when H has odd dimension
-    (no square factors), a factor is singular or the refinement does not
-    converge; each of those is counted in FALL_BACKS.
+    lambda's vector), or None when H has odd dimension (no square
+    factors), a factor is singular (an exactly zero diagonal entry) or the
+    refinement does not converge; each of those is counted in FALL_BACKS.
     """
     if len(H.upper) % 2 == 0:
         FALL_BACKS["odd dimension"] += 1
         return None
-    solve = _factor_solve(H)
-    if solve is None:
+    upper, lower, _ = H
+    n = (len(upper) + 1) // 2
+    oe, eo = np.zeros((2, 2, n), dtype=np.result_type(upper, lower))
+    oe[1], oe[0, 1:] = lower[0::2], upper[1::2]
+    eo[0], eo[1, :-1] = upper[0::2], lower[1::2]
+    if not (oe[1].all() and eo[0].all()):
         FALL_BACKS["singular factor"] += 1
         return None
-    n = (len(H.upper) + 1) // 2
+    (tbtrs,) = scipy.linalg.get_lapack_funcs(("tbtrs",), (oe,))
     rng = np.random.default_rng(0)
     Q = rng.standard_normal((n, m))
     if np.iscomplexobj(H.entries):
         Q = Q + 1j * rng.standard_normal((n, m))
     Q = np.linalg.qr(Q)[0]
     for _ in range(REFINE_STEPS):
-        h = solve(Q, "oe")
-        Y = solve(h, "eo")
+        h = tbtrs(oe, Q, uplo="U")[0]
+        Y = tbtrs(eo, h, uplo="L")[0]
         nu, W = np.linalg.eig(Q.conj().T @ Y)
         W /= np.linalg.norm(W, axis=0)
         x = Q @ W
@@ -457,21 +440,26 @@ def _finite(band):
     return band
 
 
-def _inverse_iterate(solve, residual, bound, start):
-    """Unit vector x with residual(x) <= bound, by inverse iteration.
+def _inverse_iterate(H, lam, lu, trans, bound, start):
+    """Unit vector x with ||A x|| <= bound, by inverse iteration on
+    A = H - lam (trans 'N') or its conjugate transpose (trans 'C'), H an
+    open chain's complex bands and lu = (gttrs, factors) from _lu(H, lam).
 
-    solve applies the inverse of the shifted matrix; the first iterate
-    that passes the gate is kept, because on a defective eigenvalue later
-    steps drift off the kernel.
+    The first iterate that passes the gate is kept, because on a
+    defective eigenvalue later steps drift off the kernel.
     """
+    gttrs, factors = lu
+    if trans == "C":
+        H = ChainBands(H.lower.conj(), H.upper.conj(), H.corners)
+        lam = np.conj(lam)
     x = start
     res = np.inf
     for _ in range(MAX_INVERSE_STEPS):
         with np.errstate(all="ignore"):
-            y = solve(x)
+            y = gttrs(*factors, x, trans=trans)[0]
             size = np.linalg.norm(y)
             x = y / size
-            res = float(np.linalg.norm(residual(x)))
+            res = float(np.linalg.norm(H @ x - lam * x))
         if not np.isfinite(size):
             # the solve overflowed: H - lambda has more than one
             # (near-)zero pivot, so lambda is degenerate or defective
@@ -490,31 +478,16 @@ def _complex_bands(H):
     return ChainBands(*(np.asarray(_finite(b), dtype=complex) for b in H))
 
 
-def _shifted(H, lam, pivot):
-    """shifted(adjoint) -> (solve, residual) for H - lam, H an open
-    chain's complex bands, from one ?gttrf factorization: solve applies
-    the inverse of H - lam (adjoint=False) or of its conjugate transpose
-    (adjoint=True), and residual(x) is that matrix times x, through the
-    bands.  Exactly zero pivots are replaced by pivot.
-    """
+def _lu(H, lam):
+    """(gttrs, factors, info): LAPACK ?gttrf's LU of H - lam, H an open
+    chain's complex bands, with the ?gttrs that solves on it.  factors
+    are (dl, d, du, du2, ipiv) as ?gttrs takes them; info > 0 names an
+    exactly zero pivot of d, past which ?gttrf completes the
+    factorization.  Every chain solve factors here, in O(D) work."""
     diag = np.zeros(len(H.upper) + 1, dtype=complex) - lam
     gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (diag,))
-    # gttrf completes the factorization past an exactly zero pivot
-    dl, d, du, du2, ipiv, _ = gttrf(H.lower, diag, H.upper)
-    d[d == 0] = pivot
-
-    def shifted(adjoint):
-        trans, M, mu = "N", H, lam
-        if adjoint:
-            trans, mu = "C", np.conj(lam)
-            M = ChainBands(H.lower.conj(), H.upper.conj(), H.corners)
-
-        def solve(b):
-            return gttrs(dl, d, du, du2, ipiv, b, trans=trans)[0]
-
-        return solve, lambda x: M @ x - mu * x
-
-    return shifted
+    *factors, info = gttrf(H.lower, diag, H.upper)
+    return gttrs, factors, info
 
 
 def eigenpair(H, lam, left=False):
@@ -526,7 +499,7 @@ def eigenpair(H, lam, left=False):
     model.ChainBands with D >= 3 (scipy's ?gttrf wrapper needs three
     rows; every model chain has four or more); a ring's bands raise
     ValidationError.  H - lam is factored by LAPACK ?gttrf and solved by
-    ?gttrs, trans 'N' for r and 'C' for l, in O(D) work (_shifted), with
+    ?gttrs, trans 'N' for r and 'C' for l, in O(D) work (_lu), with
     residuals from the bands.  Each vector is
     kept only if its residual is at most DEFAULT_TOL_EIG *
     max(||H||_F, 1), full_spectrum's default gate, so a value lam that is
@@ -541,16 +514,19 @@ def eigenpair(H, lam, left=False):
 
 def _eigenpair(H, lam, left):
     scale = max(_frobenius(H), 1.0)
-    shifted = _shifted(H, lam, np.finfo(float).eps * scale)
+    gttrs, factors, _ = _lu(H, lam)
+    d = factors[1]
+    d[d == 0] = np.finfo(float).eps * scale
     rng = np.random.default_rng(0)
     D = len(H.upper) + 1
     start = rng.standard_normal(D) + 1j * rng.standard_normal(D)
     start /= np.linalg.norm(start)
     bound = DEFAULT_TOL_EIG * scale
-    r = _inverse_iterate(*shifted(False), bound, start)
+    lu = (gttrs, factors)
+    r = _inverse_iterate(H, lam, lu, "N", bound, start)
     if not left:
         return r
-    return r, _inverse_iterate(*shifted(True), bound, start)
+    return r, _inverse_iterate(H, lam, lu, "C", bound, start)
 
 
 def certify(H, values):
@@ -595,15 +571,12 @@ def bordered_solve(H, lam, r, l, rhs):
     system raises numpy.linalg.LinAlgError.
     """
     chain, order = _opened(_complex_bands(H), int(np.argmax(np.abs(r * l))))
-    gttrf, gttrs = scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"),
-                                                 (chain.upper,))
-    dl, d, du, du2, ipiv, info = gttrf(
-        chain.lower, np.zeros(len(order), dtype=complex) - lam, chain.upper)
+    gttrs, factors, info = _lu(chain, lam)
     if info > 0:
         raise np.linalg.LinAlgError(
             "exactly zero pivot %d in the reduced system" % info)
     x = np.zeros((len(r), rhs.shape[1]), dtype=complex)
-    x[order] = gttrs(dl, d, du, du2, ipiv, rhs[order])[0]
+    x[order] = gttrs(*factors, rhs[order])[0]
     return x - np.outer(r, l.conj() @ x) / np.vdot(l, r)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import run_python
 from nhlab import (cli, exponent_vs_delta, gbz_radius, model_spectrum,
-                   params_from_config, preset, spectral)
+                   params_from_config, preset, spectral, state_derivatives)
 from nhlab.cli import build_parser, main
 from nhlab.model import params_to_config
 
@@ -213,6 +213,43 @@ def test_gaps_file_holds_closed_flags_and_the_gbz_mode(tmp_path, capsys, fmt):
             closed[use_gbz] = [r["closed"] for r in payload["rows"]]
     assert closed == {"false": [False, False, False],
                       "true": [False, True, False]}
+
+
+@pytest.mark.parametrize("spelled, use_gbz", [
+    ("on", "true"), ("YES", "true"), ("1", "true"),
+    ("Off", "false"), ("no", "false"), ("0", "false")])
+def test_use_gbz_reads_configparser_booleans(tmp_path, capsys, spelled,
+                                             use_gbz):
+    ini = write(tmp_path, SSH + "\n[topology]\nuse_gbz = %s\n" % spelled)
+    out = tmp_path / "gaps.csv"
+    assert main(["gaps", "--config", ini, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert read_table(out)[0]["use_gbz"] == use_gbz
+
+
+def test_use_gbz_rejects_other_spellings(tmp_path, capsys):
+    ini = write(tmp_path, SSH + "\n[topology]\nuse_gbz = maybe\n")
+    out = tmp_path / "never.csv"
+    assert main(["gaps", "--config", ini, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: validation: [topology] use_gbz must be "
+                            "1/yes/true/on or 0/no/false/off, not 'maybe'\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["qfi", "qfim"])
+def test_unknown_basis_exits_2_before_the_steady_solve(tmp_path, capsys,
+                                                       monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(cli, "state_derivatives",
+                        lambda p, ps: calls.append(ps) or state_derivatives(p, ps))
+    ini = write(tmp_path, HN + "\n[metrology]\nlabels = JR\nvalues = -2.5\n"
+                "bases = position,positon\n")
+    assert main([command, "--config", ini]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: validation: unknown basis 'positon' "
+                            "(position or current)\n")
+    assert captured.out == "" and calls == []
 
 
 def test_qfi_emits_requested_bases(tmp_path, capsys):

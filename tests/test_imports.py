@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
-name it defines is referenced somewhere in the package or the tests, and
-importing nhlab loads no scipy subpackage beyond scipy.linalg until a
+name it defines is referenced somewhere in the package or the tests and
+defined in no other package module, and importing nhlab loads no scipy subpackage beyond scipy.linalg until a
 function that needs one runs."""
 
 import ast
@@ -74,6 +74,17 @@ def test_every_module_level_name_is_referenced():
             if not dunder and name not in referenced:
                 dead.append("%s: %s" % (path.name, name))
     assert not dead, "names nothing references: %s" % ", ".join(dead)
+
+
+def test_no_module_level_name_is_defined_twice():
+    # a name defined in two modules reads as one helper where there are two
+    where = {}
+    for path in sorted(Path(nhlab.__file__).parent.glob("*.py")):
+        for name in set(module_level_names(ast.parse(path.read_text()))):
+            where.setdefault(name, []).append(path.stem)
+    twice = sorted("%s (%s)" % (name, ", ".join(mods))
+                   for name, mods in where.items() if len(mods) > 1)
+    assert not twice, "names defined in more than one module: %s" % ", ".join(twice)
 
 
 COMMANDS = """

@@ -150,6 +150,23 @@ def test_obc_central_gap_does_not_overflow_on_extreme_amplification():
         assert abs(obc_central_gap(p) - ref) <= 1e-8
 
 
+@pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                   reason="certify's inverse iteration overflows on the "
+                          "33-fold eigenvalue of a decoupled chain")
+def test_obc_central_gap_of_fig3_stored_point_matches_its_closed_form():
+    # FIG3's stored JR = 0 cuts the L = 34 chain into two 2-site end blocks
+    # (|E| = 1.25) and 33 4-site blocks with bond products (1.5625, 6,
+    # 1.5625), whose E^2 solve E^4 - 9.125 E^2 + 1.5625^2 = 0, so the gap
+    # is sqrt(18.25 - 2 sqrt(73.5)); ?gttrf meets no exactly zero pivot,
+    # but 33 pivots of ~3e-16 at the 33-fold eigenvalue overflow the first
+    # inverse-iteration solve
+    p = preset("FIG3").resized(34)
+    exact = np.sqrt(18.25 - 2.0 * np.sqrt(73.5))
+    dense = 2.0 * np.min(np.abs(scipy.linalg.eigvals(build_hamiltonian(p))))
+    assert abs(dense - exact) <= 1e-14 * exact
+    assert abs(obc_central_gap(p) - exact) <= 1e-12 * exact
+
+
 def side_gap_of(E):
     # obc_side_gap's cluster split, applied to reference eigenvalues
     mags = np.sort(np.abs(E))
