@@ -10,15 +10,18 @@ solvers are provided for the two-band-per-site, two-site-per-module
 family with shifted modular couplings, where the characteristic
 polynomial factorizes through eta_1 = 2 J0^2 + Jm JmP + JL JR and
 eta_2 = (J0^2 - JL Jm z)(J0^2 - JmP JR / z) with z the (generalized)
-Bloch factor.
+Bloch factor.  Line gaps and loop counts follow the contour spectra's
+bands by nearest-root matching between samples: the roots are analytic
+in beta away from exceptional points, so a step whose nearest root is
+not certified is sampled more finely.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.optimize, scipy.spatial and scipy.sparse are imported inside the
-# functions that use them: loading them at import would cost every nhlab
-# process about 0.2 s and 20 MB
+# scipy.spatial and scipy.sparse are imported inside the functions that
+# use them: loading them at import would cost every nhlab process time and
+# memory
 
 from .errors import (AtTransitionError, NumericalError, UnsupportedStructureError,
                      ValidationError)
@@ -240,125 +243,116 @@ def _contour_betas(p, use_gbz, n):
     return np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
 
 
-TIE_RESOLUTION = 1e-10  # assignment costs closer than this are a tie
+NEAREST_RATIO = 0.5  # a nearest root this close, relative to the runner-up, continues
+SUBDIVISIONS = 3  # interior samples solved on the arc of an unsettled step
+MAX_REFINE_DEPTH = 30  # subdivision levels before a step is ambiguous
+DETOUR = 1e-8  # refined arcs run this fraction outside the contour
 
 
-def _track_bands(evs):
-    """Follow eigenvalue bands along an ordered matrix family.
+def _track_bands(p, betas):
+    """Follow the bands of contour_eigenvalues(p, betas) along betas,
+    samples of a circle about the origin in order of phase.
 
-    evs[j] holds the eigenvalues of the family's j-th matrix.  Bands
-    start in (Re, Im)-sorted order at the first sample and are continued
-    by optimal assignment against a linear extrapolation of each band
-    (velocity continuation carries bands through transversal crossings).
-    The assignments come from _band_sweep, step by step the ones a
-    sample-by-sample linear_sum_assignment makes, and the band labels
-    follow by composing them (a doubling scan).
+    Bands start in (Re, Im)-sorted order at the first sample.  The roots
+    are analytic in beta away from exceptional points, so every step
+    between consecutive samples takes the nearest-root matching that
+    _match certifies, all steps in one array pass; _continue samples the
+    others more finely.  The band labels follow by composing the
+    matchings (_compose).
 
-    A tie (TIE_RESOLUTION) between two distinct candidates is harmless
-    when the competing bands are themselves degenerate at the previous
-    sample, since swapping them relabels identical histories; any other
-    tie raises.  Only the rows _band_sweep flags can hold a tie.
+    Returns (bands, labels): bands[i, j] is band i at sample j, and
+    labels[j, i] its index in contour_eigenvalues(p, betas)[j].
     """
-    evs = np.asarray(evs)
-    first = evs[0]
+    evs = contour_eigenvalues(p, betas)
+    phi = np.unwrap(np.angle(betas))
     labels = np.empty(evs.shape, dtype=np.intp)
-    labels[0] = np.lexsort((first.imag, first.real))
-    if len(evs) > 1:
-        sweep = _band_sweep(evs)
-        for j, i in zip(*np.nonzero(sweep.flagged)):
-            # a swap between candidates (or histories) closer than the gap
-            # tolerance moves any reported distance by less than that
-            # tolerance, so such ties are harmless
-            ev, cost = evs[j + 1], sweep.cost[j, i]
-            close = np.flatnonzero(cost <= cost.min() + TIE_RESOLUTION)
-            if np.max(np.abs(ev[close] - ev[close[0]])) <= DEFAULT_TOL_GAP:
-                continue
-            if np.sum(np.abs(evs[j] - evs[j][i]) <= DEFAULT_TOL_GAP) >= 2:
-                continue
+    labels[0] = np.lexsort((evs[0].imag, evs[0].real))
+    arcs = np.column_stack([phi[:-1], phi[1:]])
+    labels[1:] = _continue(p, abs(betas[0]), arcs, evs[:-1], evs[1:], 0)
+    _compose(labels)
+    return np.take_along_axis(evs, labels, axis=1).T, labels
+
+
+def _continue(p, radius, phi, a, b, depth):
+    """sigma[s, i]: the index in b[s] of the root that continues a[s, i]
+    from phase phi[s, 0] of the circle of that radius, where the roots are
+    a[s], to phi[s, 1], where they are b[s].
+
+    A step _match leaves unsettled is split at SUBDIVISIONS interior
+    phases, solved for every such step of a level in one
+    contour_eigenvalues call, and takes the composition of its parts'
+    matchings.  The interior points lie at |beta| = (1 + DETOUR) * radius,
+    so an exceptional point (EP) on the contour, where the continuation is
+    undefined, is passed on its outer side whatever the rounding.  A step
+    still unsettled at level MAX_REFINE_DEPTH raises NumericalError; an arc
+    too short to split in floating point keeps _match's greedy matching,
+    since its two ends differ by rounding alone.
+    """
+    sigma, settled = _match(a, b)
+    bad = np.flatnonzero(~settled)
+    t = np.linspace(0.0, 1.0, SUBDIVISIONS + 2)
+    sub = phi[bad, :1] + t * (phi[bad, 1:] - phi[bad, :1])
+    split = (np.diff(sub, axis=1) != 0).all(axis=1)
+    bad, sub = bad[split], sub[split]
+    if len(bad):
+        if depth == MAX_REFINE_DEPTH:
             raise NumericalError("ambiguous band continuation")
-        labels[1:] = sweep.sigma
-        _compose(labels)
-    return np.take_along_axis(evs, labels, axis=1).T  # (n_bands, n_samples)
+        m = a.shape[1]
+        outer = radius * (1.0 + DETOUR)
+        inner = contour_eigenvalues(p, outer * np.exp(1j * sub[:, 1:-1]))
+        ev = np.concatenate([a[bad, None], inner, b[bad, None]], axis=1)
+        arcs = np.stack([sub[:, :-1], sub[:, 1:]], axis=-1).reshape(-1, 2)
+        parts = _continue(p, radius, arcs, ev[:, :-1].reshape(-1, m),
+                          ev[:, 1:].reshape(-1, m), depth + 1)
+        parts = parts.reshape(len(bad), -1, m).swapaxes(0, 1).copy()
+        _compose(parts)
+        sigma[bad] = parts[-1]
+    return sigma
+
+
+def _match(a, b):
+    """Nearest-root matchings between paired samples a[s] and b[s], rows of
+    the same m roots: (sigma, settled), sigma[s, i] the index in b[s]
+    continuing a[s, i] and settled[s] whether step s holds as it is.
+
+    A step holds as it stands when each root's nearest candidate lies
+    within NEAREST_RATIO of the distance to its runner-up and these
+    candidates form a permutation.  In any other step the roots, in order
+    of their nearest distance, each take the nearest candidate left.  The
+    step then holds when each root is degenerate, within DEFAULT_TOL_GAP
+    of another root of a[s] (a swap exchanges roots that coincide), or
+    every candidate its pick does not beat by NEAREST_RATIO lies within
+    DEFAULT_TOL_GAP of the pick (any of them moves a reported distance by
+    less than that tolerance).
+    """
+    m = a.shape[1]
+    dist = np.abs(a[:, :, None] - b[:, None, :])
+    sigma = dist.argmin(axis=2)
+    srt = np.sort(dist, axis=2)
+    settled = ((srt[:, :, 0] <= NEAREST_RATIO * srt[:, :, 1]).all(axis=1)
+               & (np.sort(sigma, axis=1) == np.arange(m)).all(axis=1))
+    for s in np.flatnonzero(~settled):
+        d, left = dist[s], np.ones(m, dtype=bool)
+        for i in np.argsort(srt[s, :, 0], kind="stable"):
+            sigma[s, i] = np.flatnonzero(left)[d[i, left].argmin()]
+            left[sigma[s, i]] = False
+        pick = b[s, sigma[s]]
+        rivals = d[np.arange(m), sigma[s]][:, None] > NEAREST_RATIO * d
+        harmless = np.abs(b[s][None, :] - pick[:, None]) <= DEFAULT_TOL_GAP
+        twins = np.abs(a[s][:, None] - a[s][None, :]) <= DEFAULT_TOL_GAP
+        degenerate = twins.sum(axis=1) >= 2
+        settled[s] = np.all(degenerate | (harmless | ~rivals).all(axis=1))
+    return sigma, settled
 
 
 def _compose(maps):
-    """In place, maps[j] <- maps[j][maps[j-1]] ... [maps[0]] for every j
-    (a Hillis-Steele scan, log2(len(maps)) array steps)."""
+    """In place, maps[j] <- maps[j][maps[j-1]] ... [maps[0]] for every j,
+    along the last axis (a Hillis-Steele scan, log2(len(maps)) array
+    steps)."""
     d = 1
     while d < len(maps):
-        maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=1)
+        maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=-1)
         d *= 2
-
-
-@dataclass(frozen=True)
-class BandSweep:
-    """The relative matchings of _track_bands, with the sweep's work.
-
-    sigma[j] maps each eigenvalue index at sample j to the index
-    continuing it at sample j+1; cost[j] is the assignment cost of that
-    step, rows at sample j, columns at sample j+1; flagged marks the rows
-    whose two cheapest candidates lie within TIE_RESOLUTION.  passes
-    counts the sweeps over every step and solved the steps handed to
-    linear_sum_assignment, over all passes.
-    """
-
-    sigma: np.ndarray
-    cost: np.ndarray
-    flagged: np.ndarray
-    passes: int
-    solved: int
-
-
-def _band_sweep(evs):
-    """Every step's matching of _track_bands, by array sweeps.
-
-    A band at sample j-1 predicts 2 E_{j-1} - E_{j-2} at sample j (E_0
-    itself at sample 1), so step j's costs depend on step j-1's matching
-    alone.  One pass builds every step's prediction and cost from the
-    current matchings at once.  A step whose row minima form a
-    permutation, each row's runner-up at least TIE_RESOLUTION above its
-    minimum, takes that permutation: it is the unique optimum, so it is
-    what linear_sum_assignment returns.  The other steps call
-    linear_sum_assignment one at a time, on the rows in band order, as the
-    sample-by-sample loop does (its choice among tied optima can depend
-    on the row order).  Passes repeat until no matching changes; pass t
-    settles step t, and the last pass reproduces the sample-by-sample
-    result.
-    """
-    n_steps, n = len(evs) - 1, evs.shape[1]
-    ident = np.arange(n)
-    sigma = np.broadcast_to(ident, (n_steps, n)).copy()
-    first = np.lexsort((evs[0].imag, evs[0].real))
-    passes = solved = 0
-    while True:
-        passes += 1
-        inverse = np.empty_like(sigma)
-        np.put_along_axis(inverse, sigma, ident[None, :], axis=1)
-        prev2 = np.concatenate(
-            [evs[:1], np.take_along_axis(evs[:-2], inverse[:-1], axis=1)])
-        pred = 2.0 * evs[:-1] - prev2
-        cost = np.abs(pred[:, :, None] - evs[1:, None, :])
-        best = cost.argmin(axis=2)
-        srt = np.sort(cost, axis=2)
-        flagged = (srt[:, :, 1] - srt[:, :, 0]) < TIE_RESOLUTION
-        unique = ~flagged.any(axis=1) & (np.sort(best, axis=1) == ident).all(axis=1)
-        new = np.where(unique[:, None], best, sigma)
-        slow = np.flatnonzero(~unique)
-        if len(slow):
-            from scipy.optimize import linear_sum_assignment
-            # band order at each sample under the matchings found so far
-            labels = np.empty((n_steps + 1, n), dtype=np.intp)
-            labels[0], labels[1:] = first, new
-            _compose(labels)
-            for j in slow:
-                rows = labels[j]
-                _, cols = linear_sum_assignment(cost[j][rows])
-                new[j, rows] = cols
-            solved += len(slow)
-        if np.array_equal(new, sigma):
-            return BandSweep(sigma=sigma, cost=cost, flagged=flagged,
-                             passes=passes, solved=solved)
-        sigma = new
 
 
 def line_gap_minima(p, use_gbz=False):
@@ -371,11 +365,11 @@ def line_gap_minima(p, use_gbz=False):
     adjacent pair is reported, closed below DEFAULT_TOL_GAP.  The pair
     between the two middle bands (r*d even) is labelled central.
 
-    Ambiguous tracking raises NumericalError; a finer grid does not
-    resolve it on any preset.
+    A step whose nearest-root matching is not certified is sampled more
+    finely (_track_bands); one still ambiguous at the finest level raises
+    NumericalError.
     """
-    bands = _track_bands(contour_eigenvalues(
-        p, _contour_betas(p, use_gbz, LINE_GAP_K_POINTS)))
+    bands, _ = _track_bands(p, _contour_betas(p, use_gbz, LINE_GAP_K_POINTS))
     return _gap_reports(p, bands)
 
 
@@ -539,22 +533,19 @@ def obc_side_gap(p):
 def count_spectral_loops(p):
     """Number of area-enclosing loops traced by the PBC spectrum.
 
-    Bands are tracked over a k-grid of LOOP_K_POINTS samples; after one
-    Brillouin-zone traversal the bands may permute, so the closed curves
-    are the cycles of that permutation.  A cycle counts as a loop when its
-    shoelace area exceeds LOOP_RESOLUTION; loops closer than
+    Bands are tracked (_track_bands) over a k-grid of LOOP_K_POINTS
+    samples and back to k = 0; after one Brillouin-zone traversal the
+    bands may permute, so the closed curves are the cycles of that
+    permutation, read from the band labels.  A cycle counts as a loop when
+    its shoelace area exceeds LOOP_RESOLUTION; loops closer than
     LOOP_RESOLUTION merge into one component.
     """
-    from scipy.optimize import linear_sum_assignment
     from scipy.spatial import cKDTree
-    ev = contour_eigenvalues(p, _contour_betas(p, False, LOOP_K_POINTS))
-    bands = _track_bands(np.concatenate([ev, ev[:1]]))
-    start = bands[:, 0]
-    end = bands[:, -1]
-    # permutation: band i continues as band perm[i] after the traversal
-    cost = np.abs(end[:, None] - start[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = cols[np.argsort(rows)]
+    betas = _contour_betas(p, False, LOOP_K_POINTS)
+    bands, labels = _track_bands(p, np.append(betas, betas[:1]))
+    # the last sample repeats the first root for root, so band i continues
+    # as the band perm[i] that starts where band i ends
+    perm = np.argsort(labels[0])[labels[-1]]
     closed = bands[:, :-1]
 
     seen = set()

@@ -83,10 +83,10 @@ def lapack_calls(monkeypatch):
 
 
 def track_bands_loop(evs):
-    """The sample-by-sample band tracking that topology._track_bands
-    reproduces: one linear_sum_assignment per sample against each band's
-    linear extrapolation, and the tie rule on every row whose two
-    cheapest candidates lie within 1e-10."""
+    """A sample-by-sample band tracking, the reference topology._track_bands
+    is held to wherever it returns: one linear_sum_assignment per sample
+    against each band's linear extrapolation, and the tie rule on every row
+    whose two cheapest candidates lie within 1e-10."""
     from nhlab.errors import NumericalError
     from nhlab.topology import DEFAULT_TOL_GAP
     first = evs[0]

@@ -398,6 +398,17 @@ def test_preset_command(tmp_path, capsys):
     assert len(rows) == 512 * 3
 
 
+def test_preset_command_counts_loops_through_exceptional_points(tmp_path, capsys):
+    # FIG4_HN's own JR sits at rho = 1, where exceptional points lie on the
+    # Bloch circle; the band tracking samples finer around them
+    out = tmp_path / "p.csv"
+    assert main(["preset", "FIG4_HN", "--out", str(out)]) == 0
+    assert "preset=FIG4_HN loops=0" in capsys.readouterr().out
+    extras, _, rows = read_table(out)
+    assert extras["loops"] == "0"
+    assert len(rows) == 512 * 3
+
+
 def test_output_section_sets_path_and_format(tmp_path, capsys):
     out = tmp_path / "via_cfg.json"
     ini = write(tmp_path, HN + "\n[output]\npath = %s\nformat = json\n" % out)

@@ -134,13 +134,15 @@ assert "scipy.fft" in sys.modules and "scipy.optimize" not in sys.modules
 assert len(line_gap_minima(preset("FIG3").params)) == 3
 assert "scipy.spatial" in sys.modules
 # FIG3 at JR = -1.2 has three loops, so the merge step runs; FIG4_SSH's
-# loop grid hands steps to the assignment solve inside the band sweep
+# loop grid settles steps by the tie rules of the band tracking
 assert count_spectral_loops(preset("FIG3").params.with_updates(JR=-1.2)) == 3
 assert count_spectral_loops(preset("FIG4_SSH").params) == 0
+assert "scipy.sparse" in sys.modules and "scipy.optimize" not in sys.modules
 spec = SweepSpec(base=preset("FIG4_HN").resized(16), axis="JR",
                  grid=tuple(np.round(np.arange(-0.5, -0.299, 0.02), 10)),
                  observables=frozenset(["QFI"]))
 assert not find_peak(run_sweep(spec), "QFI").boundary
+assert "scipy.optimize" in sys.modules
 print("ok")
 """
 

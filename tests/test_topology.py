@@ -22,10 +22,11 @@ from nhlab import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED,
 from conftest import track_bands_loop
 from nhlab import topology
 from nhlab.cli import main
+from nhlab.gbz import contour_eigenvalues
 from nhlab.metrology import model_eigenvalues
 from nhlab.spectral import FALL_BACKS
 from nhlab.topology import (LOOP_K_POINTS, IllConditionedContourError,
-                            _band_sweep, _contour_betas, _gap_reports,
+                            _contour_betas, _gap_reports, _match,
                             _min_distance, _track_bands)
 
 
@@ -33,12 +34,6 @@ def lapack_contour_eigenvalues(p, beta):
     """LAPACK's eigenvalues of the generalized-Bloch matrices at beta: the
     reference the closed-form contour spectra are held to."""
     return np.linalg.eigvals(build_generalized_bloch(p, beta))
-
-
-def stack_eigvals(p, use_gbz, n):
-    """lapack_contour_eigenvalues on the n samples of the Bloch (or GBZ,
-    use_gbz) contour the topology results read."""
-    return lapack_contour_eigenvalues(p, _contour_betas(p, use_gbz, n))
 
 
 def shifted(jr, L=50, J=2.0, J0=1.25):
@@ -384,7 +379,7 @@ def test_line_gap_pairs_do_not_depend_on_band_order(jr, use_gbz):
     # bands count as adjacent must not follow the stack order or a
     # rounding-level shift of the bands
     p = hn(jr)
-    bands = _track_bands(stack_eigvals(p, use_gbz, 512))
+    bands, _ = _track_bands(p, _contour_betas(p, use_gbz, 512))
     want = [rep.min_gap for rep in line_gap_minima(p, use_gbz=use_gbz)]
     # the imaginary-axis mirror pair keeps the two side gaps equal
     assert want[0] == pytest.approx(want[1], rel=1e-9)
@@ -396,19 +391,46 @@ def test_line_gap_pairs_do_not_depend_on_band_order(jr, use_gbz):
 
 
 def test_track_bands_tolerates_only_degenerate_ties():
-    # each stack has two samples; band 0 (at 0) sits exactly halfway
-    # between its two candidates at the second one
-    def track(*samples):
-        return _track_bands(np.array(samples, dtype=complex))
+    # each case is one step between two samples of two roots; root 0 (at
+    # 0) sits exactly halfway between its two candidates at the second one
+    def match(a, b):
+        sigma, settled = _match(np.array([a], dtype=complex),
+                                np.array([b], dtype=complex))
+        return sigma[0].tolist(), bool(settled[0])
 
     # the tied candidates coincide: either choice gives the same bands
-    assert track([0, 1], [0.5, 0.5]).tolist() == [[0, 0.5], [1, 0.5]]
-    # the tied bands coincide at the previous sample: a swap relabels
-    # identical histories
-    assert sorted(track([0, 0], [-1, 1])[:, 1].real) == [-1, 1]
-    # anything else is ambiguous
+    assert match([0, 1], [0.5, 0.5]) == ([0, 1], True)
+    # the tied roots coincide at the previous sample: a swap exchanges
+    # roots that coincide
+    sigma, settled = match([0, 0], [-1, 1])
+    assert settled and sorted(sigma) == [0, 1]
+    # anything else is left to a finer sample
+    assert not match([0, 3], [-1, 1])[1]
+    # a nearest candidate within half the runner-up's distance holds, and
+    # one short of that does not
+    assert match([0, 3], [0.99, 2]) == ([0, 1], True)
+    assert not match([0, 3], [1.01, 2])[1]
+    # two roots with one nearest candidate are no matching
+    assert not match([0, 0.2], [0.1, 5])[1]
+
+
+def test_refinement_stops_at_its_depth_cap(monkeypatch):
+    # FIG3's GBZ at JR = -2.5 holds an exceptional point on the contour,
+    # which the tracker resolves by sampling finer around it
+    p = preset("FIG3").params.with_updates(JR=-2.5)
+    assert len(line_gap_minima(p, use_gbz=True)) == 3
+    monkeypatch.setattr(topology, "MAX_REFINE_DEPTH", 5)
     with pytest.raises(NumericalError, match="ambiguous band continuation"):
-        track([0, 3], [-1, 1])
+        line_gap_minima(p, use_gbz=True)
+
+
+def test_refinement_stops_where_the_arc_cannot_be_split():
+    # on FIG4_HN's GBZ at JR = -0.5 three roots meet within one ulp of
+    # beta = iR, a sample, where they are known only to about 4e-6: no
+    # finer phase separates them, and the greedy matching stands
+    p = preset("FIG4_HN").params.with_updates(JR=-0.5)
+    assert [rep.kind for rep in line_gap_minima(p, use_gbz=True)] == [
+        "LINE_GAP_SIDE", "LINE_GAP_SIDE"]
 
 
 def test_loop_count_collapses_at_criticality():
@@ -416,23 +438,15 @@ def test_loop_count_collapses_at_criticality():
     assert count_spectral_loops(hn(-2.0, L=50, boundary=PBC)) == 0
 
 
-def _tracked(fn, evs):
-    try:
-        return fn(evs)
-    except NumericalError as exc:
-        return str(exc)
-
-
-def _stacks(p):
-    """The eigenvalue stacks band tracking reads at p: the line gaps' 512
-    samples of the k-grid and of the GBZ circle, and the loop count's
-    closed k-grid of LOOP_K_POINTS + 1 samples."""
+def _contours(p):
+    """The contours band tracking reads at p: the line gaps' 512 samples
+    of the k-grid and of the GBZ circle, and the loop count's grid of
+    LOOP_K_POINTS samples closed by its first one, on both circles."""
     for use_gbz in (False, True):
-        yield stack_eigvals(p, use_gbz, 512)
-    ev = stack_eigvals(p, False, LOOP_K_POINTS)
-    yield np.concatenate([ev, ev[:1]])
-    ev = stack_eigvals(p, True, LOOP_K_POINTS)
-    yield np.concatenate([ev, ev[:1]])
+        yield _contour_betas(p, use_gbz, 512)
+    for use_gbz in (False, True):
+        betas = _contour_betas(p, use_gbz, LOOP_K_POINTS)
+        yield np.append(betas, betas[:1])
 
 
 def _bloch_topology_points(seed):
@@ -456,30 +470,55 @@ TRACKING_POINTS = (
        for i, p in enumerate(_bloch_topology_points(seed))])
 
 
-@pytest.mark.parametrize("p", [c[1] for c in TRACKING_POINTS],
+# the points where the sample-by-sample loop meets an exceptional point on
+# the GBZ circle (and, at FIG4_HN's own JR, where rho = 1, on both circles)
+LOOP_FAILS = {"FIG4_HN", "FIG3_JR-2.35", "FIG3_JR-2.5", "FIG3_JR-2.8",
+              "FIG3_JR-2.975"}
+
+
+@pytest.mark.parametrize("name, p", TRACKING_POINTS,
                          ids=[c[0] for c in TRACKING_POINTS])
-def test_track_bands_is_the_sample_by_sample_loop(p):
-    # bit for bit the same bands, or the same error, on every stack
-    for evs in _stacks(p):
-        want, got = _tracked(track_bands_loop, evs), _tracked(_track_bands, evs)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+def test_track_bands_is_the_sample_by_sample_loop(name, p):
+    # bit for bit the same bands wherever the loop returns; where it
+    # raises, the refined steps carry every band through the exceptional
+    # point, each sample's roots once
+    raised = False
+    for betas in _contours(p):
+        evs = contour_eigenvalues(p, betas)
+        got, _ = _track_bands(p, betas)
+        try:
+            want = track_bands_loop(evs)
+        except NumericalError as exc:
+            assert str(exc) == "ambiguous band continuation"
+            assert np.array_equal(np.sort(got.T, axis=1), np.sort(evs, axis=1))
+            raised = True
+            continue
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert raised == (name in LOOP_FAILS)
 
 
-def test_band_sweep_work_counts():
-    # deterministic work counters of the sweep: passes over all steps and
-    # the steps handed to linear_sum_assignment, at two fixed points
-    p = preset("FIG3").params
-    sweep = _band_sweep(stack_eigvals(p, False, 512))
-    assert (sweep.passes, sweep.solved) == (2, 0)
-    p = preset("FIG4_SSH").params
-    ev = stack_eigvals(p, False, LOOP_K_POINTS)
-    sweep = _band_sweep(np.concatenate([ev, ev[:1]]))
-    assert (sweep.passes, sweep.solved) == (3, 6)
-    # the tie rule reads only the flagged rows, all in the solved steps
-    assert sweep.flagged.sum() == 8
+def test_contour_is_solved_once_away_from_exceptional_points(monkeypatch):
+    # a deterministic work counter: at the benchmark's seeded points and at
+    # FIG3's and FIG4_SSH's own, every step settles without a finer sample,
+    # so each result solves its contour once
+    counts = []
+
+    def counted(p, beta):
+        counts.append(len(beta))
+        return contour_eigenvalues(p, beta)
+    monkeypatch.setattr(topology, "contour_eigenvalues", counted)
+    points = [p for seed in range(1, 11) for p in _bloch_topology_points(seed)]
+    points += [preset("FIG3").params, preset("FIG4_SSH").params]
+    for p in points:
+        for call in (lambda: line_gap_minima(p), lambda: count_spectral_loops(p),
+                     lambda: line_gap_minima(p, use_gbz=True)):
+            counts.clear()
+            call()
+            assert len(counts) == 1
+    # an exceptional point on FIG3's GBZ at JR = -2.5 is sampled finer
+    counts.clear()
+    line_gap_minima(preset("FIG3").params.with_updates(JR=-2.5), use_gbz=True)
+    assert counts[0] == 512 and len(counts) > 1
 
 
 def test_min_distance_is_the_brute_force_minimum():
