@@ -216,14 +216,83 @@ def run_sweep(spec, workers=None):
     return SweepTable(spec=spec, rows=tuple(rows))
 
 
+def _bounded_brent(func, a, b, xatol):
+    """(x, f(x)): the minimum of func on [a, b] by Brent's bounded search,
+    scipy's minimize_scalar(method="bounded") (fminbound) step for step,
+    at most 500 evaluations (its default), so every probe and the result
+    are the same bits."""
+    sqrt_eps = sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step through the three best
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
 def find_peak(table, column):
     """Locate the maximum of a sweep column.
 
     The coarse argmax over valid rows is refined inside its neighbours'
-    bracket by Brent's bounded search (scipy's minimize_scalar), down to
-    PEAK_TOL in parameter units, never ending below the coarse argmax.  A
-    maximum sitting on the grid boundary cannot be bracketed and is
-    returned unrefined with boundary=True.
+    bracket by Brent's bounded search (_bounded_brent, scipy's
+    minimize_scalar(method="bounded") without importing scipy.optimize),
+    down to PEAK_TOL in parameter units, never ending below the coarse
+    argmax.  A maximum sitting on the grid boundary cannot be bracketed
+    and is returned unrefined with boundary=True.
     """
     if column not in table.columns or column in ("value", "error"):
         raise ValidationError("cannot search for a peak in column %r" % (column,))
@@ -243,11 +312,9 @@ def find_peak(table, column):
             raise NumericalError("peak refinement failed at %r: %s" % (x, error))
         return values[column]
 
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda x: -f(x), method="bounded",
-                          bounds=(float(xs[i - 1]), float(xs[i + 1])),
-                          options={"xatol": PEAK_TOL})
-    loc, val = float(res.x), -float(res.fun)
+    x, fx = _bounded_brent(lambda x: -f(x), float(xs[i - 1]),
+                           float(xs[i + 1]), PEAK_TOL)
+    loc, val = float(x), -float(fx)
     if val < ys[i]:  # no probe beat the coarse argmax
         loc, val = float(xs[i]), float(ys[i])
     return PeakResult(location=loc, value=val, boundary=False)

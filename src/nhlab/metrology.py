@@ -13,7 +13,9 @@ is the exact derivative of the chain's bonds (_tangent), the steady
 eigenvalue moves by l^+ H' r / l^+ r, and a bordered linear system gives
 the right vector's derivative (Nelson's method, spectral.bordered_solve),
 one right-hand side per parameter, so state_derivatives gives the state
-and every derivative of a point from one solve.
+and every derivative of a point from one solve.  The last steady solve
+is kept in one slot keyed by the point, so probe_state and the
+per-parameter state_derivative calls at one point share it as well.
 
 The point runs on the chain's bands (model.bond_bands): H, H' and their
 norms are bands, and every factorization is a tridiagonal ?gttrf, so a
@@ -453,46 +455,37 @@ def _tangent(q, ps, i, rho=1.0):
     return bond_bands(q, 0.0, 0.0, dJR, dJm * rho, dJmP / rho)
 
 
-def _steady_derivatives(p, ps, indices):
-    """Probe state at ps's point and its derivatives along the parameters
-    in indices: one steady solve, the guards per parameter, one bordered
-    solve.
+# the last successful steady solve, (key, (values, r, l)), rebound as one
+# tuple; see _steady_solve
+_last_steady = None
 
-    The steady solve is one eigenvalue solve in the skin-balancing frame
-    on one sublattice (full_spectrum without vectors, every value held to
-    its squaring gate) plus inverse iteration for the steady eigenvalue's
-    right and left vectors; the eigenvalues the
-    guards read (values[1] and the one nearest the steady eigenvalue,
-    spectral.steady_neighbours) are certified as well.  A degenerate
-    steady eigenvalue has no steady state, so every call, the state alone
-    included, raises DegenerateSteadyStateError there (checked before the
-    inverse iteration, which diverges on it).  For each parameter, H' is
-    the exact derivative of the chain's bonds (_tangent) and the steady
-    eigenvalue moves by l^+ H' r / l^+ r.  A steady eigenvalue not
-    isolated against the spectral motion of the raw H' over
-    ISOLATION_SCALE times the parameter's step, or one the solve does not
-    resolve (see _check_resolved), where a central difference has no
-    limit, raises DerivativeIllDefinedError, as the oracle
-    family_state_derivative does.  The bordered system
-    [[H - lambda, r], [l^+, 0]] gives r's derivatives, one right-hand side
-    per parameter, with H' taken in the frame of the base point
-    (spectral.bordered_solve).  All vectors are mapped back with one
-    scale, and each state derivative is (1 - psi psi^+) dr / ||r||.
 
-    The chain runs on its bands (model.bond_bands) and no D x D matrix
-    is built or factored: the half-size product is written from the
-    bands, eigenpair, certify and the bordered solve (Nelson's deletion,
-    which opens a ring) factor tridiagonals with ?gttrf, and H, H' and
-    their norms are bands, so a point costs one (D/2)-square ?geev plus
-    O(D) work.  Only the dense fall-back of full_spectrum builds H, where
-    the bidiagonal refinement cannot run.  A PBC ring takes its
-    eigenvalues from its Bloch sectors (_ring_values) and r and l as the
-    plane waves of the steady sector's right and left Bloch vectors.
+def _steady_solve(q, H):
+    """(values, r, l): the sorted eigenvalues of the point q, whose
+    skin-balanced bands are H, and the steady eigenvalue's right and left
+    vectors, read-only.
+
+    An open chain takes one eigenvalue solve on one sublattice
+    (full_spectrum without vectors, every value held to its squaring
+    gate) plus inverse iteration for r and l (eigenpair); the eigenvalues
+    the guards read (values[1] and the one nearest the steady eigenvalue,
+    spectral.steady_neighbours) are certified as well.  A PBC ring takes
+    its eigenvalues from its Bloch sectors (_ring_values) and r and l as
+    the plane waves of the steady sector's right and left Bloch vectors.
+    A degenerate steady eigenvalue raises DegenerateSteadyStateError
+    (checked before the inverse iteration, which diverges on it).
+
+    The last successful solve is kept in one slot, keyed by q and the
+    bytes of H's entries (the ring branch reads q, the chain branch H),
+    so the per-parameter calls at one point (probe_state, then
+    state_derivative for each parameter) share one solve.  The key is
+    exact to the bit; a failed solve is never kept, so it raises on every
+    call.
     """
-    if any(not 0 <= i < ps.l for i in indices):
-        raise ValidationError("parameter index out of range")
-    q = apply_params(p, ps)
-    H, rho, frame = _skin_balanced(q)
+    global _last_steady
+    key = (q, H.entries.tobytes())
+    if _last_steady is not None and _last_steady[0] == key:
+        return _last_steady[1]
     if q.boundary == PBC:
         values, sector = _ring_values(q)
         _check_nondegenerate(values)
@@ -505,6 +498,45 @@ def _steady_derivatives(p, ps, indices):
         _check_nondegenerate(values)
         r, l = eigenpair(H, values[0], left=True)
         certify(H, values[steady_neighbours(values)])
+    for a in (values, r, l):
+        a.flags.writeable = False
+    _last_steady = (key, (values, r, l))
+    return values, r, l
+
+
+def _steady_derivatives(p, ps, indices):
+    """Probe state at ps's point and its derivatives along the parameters
+    in indices: one steady solve (_steady_solve, shared with the calls
+    before at the same point), the guards per parameter, one bordered
+    solve.
+
+    A degenerate steady eigenvalue has no steady state, so every call,
+    the state alone included, raises DegenerateSteadyStateError there.
+    For each parameter, H' is the exact derivative of the chain's bonds
+    (_tangent) and the steady eigenvalue moves by l^+ H' r / l^+ r.  A
+    steady eigenvalue not isolated against the spectral motion of the raw
+    H' over ISOLATION_SCALE times the parameter's step, or one the solve
+    does not resolve (see _check_resolved), where a central difference
+    has no limit, raises DerivativeIllDefinedError, as the oracle
+    family_state_derivative does.  The bordered system
+    [[H - lambda, r], [l^+, 0]] gives r's derivatives, one right-hand side
+    per parameter, with H' taken in the frame of the base point
+    (spectral.bordered_solve).  All vectors are mapped back with one
+    scale, and each state derivative is (1 - psi psi^+) dr / ||r||.
+
+    The chain runs on its bands (model.bond_bands) and no D x D matrix
+    is built or factored: the half-size product is written from the
+    bands, eigenpair, certify and the bordered solve (Nelson's deletion,
+    which opens a ring) factor tridiagonals with ?gttrf, and H, H' and
+    their norms are bands, so a point costs one (D/2)-square ?geev plus
+    O(D) work.  Only the dense fall-back of full_spectrum builds H, where
+    the bidiagonal refinement cannot run.
+    """
+    if any(not 0 <= i < ps.l for i in indices):
+        raise ValidationError("parameter index out of range")
+    q = apply_params(p, ps)
+    H, rho, frame = _skin_balanced(q)
+    values, r, l = _steady_solve(q, H)
     lam = values[0]
     norm = float(np.linalg.norm(H.entries))
     rhs = []
@@ -538,13 +570,16 @@ def probe_state(p, ps):
     It comes from the same steady solve as state_derivatives, so the two
     agree bit for bit on the state, and raise the same
     DegenerateSteadyStateError where the steady eigenvalue is degenerate.
+    The solve is kept for the next call at the same point (_steady_solve),
+    so probe_state and one state_derivative per parameter make one solve.
     """
     return _steady_derivatives(p, ps, ())[0]
 
 
 def state_derivative(p, ps, i):
-    """Derivative of the probe state along parameter i (one steady solve;
-    see _steady_derivatives for the method and the errors it raises)."""
+    """Derivative of the probe state along parameter i (one steady solve,
+    or none after another call at the same point; see _steady_derivatives
+    for the method and the errors it raises)."""
     return _steady_derivatives(p, ps, (i,))[1][0]
 
 

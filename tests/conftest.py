@@ -10,7 +10,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 import nhlab
-from nhlab import model
+from nhlab import metrology, model
 from nhlab.model import ChainBands, ModelParams
 
 
@@ -27,6 +27,13 @@ def assert_multiset_close(a, b, tol):
     rows, cols = linear_sum_assignment(cost)
     worst = float(cost[rows, cols].max())
     assert worst <= tol, "worst matched distance %.3e > %.3e" % (worst, tol)
+
+
+@pytest.fixture(autouse=True)
+def empty_steady_slot():
+    """Every test starts with no steady solve kept (metrology._steady_solve),
+    so its solve counts do not depend on the tests run before it."""
+    metrology._last_steady = None
 
 
 @pytest.fixture

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from nhlab import (DEFAULT_STEP, DerivativeIllDefinedError, NumericalError,
                    ParamSpec, SweepSpec, ValidationError, apply_params,
                    coupling_scaling, exponent_vs_delta, find_peak,
                    fit_power_law, matrix_size_scaling, participation_ratio,
                    point_gap_residual, preset, preset_manifest, probe_state,
-                   qfi, run_sweep, size_scaling, spectral_winding,
-                   state_derivative)
-from nhlab import harness
+                   make_params, qfi, run_sweep, size_scaling,
+                   spectral_winding, state_derivative)
+from nhlab import harness, metrology
 from nhlab.harness import PRESET_NAMES
 
 
@@ -130,6 +131,23 @@ def test_sweep_pr_survives_an_ill_defined_derivative(monkeypatch):
     assert row["error"] == "QFI: steady eigenvalue not isolated"
 
 
+def test_sweep_pr_reads_the_kept_solve_where_qfi_fails(monkeypatch):
+    # JR_im = 1e-8 on this short chain: the steady eigenvalue is not
+    # isolated, so QFI fails after its solve, and PR's state reads that
+    # solve instead of making a second one
+    base = make_params(1, 3, 2, JL=1, JR=0.5, Jm=1, JmP=0.5)
+    spec = SweepSpec(base=base, axis="JR_im", grid=(1e-8,),
+                     observables=frozenset(["QFI", "PR"]))
+    solves = []
+    solve = metrology.full_spectrum
+    monkeypatch.setattr(metrology, "full_spectrum",
+                        lambda *a, **k: solves.append(a) or solve(*a, **k))
+    values, error = harness._point_values(spec, 1e-8, spec.observables)
+    assert len(solves) == 1
+    assert values["PR"] == 2.518688438923277 and np.isnan(values["QFI"])
+    assert error == "QFI: steady eigenvalue not isolated at step 4.883e-09"
+
+
 def test_sweep_tags_failing_points():
     base = preset("FIG4_HN").params
     grid = tuple(np.round(np.arange(-0.48, -0.299, 0.02), 10)) + (-0.22,)
@@ -165,6 +183,67 @@ def test_find_peak_refines_an_interior_maximum():
     assert pk.value >= float(np.nanmax(table.column("QFI")))
     with pytest.raises(ValidationError):
         find_peak(table, "value")
+
+
+def fisher_bracket():
+    """-QFI on FIG4_HN at L = 34 over the bracket find_peak refines."""
+    spec = SweepSpec(base=preset("FIG4_HN").resized(34), axis="JR",
+                     grid=(-0.4, -0.39, -0.38), observables=frozenset(["QFI"]))
+
+    def f(x):
+        return -harness._point_values(spec, x, ("QFI",))[0]["QFI"]
+    return f, -0.4, -0.38
+
+
+BRENT_CASES = {"parabola": (lambda x: (x - 0.3217) ** 2 + 1.5, -1.0, 2.0),
+               "flat": (lambda x: 4.0, 0.0, 1.0),
+               "lower end": (lambda x: x, -0.6, -0.2),
+               "upper end": (lambda x: -x, -0.6, -0.2),
+               "cusp": (lambda x: abs(x - 0.123), -0.5, 0.5)}
+
+
+@pytest.mark.parametrize("case", list(BRENT_CASES) + ["FIG4_HN"])
+def test_bounded_brent_is_scipys_fminbound(case):
+    # the same minimum, value and evaluation count as scipy's bounded
+    # search, bit for bit
+    f, a, b = fisher_bracket() if case == "FIG4_HN" else BRENT_CASES[case]
+    evals = []
+
+    def counted(x):
+        evals.append(x)
+        return f(x)
+
+    want = minimize_scalar(counted, method="bounded", bounds=(a, b),
+                           options={"xatol": harness.PEAK_TOL})
+    assert want.nfev == len(evals)
+    want_evals, evals[:] = evals[:], []
+    got = harness._bounded_brent(counted, a, b, harness.PEAK_TOL)
+    assert got == (float(want.x), float(want.fun))
+    assert evals == want_evals
+
+
+def scipy_brent(func, a, b, xatol):
+    res = minimize_scalar(func, method="bounded", bounds=(a, b),
+                          options={"xatol": xatol})
+    return res.x, res.fun
+
+
+@pytest.mark.parametrize("name, L, axis", [("FIG4_HN", 20, "JR"),
+                                           ("FIG4_HN", 34, "JR"),
+                                           ("FIG4_HN", 50, "JR"),
+                                           ("FIG5_TOP", 34, "JR_im")])
+def test_find_peak_matches_scipys_search(monkeypatch, name, L, axis):
+    b = preset(name)
+    center = b.critical[b.param_labels.index(axis)]
+    spec = SweepSpec(base=b.resized(L), axis=axis,
+                     grid=harness._grid(center - 0.05, center + 0.05, 0.01),
+                     observables=frozenset(["QFI"]))
+    table = run_sweep(spec)
+    got = find_peak(table, "QFI")
+    monkeypatch.setattr(harness, "_bounded_brent", scipy_brent)
+    want = find_peak(table, "QFI")
+    assert not got.boundary and got == want
+    assert all(type(v) is type(w) for v, w in zip(got, want))
 
 
 def test_find_peak_flags_boundary_maxima():

@@ -101,7 +101,7 @@ def test_oracle_is_step_stable_away_from_criticality():
     assert abs(a - b) <= 5e-3 * abs(a)
 
 
-def test_degenerate_steady_state_is_reported():
+def test_degenerate_steady_state_is_reported(count_solves):
     # two eigenvalues share the largest imaginary part on this family
     p = make_params(1, 3, 50, JL=1, JR=-0.22,
                     preset=CouplingPreset(RECIPROCAL_MODULAR, 0.4))
@@ -110,6 +110,9 @@ def test_degenerate_steady_state_is_reported():
         state_derivative(p, ps, 0)
     with pytest.raises(DerivativeIllDefinedError):
         state_derivatives(p, ps)
+    # a failed solve is not kept: each call solves again and raises again
+    assert count_solves["solves"] == 2
+    assert metrology._last_steady is None
 
 
 def all_derivatives(p, ps, i):
@@ -281,14 +284,15 @@ def test_qfi_work_counts(count_solves):
     count_solves["solves"] = 0
     find_peak(table, "QFI")
     assert count_solves["solves"] == 8
-    # a QFIM point is 1 + l solves through the per-parameter calls and
-    # one solve through state_derivatives
-    for name, l in (("FIG5_TOP", 2), ("FIG5_BOTTOM", 3)):
+    # a QFIM point is one solve through the per-parameter calls, which
+    # share the kept steady solve, and one through state_derivatives
+    for name in ("FIG5_TOP", "FIG5_BOTTOM"):
         p, ps = preset_point(name, 34)
         count_solves["solves"] = 0
         psi = probe_state(p, ps)
         qfim(psi, [state_derivative(p, ps, i) for i in range(ps.l)], ps)
-        assert count_solves["solves"] == 1 + l, name
+        assert count_solves["solves"] == 1, name
+        metrology._last_steady = None
         count_solves["solves"] = 0
         qfim(*state_derivatives(p, ps), ps)
         assert count_solves["solves"] == 1, name
@@ -318,6 +322,71 @@ def test_qfi_work_counts(count_solves):
     assert np.isnan(values["PR"])
     assert error == "; ".join("%s: steady-state eigenvalue is degenerate" % name
                               for name in fisher + ("PR",))
+
+
+def test_kept_solve_serves_only_its_own_point(count_solves):
+    # the same point again makes no solve; a 1-ulp move of JR makes one
+    p, ps = preset_point("FIG4_HN", 34)
+    probe_state(p, ps)
+    count_solves["solves"] = 0
+    state_derivative(p, ps, 0)
+    assert count_solves["solves"] == 0
+    moved = ParamSpec(ps.labels, (np.nextafter(ps.values[0], 0.0),), ps.steps)
+    probe_state(p, moved)
+    assert count_solves["solves"] == 1
+    # the kept arrays are read-only
+    values, r, l = metrology._last_steady[1]
+    assert not (values.flags.writeable or r.flags.writeable
+                or l.flags.writeable)
+
+
+@pytest.mark.parametrize("name", ["FIG4_HN", "FIG5_BOTTOM"])
+def test_kept_solve_gives_the_bits_of_a_fresh_one(name):
+    # the calls after the first at a point read the kept solve, even after
+    # a caller writes into what it was given, and each result has the bits
+    # of the same call at an empty slot
+    p, ps = preset_point(name, 34)
+
+    def fresh(call, *args):
+        metrology._last_steady = None
+        return call(p, ps, *args)
+
+    got = [probe_state(p, ps)]
+    got += [state_derivative(p, ps, i) for i in range(ps.l)]
+    kept = [a.tobytes() for a in got]
+    for a in got:
+        a[:] = 0.0
+    psi, dpsis = state_derivatives(p, ps)
+    again = probe_state(p, ps)
+    want = [fresh(probe_state)]
+    want += [fresh(state_derivative, i) for i in range(ps.l)]
+    assert kept == [a.tobytes() for a in want]
+    want_psi, want_dpsis = fresh(state_derivatives)
+    assert psi.tobytes() == again.tobytes() == want_psi.tobytes()
+    assert [d.tobytes() for d in dpsis] == [d.tobytes() for d in want_dpsis]
+
+
+def test_chain_and_ring_do_not_share_a_kept_solve(monkeypatch, count_solves):
+    # an open chain and the ring with the same couplings are two points
+    rings = []
+    ring_values = metrology._ring_values
+
+    def counted(q):
+        rings.append(q)
+        return ring_values(q)
+
+    monkeypatch.setattr(metrology, "_ring_values", counted)
+    p, ps = preset_point("FIG4_HN", 34)
+    ring = p.with_updates(boundary=PBC)
+    chain_state = probe_state(p, ps)
+    ring_state = probe_state(ring, ps)
+    assert count_solves["solves"] == 1 and len(rings) == 1
+    assert probe_state(p, ps).tobytes() == chain_state.tobytes()
+    assert count_solves["solves"] == 2 and len(rings) == 1
+    metrology._last_steady = None
+    assert probe_state(ring, ps).tobytes() == ring_state.tobytes()
+    assert len(rings) == 2
+    assert chain_state.tobytes() != ring_state.tobytes()
 
 
 def test_steady_solve_certifies_the_eigenvalues_the_guards_read(monkeypatch):
@@ -526,6 +595,11 @@ def test_open_chain_point_runs_on_the_bands(lapack_calls, name):
     assert lapack_calls["getrf"] == 0
     assert lapack_calls["np.linalg.solve"] == 0
     assert lapack_calls["dense"] == 0
+    # right after, the state at the same point reads the kept solve
+    lapack_calls.clear()
+    probe_state(p, ps)
+    assert lapack_calls["gttrf"] == 0
+    metrology._last_steady = None
     lapack_calls.clear()
     probe_state(p, ps)
     assert lapack_calls["gttrf"] == 1 + certified
