@@ -22,7 +22,7 @@ from .gbz import contour_eigenvalues, point_gap_residual
 from .metrology import (DEFAULT_STEP, ParamSpec, cfi, cfim, current_basis,
                         model_spectrum, position_basis, qfi, qfim,
                         state_derivatives, total_variance_bound)
-from .model import params_from_config, params_to_config
+from .model import config_float, params_from_config, params_to_config
 from .spectral import cumulative_population, sort_resolution
 from .topology import band_winding, count_spectral_loops, line_gap_minima, spectral_winding
 
@@ -60,21 +60,6 @@ def load_config(path):
             raise ValidationError("unknown keys in [%s]: %s"
                                   % (name, ", ".join(sorted(extra))))
     return cfg
-
-
-def _float(section, cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ValidationError("missing key %s in [%s]" % (key, section))
-        return default
-    try:
-        v = float(cfg[key])
-    except ValueError:
-        raise ValidationError("[%s] %s is not a number: %r"
-                              % (section, key, cfg[key]))
-    if not np.isfinite(v):
-        raise ValidationError("[%s] %s must be finite" % (section, key))
-    return v
 
 
 def _float_list(section, cfg, key):
@@ -228,8 +213,8 @@ def cmd_winding(args, cfg):
         res = band_winding(p)
         eref = 0j
     elif kind == "spectral":
-        eref = complex(_float("topology", top, "eref_re", 0.0),
-                       _float("topology", top, "eref_im", 0.0))
+        eref = complex(config_float("topology", top, "eref_re", 0.0),
+                       config_float("topology", top, "eref_im", 0.0))
         res = spectral_winding(p, eref)
     else:
         raise ValidationError("winding kind must be band or spectral, not %r"
@@ -308,9 +293,9 @@ def _sweep_spec(cfg, p):
     if "grid" in sw:
         grid = tuple(_float_list("sweep", sw, "grid"))
     else:
-        start = _float("sweep", sw, "start")
-        stop = _float("sweep", sw, "stop")
-        step = _float("sweep", sw, "step")
+        start = config_float("sweep", sw, "start")
+        stop = config_float("sweep", sw, "stop")
+        step = config_float("sweep", sw, "step")
         if step <= 0 or stop < start:
             raise ValidationError("[sweep] needs step > 0 and stop >= start")
         grid = tuple(np.round(np.arange(start, stop + 0.5 * step, step), 12))
@@ -339,7 +324,9 @@ def cmd_scaling(args, cfg):
     Lgrid = (_integers("scaling", "Lgrid", _float_list("scaling", sc, "Lgrid"))
              if "Lgrid" in sc else None)
     if mode == "size":
-        delta = _float("scaling", sc, "delta", 0.0)
+        delta = config_float("scaling", sc, "delta", 0.0)
+        if Lgrid is not None:
+            harness.check_size_grid(Lgrid)
         rows = harness.size_scaling(name, Lgrid=Lgrid, delta=delta)
         fit = harness.fit_power_law([r["N"] for r in rows],
                                     [r["value"] for r in rows])
@@ -357,7 +344,7 @@ def cmd_scaling(args, cfg):
                       repr(rows[-1]["exponent"])))
     elif mode == "coupling":
         Jgrid = _float_list("scaling", sc, "Jgrid")
-        (L,) = _integers("scaling", "L", [_float("scaling", sc, "L", 50)])
+        (L,) = _integers("scaling", "L", [config_float("scaling", sc, "L", 50)])
         rows, slope, r2 = harness.coupling_scaling(Jgrid, L=L)
         header = ("J", "location", "value")
         extra = {"exponent": slope, "r2": r2}

@@ -8,15 +8,14 @@ the same table, bit for bit, regardless of worker count.
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateSteadyStateError, DerivativeIllDefinedError,
-                     NumericalError, ValidationError)
+from .errors import DerivativeIllDefinedError, NumericalError, ValidationError
 from .gbz import point_gap_residual
 from .metrology import (DEFAULT_STEP, PARAM_LABELS, ParamSpec, apply_params,
                         cfi, current_basis, model_spectrum, position_basis,
@@ -116,72 +115,55 @@ class PeakResult(NamedTuple):
     boundary: bool
 
 
-def _point_values(spec, x, names):
-    """Requested observables at one grid point, sharing intermediates.
+def _sweep_row(spec, x):
+    """One grid point's row: its value, the requested observables and the
+    error tags of those that failed.
 
-    The Fisher columns and PR share one steady solve, which applies the
-    point's parameters itself; SLOPE reads every eigenvector and makes its
-    own.  The axis never changes D or the boundary: bases use spec.base.
+    A row with a Fisher column makes one state_derivatives call, whose
+    state or error every Fisher column and PR read; PR alone reads
+    probe_state.  Both share one steady solve, which applies the point's
+    parameters itself; SLOPE reads every eigenvector and makes its own.
+    The axis never changes D or the boundary: bases use spec.base.
     """
     ps = ParamSpec((spec.axis,), (float(x),), (DEFAULT_STEP,))
-    q = (None if FISHER_COLUMNS.union((PR,)).issuperset(names)
+    q = (None if FISHER_COLUMNS.union((PR,)).issuperset(spec.observables)
          else apply_params(spec.base, ps))
-    cache = {}
-
-    def probe():
-        if "probe" not in cache:
-            try:
-                cache["probe"] = state_derivatives(spec.base, ps)
-            except (ValidationError, NumericalError) as exc:
-                cache["probe"] = exc  # kept, so no later column repeats it
-        if isinstance(cache["probe"], Exception):
-            raise cache["probe"]
-        return cache["probe"]
-
-    def state():
-        if not FISHER_COLUMNS.isdisjoint(names):
-            try:
-                return probe()[0]
-            except DegenerateSteadyStateError:
-                raise
-            except DerivativeIllDefinedError:
-                pass  # the state exists where its derivative does not
-        return probe_state(spec.base, ps)
-
-    values, errors = {}, []
-    for name in [n for n in OBSERVABLE_ORDER if n in names]:
+    psi = dpsi = failed = None
+    if not FISHER_COLUMNS.isdisjoint(spec.observables):
+        try:
+            psi, (dpsi,) = state_derivatives(spec.base, ps)
+        except (ValidationError, NumericalError) as exc:
+            failed = exc
+    row, errors = {"value": float(x)}, []
+    for name in spec.columns[1:-1]:
         try:
             if name == GAP_RESIDUAL:
-                values[name] = point_gap_residual(q)
+                row[name] = point_gap_residual(q)
             elif name == WINDING_BAND:
-                values[name] = float(band_winding(q).value)
+                row[name] = float(band_winding(q).value)
             elif name == WINDING_SPECTRAL:
-                values[name] = float(spectral_winding(q, 0j).value)
+                row[name] = float(spectral_winding(q, 0j).value)
             elif name == SLOPE:
-                values[name] = cumulative_population(
+                row[name] = cumulative_population(
                     model_spectrum(q), q).slope_per_module
             elif name == PR:
-                values[name] = participation_ratio(state())
+                # the state exists where only its derivative is ill-defined
+                if type(failed) not in (type(None), DerivativeIllDefinedError):
+                    raise failed
+                row[name] = participation_ratio(
+                    probe_state(spec.base, ps) if psi is None else psi)
+            elif failed is not None:
+                raise failed
             elif name == QFI:
-                psi, (dpsi,) = probe()
-                values[name] = qfi(psi, dpsi)
+                row[name] = qfi(psi, dpsi)
             elif name == CFI_POSITION:
-                psi, (dpsi,) = probe()
-                values[name] = cfi(psi, dpsi, position_basis(spec.base.D))
+                row[name] = cfi(psi, dpsi, position_basis(spec.base.D))
             elif name == CFI_CURRENT:
-                psi, (dpsi,) = probe()
-                values[name] = cfi(psi, dpsi, current_basis(spec.base))
+                row[name] = cfi(psi, dpsi, current_basis(spec.base))
         except (ValidationError, NumericalError) as exc:
-            values[name] = float("nan")
+            row[name] = float("nan")
             errors.append("%s: %s" % (name, exc))
-    return values, "; ".join(errors)
-
-
-def _sweep_row(spec, x):
-    values, error = _point_values(spec, x, spec.observables)
-    row = {"value": float(x)}
-    row.update(values)
-    row["error"] = error
+    row["error"] = "; ".join(errors)
     return row
 
 
@@ -306,11 +288,14 @@ def find_peak(table, column):
     if i == 0 or i == len(xs) - 1:
         return PeakResult(location=float(xs[i]), value=float(ys[i]), boundary=True)
 
+    spec = replace(table.spec, observables=frozenset((column,)))
+
     def f(x):
-        values, error = _point_values(table.spec, x, (column,))
-        if error:
-            raise NumericalError("peak refinement failed at %r: %s" % (x, error))
-        return values[column]
+        row = _sweep_row(spec, x)
+        if row["error"]:
+            raise NumericalError("peak refinement failed at %r: %s"
+                                 % (x, row["error"]))
+        return row[column]
 
     x, fx = _bounded_brent(lambda x: -f(x), float(xs[i - 1]),
                            float(xs[i + 1]), PEAK_TOL)
@@ -333,12 +318,19 @@ class ScalingFit:
         if not -1e-12 <= self.r2 <= 1.0 + 1e-12:
             raise ValidationError("r2 outside [0, 1]: %r" % (self.r2,))
         object.__setattr__(self, "r2", min(max(self.r2, 0.0), 1.0))
-        grid = tuple(int(n) for n in self.Ngrid)
-        if len(grid) < 4:
-            raise ValidationError("scaling fit needs at least 4 sizes")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValidationError("size grid must be strictly increasing")
-        object.__setattr__(self, "Ngrid", grid)
+        object.__setattr__(self, "Ngrid", check_size_grid(self.Ngrid))
+
+
+def check_size_grid(sizes):
+    """A power-law fit's sizes as a tuple of ints, after checking there are
+    at least 4 of them, strictly increasing.  Each caller that fits checks
+    its size grid with it before the first solve."""
+    grid = tuple(int(n) for n in sizes)
+    if len(grid) < 4:
+        raise ValidationError("scaling fit needs at least 4 sizes")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError("size grid must be strictly increasing")
+    return grid
 
 
 def _loglog_fit(x, y):
@@ -550,7 +542,7 @@ def size_scaling(bundle_or_name, Lgrid=None, delta=0.0):
             ps = ParamSpec((b.axis,), (center,), (DEFAULT_STEP,))
             psi, (dpsi,) = state_derivatives(base, ps)
             loc, val = center, qfi(psi, dpsi)
-        rows.append({"L": int(L), "N": int(base.r * L),
+        rows.append({"L": int(L), "N": base.N,
                      "location": float(loc), "value": float(val)})
     return rows
 
@@ -567,7 +559,7 @@ def matrix_size_scaling(bundle_or_name, Lgrid=None):
         base = b.resized(L)
         ps = _critical_spec(b.param_labels, b.critical)
         F = qfim(*state_derivatives(base, ps), ps)
-        row = {"L": int(L), "N": int(base.r * L)}
+        row = {"L": int(L), "N": base.N}
         for i, lab in enumerate(b.param_labels):
             row["F_" + lab] = float(F.entries[i, i])
         row["F_eigenvalues"] = tuple(float(w) for w in np.linalg.eigvalsh(F.entries))
@@ -579,11 +571,12 @@ def matrix_size_scaling(bundle_or_name, Lgrid=None):
 def exponent_vs_delta(bundle_or_name, delta_grid, Lgrid=None):
     """Scaling exponent of the QFI as the knob moves off criticality."""
     b = _resolve(bundle_or_name)
+    check_size_grid(b.Lgrid if Lgrid is None else Lgrid)
+    delta_grid = [float(delta) for delta in delta_grid]
+    if any(delta < 0 for delta in delta_grid):
+        raise ValidationError("delta grid must be nonnegative")
     rows = []
     for delta in delta_grid:
-        delta = float(delta)
-        if delta < 0:
-            raise ValidationError("delta grid must be nonnegative")
         data = size_scaling(b, Lgrid=Lgrid, delta=delta)
         fit = fit_power_law([row["N"] for row in data],
                             [row["value"] for row in data])
@@ -600,6 +593,8 @@ def coupling_scaling(Jgrid, L=50):
     value against J.
     """
     Jgrid = [float(J) for J in Jgrid]
+    if len(Jgrid) < 2:
+        raise ValidationError("coupling fit needs at least 2 couplings")
     if any(J <= 0 for J in Jgrid):
         raise ValidationError("coupling grid must be positive")
     if any(b <= a for a, b in zip(Jgrid, Jgrid[1:])):

@@ -17,6 +17,7 @@ sectors; its ChainBands close the chain with two corners.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -105,8 +106,6 @@ class ModelParams:
             raise ValidationError("L must be >= 2")
         if self.r * self.d < 2:
             raise ValidationError("need r*d >= 2 internal states per module")
-        if self.r == 1 and self.d == 1:
-            raise ValidationError("r = 1 with d = 1 has no intra-module structure")
         if isinstance(self.J0, complex) or np.iscomplexobj(self.J0):
             raise ValidationError("J0 must be real")
         if self.d >= 2 and self.J0 == 0:
@@ -374,6 +373,24 @@ def params_to_config(p):
     return cfg
 
 
+def config_float(section, cfg, key, default=None):
+    """cfg[key] as a finite float, or default where key is absent; a key
+    that is missing without a default, or is not a finite number, raises
+    ValidationError naming [section] and key."""
+    if key not in cfg:
+        if default is None:
+            raise ValidationError("missing key %s in [%s]" % (key, section))
+        return default
+    try:
+        v = float(cfg[key])
+    except (TypeError, ValueError):
+        raise ValidationError("[%s] %s is not a number: %r"
+                              % (section, key, cfg[key]))
+    if not np.isfinite(v):
+        raise ValidationError("[%s] %s must be finite" % (section, key))
+    return v
+
+
 def params_from_config(cfg):
     """Parse ModelParams from a flat mapping (inverse of params_to_config).
 
@@ -397,16 +414,7 @@ def params_from_config(cfg):
             raise ValidationError("config key %s must be an integer" % key)
         return int(v)
 
-    def _float(key, default=0.0):
-        if key not in cfg:
-            return default
-        try:
-            v = float(cfg[key])
-        except (TypeError, ValueError):
-            raise ValidationError("config key %s is not a number: %r" % (key, cfg[key]))
-        if not np.isfinite(v):
-            raise ValidationError("config key %s must be finite" % key)
-        return v
+    _float = partial(config_float, "model", cfg, default=0.0)
 
     preset_name = str(cfg.get("preset", "NONE")).strip()
     preset = None

@@ -10,8 +10,9 @@ import re
 import pytest
 
 from conftest import run_python
-from nhlab import (cli, exponent_vs_delta, gbz_radius, model_spectrum,
-                   params_from_config, preset, spectral, state_derivatives)
+from nhlab import (ValidationError, cli, exponent_vs_delta, gbz_radius,
+                   metrology, model_spectrum, params_from_config, preset,
+                   spectral, state_derivatives)
 from nhlab.cli import build_parser, main
 from nhlab.model import params_to_config
 
@@ -375,6 +376,27 @@ def test_scaling_sizes_must_be_integers(tmp_path, capsys, entry):
     assert "must hold integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("preset = FIG4_HN\nmode = delta\nLgrid = 10,20,34,50\n"
+     "deltas = 0.05,0.1,-0.1", "delta grid must be nonnegative"),
+    ("preset = FIG4_HN\nmode = size\nLgrid = 50,34,20,10",
+     "size grid must be strictly increasing"),
+    ("mode = coupling\nJgrid = 0.5\nL = 10",
+     "coupling fit needs at least 2 couplings"),
+], ids=["negative delta", "decreasing sizes", "one coupling"])
+def test_scaling_inputs_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                entry, message):
+    solves = []
+    solve = metrology.full_spectrum
+    monkeypatch.setattr(metrology, "full_spectrum",
+                        lambda *a, **k: solves.append(a) or solve(*a, **k))
+    ini = write(tmp_path, "[scaling]\n%s\n" % entry)
+    assert main(["scaling", "--config", ini]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: validation: %s\n" % message
+    assert captured.out == "" and solves == []
+
+
 def test_scaling_coupling_mode(tmp_path, capsys):
     ini = write(tmp_path, """\
 [scaling]
@@ -434,6 +456,8 @@ def test_invalid_output_format_exits_2_before_computing(tmp_path, capsys,
     assert captured.err == ("error: validation: output format must be csv "
                             "or json, not 'xml'\n")
     assert captured.out == "" and calls == []
+    with pytest.raises(ValidationError, match="unknown output format 'xml'"):
+        cli.emit(str(tmp_path / "t.xml"), "xml", ("a",), [(1,)])
 
 
 def test_validation_failures_exit_2(tmp_path, capsys):
@@ -569,3 +593,65 @@ def test_only_main_writes_the_file_and_the_summary():
                 callers[node.func.id].add(fn.name)
     assert callers == {"emit": {"main"}, "print": {"main"},
                        "_out_settings": {"main"}}
+
+
+def argv(command, text, *flags):
+    """main's arguments for command on a config holding text, built in the
+    test's directory."""
+    return lambda tmp: [command, "--config", write(tmp, text)] + list(flags)
+
+
+SWEEP = HN + "\n[sweep]\naxis = JR\nobservables = PR\n"
+CLI_INPUT_CHECKS = {
+    "unreadable config": (lambda tmp: ["spectrum", "--config",
+                                       str(tmp / "absent.ini")],
+                          "cannot read config"),
+    "missing number": (argv("sweep", SWEEP + "start = -2.6\n"),
+                       "missing key stop in [sweep]"),
+    "not a number": (argv("sweep", SWEEP + "start = abc\nstop = 1\nstep = 1\n"),
+                     "[sweep] start is not a number: 'abc'"),
+    "number not finite": (argv("sweep", SWEEP + "start = inf\nstop = 1\n"
+                               "step = 1\n"), "[sweep] start must be finite"),
+    "model number": (argv("spectrum", HN, "--set", "JR_re=abc"),
+                     "[model] JR_re is not a number: 'abc'"),
+    "missing list": (argv("qfi", HN + "[metrology]\nlabels = JR\n"),
+                     "missing key values in [metrology]"),
+    "list entry": (argv("sweep", SWEEP + "grid = -2.6,x\n"),
+                   "[sweep] grid has a non-numeric entry: 'x'"),
+    "list not finite": (argv("sweep", SWEEP + "grid = -2.6,inf\n"),
+                        "[sweep] grid must be finite"),
+    "empty list": (argv("sweep", SWEEP + "grid = ,\n"), "[sweep] grid is empty"),
+    "model section": (argv("spectrum", "[output]\nformat = csv\n"),
+                      "config needs a [model] section"),
+    "override form": (argv("spectrum", HN, "--set", "JR_re"),
+                      "override must look like KEY=VALUE: 'JR_re'"),
+    "unwritable output": (lambda tmp: ["spectrum", "--config", write(tmp, HN),
+                                       "--out", str(tmp / "absent" / "x.csv")],
+                          "cannot write"),
+    "winding kind": (argv("winding", HN + "[topology]\nkind = chern\n"),
+                     "winding kind must be band or spectral, not 'chern'"),
+    "metrology section": (argv("qfi", HN), "config needs a [metrology] section"),
+    "metrology labels": (argv("qfi", HN + "[metrology]\nvalues = -2.5\n"),
+                         "missing key labels in [metrology]"),
+    "qfi labels": (argv("qfi", HN + "[metrology]\nlabels = JR,Jm\n"
+                        "values = -2.5,2.0\n"),
+                   "qfi needs exactly one parameter label; use qfim for 2"),
+    "sweep section": (argv("sweep", HN), "config needs a [sweep] section"),
+    "sweep range": (argv("sweep", SWEEP + "start = -2.4\nstop = -2.6\n"
+                         "step = 0.1\n"),
+                    "[sweep] needs step > 0 and stop >= start"),
+    "scaling section": (argv("scaling", "[output]\nformat = csv\n"),
+                        "config needs a [scaling] section"),
+    "scaling mode": (argv("scaling", "[scaling]\npreset = FIG4_HN\n"
+                          "mode = area\n"),
+                     "scaling mode must be size, delta, or coupling"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_INPUT_CHECKS))
+def test_cli_input_checks_exit_2(tmp_path, capsys, case):
+    make, message = CLI_INPUT_CHECKS[case]
+    assert main(make(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: validation: ")
+    assert message in captured.err and captured.out == ""

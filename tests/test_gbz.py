@@ -277,3 +277,24 @@ def test_contour_eigenvalues_refuse_a_zero_beta():
     for p in (preset("FIG3").params, M6):
         with pytest.raises(ValidationError, match="nonzero"):
             contour_eigenvalues(p, np.array([1.0, 0.0]))
+
+
+GBZ_INPUT_CHECKS = {
+    "radius": (lambda: gbz.GbzContour(0.0), ValidationError,
+               "contour radius must be positive"),
+    "points": (lambda: gbz.GbzContour(1.0, n_points=32), ValidationError,
+               "contour needs at least 64 points"),
+    # JL = 0 with r > 1 zeroes a = J0^(r(d-1)) JL^(r-1) Jm
+    "leading coefficient": (lambda: beta_roots(
+                                make_params(1, 3, 4, JL=0, JR=1, Jm=1, JmP=1), 0.5),
+                            SingularModelError,
+                            "beta-quadratic leading coefficient vanishes"),
+}
+
+
+@pytest.mark.parametrize("case", list(GBZ_INPUT_CHECKS))
+def test_gbz_input_checks(case):
+    call, error, message = GBZ_INPUT_CHECKS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)

@@ -142,10 +142,10 @@ def test_sweep_pr_reads_the_kept_solve_where_qfi_fails(monkeypatch):
     solve = metrology.full_spectrum
     monkeypatch.setattr(metrology, "full_spectrum",
                         lambda *a, **k: solves.append(a) or solve(*a, **k))
-    values, error = harness._point_values(spec, 1e-8, spec.observables)
+    row = harness._sweep_row(spec, 1e-8)
     assert len(solves) == 1
-    assert values["PR"] == 2.518688438923277 and np.isnan(values["QFI"])
-    assert error == "QFI: steady eigenvalue not isolated at step 4.883e-09"
+    assert row["PR"] == 2.518688438923277 and np.isnan(row["QFI"])
+    assert row["error"] == "QFI: steady eigenvalue not isolated at step 4.883e-09"
 
 
 def test_sweep_tags_failing_points():
@@ -191,7 +191,7 @@ def fisher_bracket():
                      grid=(-0.4, -0.39, -0.38), observables=frozenset(["QFI"]))
 
     def f(x):
-        return -harness._point_values(spec, x, ("QFI",))[0]["QFI"]
+        return -harness._sweep_row(spec, x)["QFI"]
     return f, -0.4, -0.38
 
 
@@ -352,3 +352,106 @@ def test_matrix_size_scaling_rows():
         assert r["inv_trace_bound"] <= w[0] * (1.0 + 1e-9)
     a, b = rows[-1]["F_JR_re"], rows[-1]["F_JR_im"]
     assert abs(a - b) < 1e-3 * abs(a)
+
+
+def test_sweep_row_makes_at_most_one_fisher_call(monkeypatch):
+    # every Fisher column and PR of a row read one state_derivatives call,
+    # in a sweep and in a peak search alike; a row without a Fisher column
+    # makes none
+    calls, per_row = [], []
+    derivatives, row = metrology.state_derivatives, harness._sweep_row
+    monkeypatch.setattr(harness, "state_derivatives",
+                        lambda p, ps: calls.append(ps) or derivatives(p, ps))
+
+    def counted(spec, x):
+        before = len(calls)
+        out = row(spec, x)
+        per_row.append(len(calls) - before)
+        return out
+    monkeypatch.setattr(harness, "_sweep_row", counted)
+    base = preset("FIG4_HN").resized(16)
+    grid = tuple(np.round(np.arange(-0.5, -0.299, 0.02), 10))
+    tables = {}
+    for obs, want in ((("QFI", "CFI_POSITION", "CFI_CURRENT", "PR"), 1),
+                      (("PR", "SLOPE", "GAP_RESIDUAL"), 0)):
+        per_row.clear()
+        tables[want] = run_sweep(SweepSpec(base=base, axis="JR", grid=grid,
+                                           observables=frozenset(obs)),
+                                 workers=1)
+        assert per_row == [want] * len(grid)
+    for column, want in (("QFI", 1), ("PR", 0)):
+        per_row.clear()
+        find_peak(tables[want], column)
+        assert per_row and per_row == [want] * len(per_row)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exponent_vs_delta("FIG4_HN", (0.05, 0.1, -0.1)),
+     "delta grid must be nonnegative"),
+    (lambda: exponent_vs_delta("FIG4_HN", (0.05,), Lgrid=(50, 34, 20, 10)),
+     "size grid must be strictly increasing"),
+    (lambda: exponent_vs_delta("FIG4_HN", (0.05,), Lgrid=(10, 20, 34)),
+     "scaling fit needs at least 4 sizes"),
+    (lambda: coupling_scaling([0.5], L=10),
+     "coupling fit needs at least 2 couplings"),
+], ids=["negative delta", "decreasing sizes", "three sizes", "one coupling"])
+def test_scaling_inputs_fail_before_any_solve(monkeypatch, call, message):
+    solves = []
+    solve = metrology.full_spectrum
+    monkeypatch.setattr(metrology, "full_spectrum",
+                        lambda *a, **k: solves.append(a) or solve(*a, **k))
+    with pytest.raises(ValidationError, match=message):
+        call()
+    assert solves == []
+
+
+def qfi_table(*values):
+    """A QFI sweep table on hn_base(8) holding the given QFI column."""
+    spec = SweepSpec(base=hn_base(8), axis="JR", grid=(-2.6, -2.4, -2.2),
+                     observables=frozenset(["QFI"]))
+    rows = tuple({"value": x, "QFI": v, "error": ""}
+                 for x, v in zip(spec.grid, values))
+    return harness.SweepTable(spec=spec, rows=rows)
+
+
+def spec_on(grid):
+    return SweepSpec(base=hn_base(8), axis="JR", grid=grid,
+                     observables=frozenset(["PR"]))
+
+
+HARNESS_INPUT_CHECKS = {
+    "empty grid": (lambda: spec_on(()), "sweep grid is empty"),
+    "finite grid": (lambda: spec_on((-2.6, np.inf)), "sweep grid must be finite"),
+    "table column": (lambda: qfi_table().column("SLOPE"),
+                     "no column 'SLOPE' in sweep table"),
+    "worker count": (lambda: run_sweep(spec_on((-2.6,)), workers="two"),
+                     "worker count must be an integer"),
+    "peak points": (lambda: find_peak(qfi_table(1.0, np.nan, 2.0), "QFI"),
+                    "peak search needs at least 3 valid points"),
+    "size order": (lambda: fit_power_law([40, 30, 20, 10], [1.0, 2.0, 3.0, 4.0]),
+                   "size grid must be strictly increasing"),
+    "fit shapes": (lambda: fit_power_law([1, 2, 3], [1.0, 2.0]),
+                   "size and value lists must match one-to-one"),
+    "fit finite": (lambda: fit_power_law([1, 2, 3, 4], [1.0, np.nan, 3.0, 4.0]),
+                   "power-law fit needs finite data"),
+    "fit positive": (lambda: fit_power_law([1, 2, 3, 4], [1.0, -2.0, 3.0, 4.0]),
+                     "power-law fit needs positive data"),
+    "sweep axis": (lambda: preset("FIG5_TOP").sweep(("QFI",)),
+                   "preset FIG5_TOP has no sweep axis"),
+    "contrast": (lambda: preset("FIG2_SSH").contrast_sweep(("QFI",)),
+                 "preset FIG2_SSH has no contrast model"),
+    "size axis": (lambda: size_scaling("FIG5_TOP"),
+                  "size_scaling needs a one-axis preset"),
+    "coupling sign": (lambda: coupling_scaling([-0.5, 0.5], L=10),
+                      "coupling grid must be positive"),
+    "coupling order": (lambda: coupling_scaling([0.6, 0.5], L=10),
+                       "coupling grid must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("case", list(HARNESS_INPUT_CHECKS))
+def test_harness_input_checks(case):
+    call, message = HARNESS_INPUT_CHECKS[case]
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert message in str(exc.value)

@@ -317,11 +317,12 @@ def test_qfi_work_counts(count_solves):
     spec = SweepSpec(base=base, axis="JR", grid=(-0.22,),
                      observables=frozenset(fisher + ("PR",)))
     count_solves["solves"] = 0
-    values, error = harness._point_values(spec, -0.22, spec.observables)
+    row = harness._sweep_row(spec, -0.22)
     assert count_solves["solves"] == 1
-    assert np.isnan(values["PR"])
-    assert error == "; ".join("%s: steady-state eigenvalue is degenerate" % name
-                              for name in fisher + ("PR",))
+    assert np.isnan(row["PR"])
+    assert row["error"] == "; ".join(
+        "%s: steady-state eigenvalue is degenerate" % name
+        for name in fisher + ("PR",))
 
 
 def test_kept_solve_serves_only_its_own_point(count_solves):
@@ -718,9 +719,9 @@ def test_degenerate_ring_pair_has_no_probe_state(name):
             call(p, ps)
     spec = SweepSpec(base=p, axis="JR", grid=(-1.5,),
                      observables=frozenset(("QFI", "PR")))
-    values, error = harness._point_values(spec, -1.5, spec.observables)
-    assert np.isnan(values["QFI"]) and np.isnan(values["PR"])
-    assert error == ("QFI: steady-state eigenvalue is degenerate; "
+    row = harness._sweep_row(spec, -1.5)
+    assert np.isnan(row["QFI"]) and np.isnan(row["PR"])
+    assert row["error"] == ("QFI: steady-state eigenvalue is degenerate; "
                      "PR: steady-state eigenvalue is degenerate")
 
 
@@ -861,3 +862,53 @@ def test_built_in_bases_allocate_no_square_array():
         assert peak(lambda: current_basis(q)) < D * D
     assert peak(lambda: position_basis(D)) < D * D
     assert peak(lambda: Povm(np.eye(D))) > 16 * D * D
+
+
+def unresolved_basis():
+    """A 16-state basis whose Gram matrix is I + eps*ones (within 1e-10 of
+    the identity), rotated so that U U^+ = I + 16 eps e1 e1^T (not within
+    1e-9): U = W P with P = sqrt(I + eps*ones) and W the reflection taking
+    the all-ones direction onto the first axis."""
+    n, eps = 16, 0.9e-10
+    P = np.eye(n) + (np.sqrt(1.0 + eps * n) - 1.0) / n * np.ones((n, n))
+    u = np.ones(n) / np.sqrt(n) - np.eye(n)[0]
+    return (np.eye(n) - 2.0 * np.outer(u, u) / (u @ u)) @ P
+
+
+METROLOGY_INPUT_CHECKS = {
+    "spec lengths": (lambda: ParamSpec(("JR",), (1.0, 2.0), (1e-4,)),
+                     "labels, values and steps must have equal length"),
+    "spec values": (lambda: ParamSpec(("JR",), (np.inf,), (1e-4,)),
+                    "values must be finite"),
+    "fisher kind": (lambda: FisherMatrix(entries=[[1.0]], kind="BOTH"),
+                    "kind must be QUANTUM or CLASSICAL"),
+    "fisher square": (lambda: FisherMatrix(entries=[1.0, 2.0], kind=QUANTUM),
+                      "entries must be a square matrix"),
+    "povm square": (lambda: Povm(np.ones(3)),
+                    "projectors must form a square basis matrix"),
+    "povm orthonormal": (lambda: Povm(np.ones((2, 2))),
+                         "basis vectors are not orthonormal"),
+    "povm identity": (lambda: Povm(unresolved_basis()),
+                      "basis does not resolve the identity"),
+    "basis shape": (lambda: position_basis(4).amplitudes(np.ones(3)),
+                    "a 4-state basis cannot measure a vector of shape (3,)"),
+    "empty basis": (lambda: position_basis(0), "a basis needs at least one state"),
+    "shift length": (lambda: apply_params(*preset_point("FIG4_HN", 10),
+                                          shift=[0.0, 0.0]),
+                     "shift must have one entry per parameter"),
+    "stencil index": (lambda: family_state_derivative(
+                          *preset_point("FIG4_HN", 10), 1, 1e-5),
+                      "parameter index out of range"),
+    "derivative index": (lambda: state_derivative(*preset_point("FIG4_HN", 10), 1),
+                         "parameter index out of range"),
+    "unit state": (lambda: qfi(np.ones(4), np.zeros(4)),
+                   "state must be normalized"),
+}
+
+
+@pytest.mark.parametrize("case", list(METROLOGY_INPUT_CHECKS))
+def test_metrology_input_checks(case):
+    call, message = METROLOGY_INPUT_CHECKS[case]
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert message in str(exc.value)

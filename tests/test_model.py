@@ -275,3 +275,48 @@ def test_builder_matches_reference(d, r, L, pbc, re, im):
             want[0, m - 1] += JmP / complex(beta)
             want[m - 1, 0] += Jm * complex(beta)
             assert np.max(np.abs(M - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+
+
+def model_config(**entries):
+    """A params_from_config mapping for a d=1, r=3, L=4 chain plus entries."""
+    return dict({"d": "1", "r": "3", "L": "4"}, **entries)
+
+
+MODEL_INPUT_CHECKS = {
+    "preset kind": (lambda: CouplingPreset("OTHER"),
+                    "unknown preset kind: 'OTHER'"),
+    "integer size": (lambda: model.ModelParams(d=1.0, r=3, L=4),
+                     "d must be an integer, got 1.0"),
+    "real J0": (lambda: model.ModelParams(d=2, r=2, L=4, J0=1j), "J0 must be real"),
+    "boundary": (lambda: model.ModelParams(d=1, r=3, L=4, boundary="OPEN"),
+                 "boundary must be OBC or PBC"),
+    "finite coupling": (lambda: model.ModelParams(d=1, r=3, L=4,
+                                                  JL=complex(np.inf)),
+                        "JL must be finite"),
+    "J without preset": (lambda: make_params(1, 3, 4, JL=1, JR=1, Jm=1,
+                                             JmP=1).with_updates(J=0.5),
+                         "J update requires a coupling preset"),
+    "preset and Jm": (lambda: make_params(1, 3, 4, Jm=1, preset=CouplingPreset(
+                          RECIPROCAL_MODULAR, 2.0)),
+                      "give either a preset or explicit Jm/JmP, not both"),
+    "zero beta": (lambda: build_generalized_bloch(
+                      make_params(1, 3, 4, JL=1, JR=1, Jm=1, JmP=1), [1.0, 0.0]),
+                  "beta must be nonzero"),
+    "config size": (lambda: params_from_config(model_config(d="one")),
+                    "config key d is not a number: 'one'"),
+    "config coupling": (lambda: params_from_config(model_config(JR_re="abc")),
+                        "[model] JR_re is not a number: 'abc'"),
+    "config coupling type": (lambda: params_from_config(model_config(JR_re=None)),
+                             "[model] JR_re is not a number: None"),
+    "config coupling finite": (lambda: params_from_config(
+                                   model_config(JR_re="inf")),
+                               "[model] JR_re must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(MODEL_INPUT_CHECKS))
+def test_model_input_checks(case):
+    call, message = MODEL_INPUT_CHECKS[case]
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert message in str(exc.value)

@@ -677,3 +677,34 @@ def test_band_layer_refuses_a_ring(name):
     A = H - lam * np.eye(p.D)
     assert (np.linalg.norm(A @ y - x)
             <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(y))
+
+
+def short_chain(L):
+    return make_params(1, 3, L, JL=1.0, JR=-0.5, Jm=1.0, JmP=0.5)
+
+
+SPECTRAL_INPUT_CHECKS = {
+    "square": (lambda: full_spectrum(np.ones((2, 3))), "matrix must be square"),
+    "finite matrix": (lambda: full_spectrum(np.array([[0.0, np.nan], [1.0, 0.0]])),
+                      "matrix entries must be finite"),
+    "finite bands": (lambda: full_spectrum(ChainBands(
+                         np.array([1.0, np.nan]), np.ones(2), np.zeros(2))),
+                     "matrix entries must be finite"),
+    "empty": (lambda: steady_state(spectral.SpectralDecomposition(
+                  np.zeros(0), np.zeros((0, 0)), np.zeros(0))),
+              "empty decomposition"),
+    "dimension": (lambda: cumulative_population(model_spectrum(short_chain(4)),
+                                                short_chain(5)),
+                  "decomposition dimension 12 does not match D=15"),
+    "short chain": (lambda: cumulative_population(model_spectrum(short_chain(3)),
+                                                  short_chain(3)),
+                    "chain too short for a bulk slope fit"),
+}
+
+
+@pytest.mark.parametrize("case", list(SPECTRAL_INPUT_CHECKS))
+def test_spectral_input_checks(case):
+    call, message = SPECTRAL_INPUT_CHECKS[case]
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert message in str(exc.value)

@@ -607,3 +607,33 @@ def test_closed_form_contours_give_the_lapack_results(p, monkeypatch):
                                rtol=0.0, atol=1e-10)
         else:
             assert g == w
+
+
+def two_sublevel(J0, kind, J):
+    return make_params(2, 2, 4, J0=J0, JL=1.0, JR=0.5,
+                       preset=CouplingPreset(kind, J))
+
+
+TOPOLOGY_INPUT_CHECKS = {
+    "preset kind": (lambda: pbc_zero_gap_solutions(
+                        two_sublevel(1.3, RECIPROCAL_MODULAR, 2.0)),
+                    UnsupportedStructureError,
+                    "closed-form solvers require the SHIFTED preset"),
+    "real couplings": (lambda: pbc_zero_gap_solutions(
+                           two_sublevel(1.3, SHIFTED, 0.5j)),
+                       UnsupportedStructureError,
+                       "closed-form solvers require real couplings"),
+    # J0^2 = JL * (JL + J) for every JR: the closing is not a point
+    "identical closing": (lambda: pbc_zero_gap_solutions(
+                              two_sublevel(1.0, SHIFTED, 0.0)),
+                          AtTransitionError,
+                          "J0^2 = +1 JL*Jm holds identically"),
+}
+
+
+@pytest.mark.parametrize("case", list(TOPOLOGY_INPUT_CHECKS))
+def test_topology_input_checks(case):
+    call, error, message = TOPOLOGY_INPUT_CHECKS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)
