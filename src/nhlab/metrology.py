@@ -5,7 +5,7 @@ eigenvector with the largest imaginary eigenvalue).  Each point costs
 one eigenvalue solve in the skin-balancing frame, which is the model
 itself with module bonds (Jm rho, JmP / rho), on one sublattice
 (spectral.full_spectrum without vectors, a (D/2)-square solve, as for
-the OBC gaps), plus inverse iteration for the steady eigenvalue's right
+the OBC side gap), plus inverse iteration for the steady eigenvalue's right
 and left vectors
 (spectral.eigenpair; spectral.certify holds the eigenvalues the guards
 read to the same gate).  Parameter derivatives are analytic: H' = dH/dtheta
@@ -46,9 +46,9 @@ from .gbz import balancing_radius, skin_frame
 from .model import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED, bond_bands,
                     build_bloch, chain_bands)
 from .spectral import (DEFAULT_TOL_EIG, SpectralDecomposition, _order,
-                       bordered_solve, certify, eigenpair, full_spectrum,
-                       phase_fixed, residuals, sort_resolution,
-                       steady_neighbours, steady_state)
+                       bordered_solve, bottom_spectrum, certify, eigenpair,
+                       full_spectrum, phase_fixed, residuals,
+                       sort_resolution, steady_neighbours, steady_state)
 
 QUANTUM = "QUANTUM"
 CLASSICAL = "CLASSICAL"
@@ -285,7 +285,15 @@ def model_spectrum(p):
     if p.boundary == PBC:
         return _ring_spectrum(p)
     Hb, _, ln_s = _skin_balanced(p)
-    dec = full_spectrum(Hb)
+    return _raw_frame(p, full_spectrum(Hb), ln_s)
+
+
+def _raw_frame(p, dec, ln_s):
+    """The decomposition dec of p's skin-balanced chain mapped back to the
+    chain itself (model_spectrum): dec as it is where the frame ln_s is
+    None, and otherwise its right vectors through their logarithm, in
+    place, each column shifted to peak at 1 and normalized, with the
+    residuals against the raw Hamiltonian's bands."""
     if ln_s is None:
         return dec
     values, vecs = dec.values, dec.right_vectors
@@ -301,6 +309,27 @@ def model_spectrum(p):
         res = residuals(chain_bands(p), vecs, values)
     return SpectralDecomposition(values=values, right_vectors=vecs,
                                  residuals=res)
+
+
+def model_bottom(p, radius=None, vectors=False):
+    """The bottom of an open chain's spectrum in its skin-balancing frame
+    (spectral.bottom_spectrum), or None where that falls back.
+
+    Without vectors, returns (H, values) as model_eigenvalues does: the
+    balanced Hamiltonian's bands and the certified eigenvalues nearest
+    zero, at least four of them with radius=None and every one with
+    |lambda|^2 < radius otherwise.  With vectors=True, returns their
+    SpectralDecomposition mapped back to the chain as model_spectrum maps
+    its vectors (_raw_frame).  A PBC model raises ValidationError.
+    """
+    if p.boundary == PBC:
+        raise ValidationError("model_bottom requires OBC; a ring is "
+                              "solved by model_spectrum")
+    H, _, ln_s = _skin_balanced(p)
+    bottom = bottom_spectrum(H, radius, vectors)
+    if bottom is None:
+        return None
+    return _raw_frame(p, bottom, ln_s) if vectors else (H, bottom)
 
 
 def model_eigenvalues(p):

@@ -8,10 +8,12 @@ computed eigenvalue.  Both hold a vector to the same residual gate.
 A result that reads a few eigenpairs pays for one eigenvalue solve and
 one factorization of H - lambda per pair: the steady state and its
 derivative (metrology._steady_derivatives) read the steady eigenvalue's
-right and left vectors, the OBC gaps (topology) only eigenvalues; certify
-holds every other eigenvalue a result reads to the gate with one
+right and left vectors, the OBC side gap (topology) only eigenvalues;
+certify holds every other eigenvalue a result reads to the gate with one
 inverse-iteration vector each, and bordered_solve gives the steady
-vector's derivatives.  Model spectra are solved in the skin-balancing
+vector's derivatives.  A result that reads only the values nearest zero
+(the OBC central gap, edge states) takes bottom_spectrum, O(D) work in
+all, below.  Model spectra are solved in the skin-balancing
 frame (metrology.model_spectrum over full_spectrum); a raw solve of a
 skin-amplified chain loses eigenvalues to pseudospectral error that the
 residual gate does not see.
@@ -36,8 +38,9 @@ those of the (D/2)-square product M = H_oe H_eo of the two off-diagonal
 blocks, about 1/8 of the flops (_half_solve).  M is written from the
 bands in O(D) work (_band_product), and the eigenvectors follow from
 M's through band products (_hop), which also give the residuals.  Every
-consumer shares that solve: model spectra, skin profiles and edge states
-with vectors, the OBC gaps and the steady solve without.  Squaring loses
+consumer of a whole spectrum shares that solve: model spectra and skin
+profiles with vectors, the OBC side gap and the steady solve without.
+Squaring loses
 absolute accuracy near zero (eps ||H||^2 / |lambda| instead of
 eps ||H||), so every value is held to the squaring gate.  A value that
 fails, such as an edge pair near zero deep in a topological phase, is
@@ -47,12 +50,22 @@ away; only odd dimension, a singular factor, a refinement that does not
 converge and a pair that fails the residual gate run the dense LAPACK
 ?geev.
 
+bottom_spectrum reads the bottom of the spectrum alone: the same
+subspace inverse iteration on BOTTOM_BLOCK columns gives the
+smallest-|mu| Ritz pairs of M, and a count of M's eigenvalues inside a
+circle |mu| = R certifies that none is missing (count_inside: the
+argument principle, the trapezoid rule of M's log-derivative on the
+circle, each sample in O(D) work from M's three-term recurrence).  Where
+the pairs or the count fall short it returns None, counted in
+FALL_BACKS, and its caller takes the half-size solve.
+
 A matrix whose imaginary part is all zero is solved in real arithmetic
 (LAPACK dgeev instead of zgeev, about twice as fast); every preset but
 FIG5_TOP has a real Hamiltonian.  Values and vectors are returned
 complex either way, and the residual gate is the same.
 """
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -72,10 +85,23 @@ SQUARING_GATE = 1e-12
 # subspace inverse iteration on the bidiagonal factors stops after at most
 # this many steps (_refine)
 REFINE_STEPS = 6
+# bottom_spectrum iterates on this many columns for at most this many
+# steps, and keeps every Ritz modulus at least this factor from its circle
+BOTTOM_BLOCK = 8
+BOTTOM_STEPS = 40
+BOTTOM_SEPARATION = 1.1
+# count_inside: the trapezoid rule starts at 2 * COUNT_SAMPLES samples,
+# doubles up to COUNT_MAX_SAMPLES, and accepts two successive estimates
+# within COUNT_TOL of one integer
+COUNT_SAMPLES = 128
+COUNT_MAX_SAMPLES = 2048
+COUNT_TOL = 1e-6
 # dense solves of a chain's bands, by cause: "odd vectors", "odd
 # dimension", "singular factor", "unconverged", "residual" (a pair failed
-# the residual gate) and "lapack"; and "contour", the Bloch and GBZ
-# samples whose closed-form roots fail gbz.CONTOUR_GATE
+# the residual gate) and "lapack"; "contour", the Bloch and GBZ samples
+# whose closed-form roots fail gbz.CONTOUR_GATE; and "bottom " plus a
+# cause, the bottom_spectrum calls that leave their caller to the
+# half-size solve
 FALL_BACKS = Counter()
 
 
@@ -232,18 +258,26 @@ def _dense_solve(A, vectors):
     return values[order], vecs
 
 
-def _band_product(H):
-    """M = H_oe H_eo of the open chain H (bands) in O(D) work, written
-    into the one floor(D/2)-square array LAPACK needs.  With
-    a_k = H[2k+1, 2k], b_k = H[2k+1, 2k+2], c_k = H[2k, 2k+1] and
-    d_k = H[2k+2, 2k+1] (b and d zero past the chain's end), M is
-    tridiagonal: M[k, k] = a_k c_k + b_k d_k, M[k, k+1] = b_k c_{k+1}
+def _product_entries(H):
+    """(a, b, c, d) of the open chain H (bands): a_k = H[2k+1, 2k],
+    b_k = H[2k+1, 2k+2], c_k = H[2k, 2k+1] and d_k = H[2k+2, 2k+1], b
+    and d zero past the chain's end, so that M = H_oe H_eo is
+    tridiagonal with M[k, k] = a_k c_k + b_k d_k, M[k, k+1] = b_k c_{k+1}
     and M[k+1, k] = a_{k+1} d_k."""
     upper, lower, _ = H
     n = (len(upper) + 1) // 2
     a, c = lower[0::2], upper[0::2]
     b = np.append(upper[1::2], 0.0)[:n]
     d = np.append(lower[1::2], 0.0)[:n]
+    return a, b, c, d
+
+
+def _band_product(H):
+    """M = H_oe H_eo of the open chain H (bands) in O(D) work, written
+    into the one floor(D/2)-square array LAPACK needs, from the entries
+    of _product_entries."""
+    a, b, c, d = _product_entries(H)
+    n = len(a)
     M = np.zeros((n, n), dtype=np.result_type(a, b, c, d))
     k = np.arange(n)
     M[k, k] = a * c + b * d
@@ -341,39 +375,63 @@ def _refine(H, m):
     small singular values to high relative accuracy, which squaring M
     throws away).
 
-    The factors are H_oe = H[1::2, 0::2] (upper bidiagonal, diagonal
-    a_k = H[2k+1, 2k]) and H_eo = H[0::2, 1::2] (lower bidiagonal, diagonal
-    c_k = H[2k, 2k+1]), held in band storage.  Subspace inverse iteration
-    runs on M^-1 = H_eo^-1 H_oe^-1, two LAPACK ?tbtrs substitutions per
-    column in O(D) work, from a fixed start, for at most REFINE_STEPS
-    steps: each step takes the Ritz pairs of M^-1 on the current
-    orthonormal basis Q (the eigenpairs (nu, w) of Q^H M^-1 Q) and stops
-    once every pair's relative residual ||M^-1 x - nu x|| / |nu| gives an
-    error |lambda| * residual within the squaring gate.  Returns
-    (mu, x, h) with mu = 1/nu, x the unit Ritz vectors (M's
+    Subspace inverse iteration (_inverse_subspace) runs for at most
+    REFINE_STEPS steps and stops once every Ritz pair passes the squaring
+    gate.  Returns (mu, x, h) with mu = 1/nu, x the unit Ritz vectors (M's
     eigenvectors) and h = H_oe^-1 x (lambda h is the even part of
     lambda's vector), or None when H has odd dimension (no square
     factors), a factor is singular (an exactly zero diagonal entry) or the
     refinement does not converge; each of those is counted in FALL_BACKS.
     """
-    if len(H.upper) % 2 == 0:
-        FALL_BACKS["odd dimension"] += 1
+    factors = _bidiagonal_factors(H)
+    if isinstance(factors, str):
+        FALL_BACKS[factors] += 1
         return None
+    steps = _inverse_subspace(H, factors, m)
+    for mu, x, h, passed in itertools.islice(steps, REFINE_STEPS):
+        if passed.all():
+            return mu, x, h
+    FALL_BACKS["unconverged"] += 1
+    return None
+
+
+def _bidiagonal_factors(H):
+    """(oe, eo): the factors H_oe = H[1::2, 0::2] (upper bidiagonal,
+    diagonal a_k = H[2k+1, 2k]) and H_eo = H[0::2, 1::2] (lower
+    bidiagonal, diagonal c_k = H[2k, 2k+1]) of the open chain H in LAPACK
+    band storage, or the cause they cannot serve: "odd dimension" (no
+    square factors) or "singular factor" (an exactly zero diagonal
+    entry)."""
+    if len(H.upper) % 2 == 0:
+        return "odd dimension"
     upper, lower, _ = H
     n = (len(upper) + 1) // 2
     oe, eo = np.zeros((2, 2, n), dtype=np.result_type(upper, lower))
     oe[1], oe[0, 1:] = lower[0::2], upper[1::2]
     eo[0], eo[1, :-1] = upper[0::2], lower[1::2]
     if not (oe[1].all() and eo[0].all()):
-        FALL_BACKS["singular factor"] += 1
-        return None
+        return "singular factor"
+    return oe, eo
+
+
+def _inverse_subspace(H, factors, m):
+    """Subspace inverse iteration on M^-1 = H_eo^-1 H_oe^-1 from an
+    m-column fixed start, factors = (oe, eo) from _bidiagonal_factors:
+    two LAPACK ?tbtrs substitutions per column and step, in O(D) work.
+    Each step yields (mu, x, h, passed) from the Ritz pairs (nu, w) of
+    M^-1 on the current orthonormal basis Q (the eigenpairs of
+    Q^H M^-1 Q): mu = 1/nu, the unit Ritz vectors x = Q w, h = H_oe^-1 x,
+    and whether each pair's relative residual ||M^-1 x - nu x|| / |nu|
+    gives an error |lambda| * residual within the squaring gate."""
+    oe, eo = factors
+    n = oe.shape[1]
     (tbtrs,) = scipy.linalg.get_lapack_funcs(("tbtrs",), (oe,))
     rng = np.random.default_rng(0)
     Q = rng.standard_normal((n, m))
     if np.iscomplexobj(H.entries):
         Q = Q + 1j * rng.standard_normal((n, m))
     Q = np.linalg.qr(Q)[0]
-    for _ in range(REFINE_STEPS):
+    while True:
         h = tbtrs(oe, Q, uplo="U")[0]
         Y = tbtrs(eo, h, uplo="L")[0]
         nu, W = np.linalg.eig(Q.conj().T @ Y)
@@ -383,11 +441,179 @@ def _refine(H, m):
             mu = 1.0 / nu
             size = np.sqrt(np.abs(mu))
             residual = np.linalg.norm(Y @ W - x * nu, axis=0) / np.abs(nu)
-        if np.all(size * residual <= SQUARING_GATE * np.maximum(size, 1.0)):
-            return mu, x, h @ W
+        yield (mu, x, h @ W,
+               size * residual <= SQUARING_GATE * np.maximum(size, 1.0))
         Q = np.linalg.qr(Y)[0]
-    FALL_BACKS["unconverged"] += 1
-    return None
+
+
+def bottom_spectrum(H, radius=None, vectors=False):
+    """The eigenvalues of the open chain H (model.ChainBands, even D)
+    nearest zero, certified by a count, in O(D) work per iteration step
+    and per count sample; None where they cannot be certified.
+
+    They are +-sqrt(mu) for the smallest-|mu| eigenvalues of
+    M = H_oe H_eo, which subspace inverse iteration on the bidiagonal
+    factors gives (_inverse_subspace, as _refine runs it, on
+    BOTTOM_BLOCK columns for at most BOTTOM_STEPS steps), each Ritz pair
+    held to the squaring gate.  A circle |mu| = R bounds them: with
+    radius=None, R is the geometric mean of the first two consecutive
+    Ritz moduli, from the second on, that differ by a factor of
+    BOTTOM_SEPARATION^2 or more; otherwise R = radius.  Every Ritz pair inside
+    R must pass the gate, every Ritz modulus must lie at least a factor
+    BOTTOM_SEPARATION from R, and the count of M's eigenvalues inside R
+    (count_inside) must equal the number of Ritz values inside it.  So
+    the result holds every eigenvalue of H with |lambda|^2 < R: at least
+    four values with radius=None, and those with |lambda| < sqrt(radius)
+    otherwise.
+
+    Returns the values, sorted as full_spectrum sorts them, or with
+    vectors=True a SpectralDecomposition of their pairs: the vector of
+    lambda has odd part x, M's Ritz vector, and even part lambda H_oe^-1 x,
+    as a refined value's in full_spectrum, and every pair must pass
+    full_spectrum's residual gate.  Returns None where any of this fails,
+    counted in FALL_BACKS as "bottom " plus the cause: "odd dimension",
+    "singular factor", "unconverged" (the pairs inside R do not all pass
+    the squaring gate within BOTTOM_STEPS steps), "near circle" (a
+    converged Ritz value within BOTTOM_SEPARATION of R), "count" (the
+    count does not certify or differs) and "residual"; the caller then
+    takes the half-size solve.
+    """
+    if not isinstance(H, ChainBands):
+        raise ValidationError("bottom_spectrum takes an open chain's bands")
+    H = _split(H)
+    pairs = _bottom_pairs(H, radius)
+    if isinstance(pairs, str):
+        FALL_BACKS["bottom " + pairs] += 1
+        return None
+    mu, x, h = pairs
+    root = np.sqrt(mu.astype(complex))
+    values = np.concatenate([root, -root])
+    order = _order(values)
+    values = values[order]
+    if not vectors:
+        return values
+    k = order % len(root)
+    vecs = np.empty((len(H.upper) + 1, len(values)), dtype=complex)
+    vecs[1::2] = x[:, k]
+    vecs[0::2] = h[:, k] * values
+    vecs /= _column_norms(vecs)
+    residuals = _residuals(H, vecs, values)
+    if np.any(residuals > DEFAULT_TOL_EIG * max(_frobenius(H), 1.0)):
+        FALL_BACKS["bottom residual"] += 1
+        return None
+    return SpectralDecomposition(values=values, right_vectors=vecs,
+                                 residuals=residuals)
+
+
+def _bottom_pairs(H, radius):
+    """(mu, x, h) of bottom_spectrum, sorted by |mu|, or the cause it
+    falls back."""
+    factors = _bidiagonal_factors(H)
+    if isinstance(factors, str):
+        return factors
+    steps = _inverse_subspace(H, factors, BOTTOM_BLOCK)
+    for mu, x, h, passed in itertools.islice(steps, BOTTOM_STEPS):
+        order = np.argsort(np.abs(mu), kind="stable")
+        mags, passed = np.abs(mu)[order], passed[order]
+        R = radius
+        if R is None:
+            # the first wide gap from the second modulus on
+            i = np.flatnonzero(mags[2:] >= BOTTOM_SEPARATION ** 2 * mags[1:-1])
+            R = np.sqrt(mags[i[0] + 1] * mags[i[0] + 2]) if len(i) else 0.0
+        near = mags < R * BOTTOM_SEPARATION
+        if R > 0 and not near.all() and passed[near].all():
+            break
+        if passed.all():
+            return "unconverged"
+    else:
+        return "unconverged"
+    inside = int(np.sum(mags < R))
+    if np.any(mags[near] > R / BOTTOM_SEPARATION):
+        return "near circle"
+    if _count(_product_recurrence(H), R) != inside:
+        return "count"
+    keep = order[:inside]
+    return mu[keep], x[:, keep], h[:, keep]
+
+
+def _product_recurrence(H):
+    """(alpha, e): the diagonal of M = H_oe H_eo and the products
+    M[k, k+1] M[k+1, k] of its off-diagonal pairs, which fix
+    det(M - mu) and are the same in every diagonal similarity frame."""
+    a, b, c, d = _product_entries(H)
+    return a * c + b * d, (b[:-1] * c[1:]) * (a[1:] * d[:-1])
+
+
+def _log_derivative(recurrence, mu):
+    """f'(mu) / f(mu) for f = det(M - mu) at each sample mu, in O(D)
+    work per sample, vectorised over the samples: the three-term
+    recurrence (recurrence = (alpha, e) from _product_recurrence) of M's
+    leading minors f_k, carried as the ratios r_k = f_k / f_(k-1), so
+    nothing overflows, with r_k' / r_k summed."""
+    alpha, e = recurrence
+    with np.errstate(all="ignore"):
+        r = alpha[0] - mu
+        w = -1.0 / r
+        total = w.copy()
+        t = np.empty_like(r)
+        for a, c in zip(alpha[1:].tolist(), e.tolist()):
+            np.divide(c, r, out=t)
+            np.subtract(a, mu, out=r)
+            r -= t
+            w *= t
+            w -= 1.0
+            w /= r
+            total += w
+    return total
+
+
+def _count(recurrence, radius):
+    """count_inside from M's (alpha, e) (_product_recurrence)."""
+    n = COUNT_SAMPLES
+    angles = np.pi / (3 * n) + 2.0 * np.pi * np.arange(2 * n) / (2 * n)
+    samples = radius * np.exp(1j * angles)
+    g = samples * _log_derivative(recurrence, samples)
+    coarse = g[0::2].mean()
+    while True:
+        fine = g.mean()
+        if not np.isfinite(fine):
+            return None
+        k = round(fine.real)
+        if abs(coarse - k) <= COUNT_TOL and abs(fine - k) <= COUNT_TOL:
+            return k
+        if len(g) >= COUNT_MAX_SAMPLES:
+            return None
+        # the midpoints of the current samples, so that the grids nest
+        mid = samples * np.exp(1j * np.pi / len(samples))
+        g = np.concatenate([g, mid * _log_derivative(recurrence, mid)])
+        samples = np.concatenate([samples, mid])
+        coarse = fine
+
+
+def count_inside(H, radius):
+    """The number of eigenvalues mu of M = H_oe H_eo with |mu| < radius,
+    the half of the open chain H's (model.ChainBands) eigenvalues
+    lambda = +-sqrt(mu) with |lambda| < sqrt(radius), or None where it
+    cannot be certified.
+
+    The count is the argument principle (Delves & Lyness, Math. Comp. 21,
+    543, 1967): the mean of mu f'(mu) / f(mu), f = det(M - mu), over
+    equispaced samples of the circle |mu| = radius (the trapezoid rule),
+    each in O(D) work from M's continuant (_log_derivative).  The
+    trapezoid rule converges geometrically at the rate set by the
+    eigenvalue moduli nearest the radius, so the samples double from
+    2 COUNT_SAMPLES up to COUNT_MAX_SAMPLES until two successive
+    estimates (every other sample, then all) lie within COUNT_TOL of the
+    same integer.  The sample grid is turned by pi / (3 COUNT_SAMPLES) off
+    the real axis: an eigenvalue on the circle then adds 1/2 to the real
+    part of every estimate, and a conjugate pair on it an imaginary part
+    of at least 0.43, so neither passes for an integer.
+    """
+    if not isinstance(H, ChainBands):
+        raise ValidationError("count_inside takes an open chain's bands")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValidationError("count radius must be positive and finite")
+    return _count(_product_recurrence(_split(H)), float(radius))
 
 
 def _column_norms(V):

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (AtTransitionError, NumericalError, UnsupportedStructureError,
                      ValidationError)
 from .gbz import beta_polynomial, contour_eigenvalues, contour_radius, gbz_contour
-from .metrology import model_eigenvalues, model_spectrum
+from .metrology import model_bottom, model_eigenvalues, model_spectrum
 from .model import OBC, SHIFTED, chiral_blocks
 from .spectral import certify, sort_resolution
 
@@ -449,13 +449,21 @@ def edge_states(p, energy_window):
 
     A state qualifies when |E| < energy_window and at least 90 percent of
     its weight sits in the outer 10 percent of modules.  Returns a list
-    of (eigenvalue, edge_weight) pairs.  The pairs come from model_spectrum
-    on one sublattice: an edge pair too close to zero for the squared
-    solve is refined on the chain's bidiagonal factors, and its vectors'
-    even parts are built as lambda H_oe^-1 x, without dividing by lambda.
+    of (eigenvalue, edge_weight) pairs, sorted as full_spectrum sorts.
+    Only the pairs inside the window are built: model_bottom solves the
+    bottom of the spectrum on the chain's bidiagonal factors, certified
+    by a count of the eigenvalues with |E|^2 < energy_window^2, builds
+    each vector's even part as lambda H_oe^-1 x, without dividing by
+    lambda, holds it to full_spectrum's residual gate and maps it back
+    through the skin frame.  Where that falls back (spectral.FALL_BACKS)
+    the pairs come from model_spectrum, on one sublattice.
     """
     _require_obc(p, "edge_states")
-    dec = model_spectrum(p)
+    dec = None
+    if energy_window > 0:
+        dec = model_bottom(p, energy_window ** 2, vectors=True)
+    if dec is None:
+        dec = model_spectrum(p)
     inside = np.abs(dec.values) < energy_window
     if not np.any(inside):
         return []
@@ -470,12 +478,14 @@ def edge_states(p, energy_window):
 def obc_central_gap(p):
     """Width of the central line gap of the OBC spectrum, 2*min|E|.
 
-    The eigenvalues are solved in the skin-balancing frame, without
-    vectors (model_eigenvalues), on one sublattice; an |E| too close to
-    zero for the squared solve, as for an edge pair near zero, is refined
-    on the chain's bidiagonal factors.  The three
-    smallest |E| the result reads are certified by inverse iteration.  On
-    a skin-amplified chain the
+    The eigenvalues nearest zero are solved in the skin-balancing frame,
+    without vectors, on the chain's bidiagonal factors (model_bottom):
+    at least the two smallest E^2, certified by a count of the
+    eigenvalues inside a circle beyond them, so an edge pair near zero
+    keeps its relative accuracy.  Where that falls back
+    (spectral.FALL_BACKS) they come from the half-size solve
+    (model_eigenvalues).  The three smallest |E| the result reads are
+    certified by inverse iteration.  On a skin-amplified chain the
     raw matrix gives eigenvalue errors larger than the gap itself, which
     the residual gate does not catch: FIG3 at L=200 reads two to three
     times the true 0.00758 at the 0.3468 closing.
@@ -489,7 +499,7 @@ def obc_central_gap(p):
     lies below the bulk gap.  A PBC model raises ValidationError.
     """
     _require_obc(p, "obc_central_gap")
-    H, E = model_eigenvalues(p)
+    H, E = model_bottom(p) or model_eigenvalues(p)
     smallest = E[np.argsort(np.abs(E), kind="stable")[:3]]
     certify(H, smallest)
     mags = np.abs(smallest)

@@ -119,6 +119,26 @@ def track_bands_loop(evs):
     return np.array(bands).T
 
 
+def recurrence_root(H, lam, digits=50):
+    """The eigenvalue of the real zero-diagonal tridiagonal H next to lam,
+    to digits digits: Newton's method on det(H - E), from the three-term
+    recurrence f_{k+1} = -E f_k - upper[k-1] lower[k-1] f_{k-1}."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        prods = [mpmath.mpf(float(u)) * mpmath.mpf(float(w))
+                 for u, w in zip(H.upper, H.lower)]
+        E = mpmath.mpf(float(lam.real))
+        for _ in range(60):
+            f0, f1, g0, g1 = mpmath.mpf(1), -E, mpmath.mpf(0), mpmath.mpf(-1)
+            for c in prods:
+                f0, f1, g0, g1 = f1, -E * f1 - c * f0, g1, -f1 - E * g1 - c * g0
+            step = f1 / g1
+            E -= step
+            if abs(step) <= abs(E) * mpmath.mpf(10) ** (5 - digits):
+                return E
+    raise AssertionError("Newton did not converge")
+
+
 def run_python(args, cwd):
     """Run sys.executable with args in a fresh process that imports the
     same nhlab as the tests; returns the CompletedProcess, text mode."""

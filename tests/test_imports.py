@@ -126,9 +126,18 @@ import sys
 
 import numpy as np
 
-from nhlab import (SweepSpec, count_spectral_loops, current_basis, find_peak,
-                   line_gap_minima, preset, run_sweep)
+from nhlab import (SweepSpec, count_spectral_loops, current_basis,
+                   edge_states, find_peak, line_gap_minima, obc_central_gap,
+                   preset, run_sweep, spectral)
 
+# the OBC central gap and edge pair read the bottom of the spectrum, with
+# no fall-back, and load no deferred subpackage (an ARPACK solve would
+# load scipy.sparse)
+fig3 = preset("FIG3").params
+assert obc_central_gap(fig3.with_updates(L=200, JR=-0.5685)) > 0
+assert len(edge_states(fig3.with_updates(L=100, JR=-1.0), 0.1)) == 2
+assert not spectral.FALL_BACKS
+assert not [m for m in sys.argv[1:] if m in sys.modules]
 v = np.arange(32) + 1j
 assert np.isclose(np.linalg.norm(current_basis(preset("FIG3").resized(8)).amplitudes(v)),
                   np.linalg.norm(v))
@@ -151,6 +160,6 @@ print("ok")
 
 
 def test_deferred_imports_resolve(tmp_path):
-    proc = run_python(["-c", DEFERRED_CALLS], cwd=tmp_path)
+    proc = run_python(["-c", DEFERRED_CALLS] + list(DEFERRED), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ok"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import assert_multiset_close
+from conftest import assert_multiset_close, recurrence_root
 from nhlab import (DEFAULT_STEP, NON_MODULAR, OBC, PBC, PRESET_NAMES,
                    RECIPROCAL_MODULAR, SHIFTED, ConvergenceError,
                    CouplingPreset, ParamSpec, ValidationError,
@@ -19,8 +19,9 @@ from nhlab import (DEFAULT_STEP, NON_MODULAR, OBC, PBC, PRESET_NAMES,
 from nhlab import metrology, spectral
 from nhlab.metrology import model_eigenvalues
 from nhlab.model import ChainBands, chain_bands
-from nhlab.spectral import (DEFAULT_TOL_EIG, _band_product, _hop, _opened,
-                            _order, bordered_solve, certify, eigenpair)
+from nhlab.spectral import (BOTTOM_BLOCK, DEFAULT_TOL_EIG, _band_product, _hop,
+                            _opened, _order, bordered_solve, bottom_spectrum,
+                            certify, count_inside, eigenpair)
 
 
 def test_diagonal_matrix():
@@ -397,26 +398,6 @@ def test_even_ring_pair_is_exact_in_its_bloch_sector(lapack_calls):
     assert np.all(dec.residuals <= bound)
 
 
-def _recurrence_root(H, lam, digits=50):
-    """The eigenvalue of the real zero-diagonal tridiagonal H next to lam,
-    to digits digits: Newton's method on det(H - E), from the three-term
-    recurrence f_{k+1} = -E f_k - upper[k-1] lower[k-1] f_{k-1}."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(digits):
-        prods = [mpmath.mpf(float(u)) * mpmath.mpf(float(w))
-                 for u, w in zip(H.upper, H.lower)]
-        E = mpmath.mpf(float(lam.real))
-        for _ in range(60):
-            f0, f1, g0, g1 = mpmath.mpf(1), -E, mpmath.mpf(0), mpmath.mpf(-1)
-            for c in prods:
-                f0, f1, g0, g1 = f1, -E * f1 - c * f0, g1, -f1 - E * g1 - c * g0
-            step = f1 / g1
-            E -= step
-            if abs(step) <= abs(E) * mpmath.mpf(10) ** (5 - digits):
-                return E
-    raise AssertionError("Newton did not converge")
-
-
 EDGE_PAIR_POINTS = [(100, -1.0), (200, -1.0), (100, 0.45), (300, -1.0)]
 
 
@@ -437,7 +418,7 @@ def test_edge_pairs_match_a_50_digit_reference(lapack_calls, L, JR):
     assert np.all(H.upper.imag == 0) and np.all(H.lower.imag == 0)
     for got in (dec.values, values):
         pair = got[np.argsort(np.abs(got))[:2]]
-        ref = _recurrence_root(H.__class__(*(np.real(b) for b in H)), pair[0])
+        ref = recurrence_root(H.__class__(*(np.real(b) for b in H)), pair[0])
         assert abs(pair[0] + pair[1]) == 0
         err = abs(abs(pair[0].real) - abs(float(ref))) / abs(float(ref))
         assert err <= 1e-12 and pair.imag.tolist() == [0, 0]
@@ -460,9 +441,10 @@ def test_values_only_solve_allocates_only_the_product():
 
 
 def test_fisher_point_solves_one_sublattice(monkeypatch):
-    # the steady solve and the OBC gaps both take full_spectrum without
-    # vectors, which hands LAPACK a floor(D/2)-square matrix, real or
-    # complex as the Hamiltonian is
+    # the steady solve takes full_spectrum without vectors, which hands
+    # LAPACK a floor(D/2)-square matrix, real or complex as the
+    # Hamiltonian is; the OBC central gap reads the bottom of the
+    # spectrum (bottom_spectrum) and hands scipy no eigenvalue solve
     for name, L, dtype in (("FIG4_HN", 34, np.float64),
                            ("FIG5_BOTTOM", 70, np.float64),
                            ("FIG5_TOP", 34, np.complex128)):
@@ -474,9 +456,9 @@ def test_fisher_point_solves_one_sublattice(monkeypatch):
         half = 3 * L // 2
         assert seen == [((half, half), dtype)], name
     p = preset("FIG4_HN").resized(34)
-    seen = _record_eigvals(monkeypatch)
+    seen, seen_eig = _record_eigvals(monkeypatch), _record_eigvals(monkeypatch, "eig")
     obc_central_gap(p)
-    assert seen == [((p.D // 2, p.D // 2), np.float64)]
+    assert seen == [] and seen_eig == []
 
 
 HALF_PATH_CASES = [("%s_L%d" % (n, L), preset(n).resized(L))
@@ -523,13 +505,14 @@ def test_full_spectrum_keeps_odd_chains_on_the_dense_solve(monkeypatch):
 
 def test_edge_pair_is_refined_on_the_bidiagonal_factors(monkeypatch):
     # FIG3 at L=100, JR=-1: the edge pair at +-1.87e-4 is too close to zero
-    # for the squared solve (eps ||M|| / |lambda| > 1e-12), so it is
-    # refined on the bidiagonal factors and edge_states and obc_side_gap
-    # read the half-size solve alone
+    # for the squared solve (eps ||M|| / |lambda| > 1e-12).  edge_states
+    # reads it from the bottom solve on the bidiagonal factors and makes
+    # no ?geev; obc_side_gap reads the half-size solve, which refines the
+    # pair on the same factors
     p = preset("FIG3").params.with_updates(L=100, JR=-1.0)
     seen = _record_eigvals(monkeypatch, "eig")
     pair = edge_states(p, 0.1)
-    assert [shape for shape, _ in seen] == [(p.D // 2, p.D // 2)]
+    assert seen == []
     # the values the dense solve gave before the half-size route, to that
     # solve's own accuracy on the pair (1.1e-11 relative)
     want = [(0.0001874849683893995, 0.9985311157496537),
@@ -539,10 +522,107 @@ def test_edge_pair_is_refined_on_the_bidiagonal_factors(monkeypatch):
         assert E.imag == 0 and abs(E.real - E0) <= 1e-10 * abs(E0)
         assert abs(weight - weight0) <= 1e-10
     assert abs(obc_side_gap(p) - 1.5369828156494503) <= 1e-12
-    # the values-only solve refines the same pair to the same values
-    _, values = model_eigenvalues(p)
-    assert sorted(v.real for v in values if abs(v) < 0.1) == sorted(
-        E.real for E, _ in pair)
+    # the values-only solve refines the same pair; the two solves run
+    # different subspaces, and each gives the 50-digit value to 1e-12
+    H, values = model_eigenvalues(p)
+    ref = abs(float(recurrence_root(H.__class__(*(np.real(b) for b in H)),
+                                    pair[0][0])))
+    for got in (sorted(v.real for v in values if abs(v) < 0.1),
+                sorted(E.real for E, _ in pair)):
+        assert len(got) == 2 and got[0] == -got[1]
+        assert abs(got[1] - ref) <= 1e-12 * ref
+
+
+def _modulus_clusters(H):
+    """(first, lo, hi) of the moduli |mu| = |lambda|^2 of M = H_oe H_eo,
+    from the half-size ?geev (refined near zero), sorted and grouped where
+    they agree to 1e-9 relative: cluster j holds the moduli first[j] up to
+    first[j+1] - 1, from lo[j] to hi[j]."""
+    values = full_spectrum(H, vectors=False)
+    mods = np.sort(np.abs(values) ** 2)[::2]
+    first = np.flatnonzero(np.r_[True, mods[1:] > mods[:-1] * (1.0 + 1e-9)])
+    return first, mods[first], np.r_[mods[first[1:] - 1], mods[-1]]
+
+
+COUNT_CASES = [(n, L) for L in (34, 50, 100) for n in PRESET_NAMES]
+
+
+@pytest.mark.parametrize("name, L", COUNT_CASES,
+                         ids=["%s-%d" % c for c in COUNT_CASES])
+def test_count_is_the_dense_count_or_declines(name, L):
+    # between two clusters of moduli the count is the number of moduli
+    # below the radius wherever it certifies, and it certifies wherever
+    # the clusters lie 5 percent apart; on a modulus (an eigenvalue on the
+    # circle, a conjugate pair included) it declines.  Each chain's
+    # first 8 gaps and 8 spread over its spectrum
+    H, _ = model_eigenvalues(preset(name).resized(L))
+    first, lo, hi = _modulus_clusters(H)
+    gaps = np.unique(np.r_[np.arange(min(8, len(lo) - 1)),
+                           np.linspace(0, len(lo) - 2, 8).astype(int)])
+    certified = 0
+    for j in gaps:
+        got = count_inside(H, np.sqrt(hi[j] * lo[j + 1]))
+        assert got in (None, first[j + 1]), (j, got)
+        if lo[j + 1] >= 1.05 * hi[j]:
+            assert got == first[j + 1], j
+        certified += got is not None
+        for radius in (lo[j], hi[j]):
+            assert count_inside(H, radius) is None, (j, radius)
+    # FIG4_SSH's M is a constant tridiagonal whose eigenvalues lie on one
+    # vertical line, with moduli within 1 percent of each other near its
+    # bottom; every other chain certifies somewhere
+    assert certified or name == "FIG4_SSH"
+
+
+def test_bottom_spectrum_fall_backs_are_counted(monkeypatch):
+    # each case bottom_spectrum cannot certify returns None, counted by
+    # cause; its caller then takes the half-size solve
+    monkeypatch.setattr(spectral, "FALL_BACKS", Counter())
+    dimers = np.array([3e-6, 1.0, 2.0, 3.0])
+    H = _dimers(dimers, dimers * [-1, 1, 1, 1])
+    cases = [
+        # an odd chain has no square factors
+        (_dimers(dimers, dimers, extra_site=True), {}, "odd dimension"),
+        # an exactly zero bond in a factor: H_oe is singular
+        (_dimers([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 3.0]), {},
+         "singular factor"),
+        # every value inside the circle: no Ritz value bounds it
+        (H, {"radius": 100.0}, "unconverged"),
+        # the converged mu = -1 lies on the circle
+        (H, {"radius": 1.0}, "near circle"),
+        # FIG3's stored point at L=100: Ritz pairs pass the squaring gate
+        # at |mu| ~ 3e-3 where the spectrum has none below 0.27
+        (model_eigenvalues(preset("FIG3").resized(100))[0], {}, "count"),
+    ]
+    for bands, kwargs, cause in cases:
+        spectral.FALL_BACKS.clear()
+        assert bottom_spectrum(bands, **kwargs) is None
+        assert spectral.FALL_BACKS == {"bottom " + cause: 1}
+    # a gate below rounding fails the edge pair's vectors
+    spectral.FALL_BACKS.clear()
+    bands = model_eigenvalues(preset("FIG3").params.with_updates(L=100, JR=-1.0))[0]
+    assert len(bottom_spectrum(bands, 0.01, vectors=True).values) == 2
+    monkeypatch.setattr(spectral, "DEFAULT_TOL_EIG", 1e-30)
+    assert bottom_spectrum(bands, 0.01, vectors=True) is None
+    assert spectral.FALL_BACKS == {"bottom residual": 1}
+
+
+def test_bottom_spectrum_is_the_half_size_solve_near_zero(lapack_calls):
+    # four dimers, mu = -9e-12, -1, -4, -9: the bottom solve certifies the
+    # pairs +-3e-6i and +-1i inside |mu| < 1.5, and with radius=None inside
+    # |mu| < 2, in the gap beyond the second mu, each pair to the squaring
+    # gate, and builds no D x D matrix
+    dimers = np.array([3e-6, 1.0, 2.0, 3.0])
+    H = _dimers(dimers, dimers * [-1, 1, 1, 1])
+    ref = full_spectrum(H)
+    lapack_calls.clear()
+    dec = bottom_spectrum(H, 1.5, vectors=True)
+    assert lapack_calls["dense"] == 0 and lapack_calls["eig order"] <= BOTTOM_BLOCK
+    assert np.array_equal(dec.values, bottom_spectrum(H, 1.5))
+    assert np.all(np.abs(dec.values - ref.values[np.abs(ref.values) < 1.2])
+                  <= 1e-15 * np.abs(dec.values))
+    assert np.all(dec.residuals <= DEFAULT_TOL_EIG * np.linalg.norm(H.entries))
+    assert np.array_equal(bottom_spectrum(H), dec.values)
 
 
 BAND_IDENTITY_CASES = [(n, L) for n in PRESET_NAMES for L in (34, 35)]
@@ -699,6 +779,12 @@ SPECTRAL_INPUT_CHECKS = {
     "short chain": (lambda: cumulative_population(model_spectrum(short_chain(3)),
                                                   short_chain(3)),
                     "chain too short for a bulk slope fit"),
+    "count bands": (lambda: count_inside(np.eye(4), 1.0),
+                    "count_inside takes an open chain's bands"),
+    "count radius": (lambda: count_inside(chain_bands(short_chain(4)), 0.0),
+                     "count radius must be positive and finite"),
+    "bottom bands": (lambda: bottom_spectrum(np.eye(4)),
+                     "bottom_spectrum takes an open chain's bands"),
 }
 
 

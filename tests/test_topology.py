@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from collections import Counter
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -19,12 +20,12 @@ from nhlab import (NON_MODULAR, PBC, RECIPROCAL_MODULAR, SHIFTED,
                    line_gap_minima, make_params, metrology, obc_central_gap,
                    obc_side_gap, pbc_zero_gap_solutions, point_gap_residual,
                    PRESET_NAMES, preset, spectral_winding)
-from conftest import track_bands_loop
+from conftest import recurrence_root, track_bands_loop
 from nhlab import topology
 from nhlab.cli import main
 from nhlab.gbz import contour_eigenvalues
-from nhlab.metrology import model_eigenvalues
-from nhlab.spectral import FALL_BACKS
+from nhlab.metrology import model_eigenvalues, model_spectrum
+from nhlab.spectral import BOTTOM_BLOCK, FALL_BACKS, certify
 from nhlab.topology import (LOOP_K_POINTS, IllConditionedContourError,
                             _contour_betas, _gap_reports, _match,
                             _min_distance, _track_bands)
@@ -183,9 +184,11 @@ def test_obc_side_gap_and_edge_pair_on_long_skin_amplified_chains():
 
 
 def test_obc_gaps_solve_eigenvalues_only(monkeypatch):
-    # each gap is eigenvalue solves only, no eigenvector solve: the
-    # half-size solve, whose edge pair near 1.9e-4, too close to zero for
-    # the squared solve's accuracy, is refined on the bidiagonal factors
+    # each gap is eigenvalue solves only, no eigenvector solve: the central
+    # gap reads the bottom of the spectrum (bottom_spectrum), which hands
+    # scipy no eigenvalue solve; the side gap reads the half-size solve,
+    # whose edge pair near 1.9e-4, too close to zero for the squared
+    # solve's accuracy, is refined on the bidiagonal factors
     seen = []
     for name in ("eig", "eigvals"):
         solve = getattr(scipy.linalg, name)
@@ -195,24 +198,35 @@ def test_obc_gaps_solve_eigenvalues_only(monkeypatch):
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, name, recorded)
-    p = shifted(-1.0, L=100)
+    p, q = shifted(-1.0, L=50), shifted(-1.0, L=100)
     obc_central_gap(p)
-    obc_side_gap(p)
-    assert seen == [("eigvals", (p.D // 2, p.D // 2))] * 2
+    assert seen == []
+    obc_side_gap(q)
+    assert seen == [("eigvals", (q.D // 2, q.D // 2))]
 
 
 def test_obc_gaps_certify_the_eigenvalues_they_read(monkeypatch):
-    # an eigenvalue off by 1e-3 fails its inverse-iteration certificate
-    solve = metrology.full_spectrum
+    # an eigenvalue off by 1e-3 fails its inverse-iteration certificate,
+    # from the bottom solve (the central gap) and from the half-size
+    # solve (the side gap) alike
+    bottom, solve = metrology.bottom_spectrum, metrology.full_spectrum
+    read = []
+
+    def bottom_off(*args, **kwargs):
+        values = bottom(*args, **kwargs)
+        read.append(len(values))
+        return values + 1e-3
 
     def off(*args, **kwargs):
         return solve(*args, **kwargs) + 1e-3
 
+    monkeypatch.setattr(metrology, "bottom_spectrum", bottom_off)
     monkeypatch.setattr(metrology, "full_spectrum", off)
     p = shifted(-1.0, L=50)
     for gap in (obc_central_gap, obc_side_gap):
         with pytest.raises(ConvergenceError):
             gap(p)
+    assert read == [6]
 
 
 @pytest.mark.parametrize("obc_only", [obc_central_gap, obc_side_gap,
@@ -230,21 +244,129 @@ def test_obc_results_refuse_a_ring(obc_only):
 
 
 def test_obc_gaps_build_no_dense_matrix(lapack_calls):
-    # near FIG3's -0.5685 closing every |E| passes the squaring gate: the
-    # product comes from the bands and the three certificates factor them
+    # near FIG3's -0.5685 closing the central gap reads the bottom solve:
+    # 23 subspace steps of two ?tbtrs substitutions each on the bands'
+    # bidiagonal factors, no eigenvalue solve above the block's order, and
+    # the three certificates factor the bands
     fig3 = preset("FIG3").params
     closing = nearest(gbz_zero_gap_solutions(fig3), -0.5685)
     lapack_calls.clear()
     obc_central_gap(fig3.with_updates(L=200, JR=closing))
-    assert lapack_calls["dense"] == 0 and lapack_calls["tbtrs"] == 0
+    assert lapack_calls["dense"] == 0 and lapack_calls["tbtrs"] == 46
     assert lapack_calls["gttrf"] == 3 and lapack_calls["getrf"] == 0
-    # at JR=-1 the edge pair is refined on the bidiagonal factors, two
-    # ?tbtrs substitutions per inverse-iteration step, and no H is built
-    for gap in (obc_central_gap, obc_side_gap):
-        lapack_calls.clear()
-        gap(fig3.with_updates(L=100, JR=-1.0))
-        assert lapack_calls["dense"] == 0
-        assert lapack_calls["tbtrs"] in (2, 4, 6)
+    assert lapack_calls["eig order"] == BOTTOM_BLOCK
+    # at JR=-1 the central gap at L=50 takes 19 steps; the side gap's edge
+    # pair is refined on the same factors, two ?tbtrs substitutions per
+    # inverse-iteration step, and no H is built
+    lapack_calls.clear()
+    obc_central_gap(fig3.with_updates(L=50, JR=-1.0))
+    assert lapack_calls["dense"] == 0 and lapack_calls["tbtrs"] == 38
+    assert lapack_calls["eig order"] == BOTTOM_BLOCK
+    lapack_calls.clear()
+    obc_side_gap(fig3.with_updates(L=100, JR=-1.0))
+    assert lapack_calls["dense"] == 0
+    assert lapack_calls["tbtrs"] in (2, 4, 6)
+
+
+def half_size_central_gap(p):
+    """obc_central_gap from the half-size solve alone: its body before the
+    bottom solve, and its fall-back path since."""
+    H, E = model_eigenvalues(p)
+    smallest = E[np.argsort(np.abs(E), kind="stable")[:3]]
+    certify(H, smallest)
+    return central_gap_of(smallest)
+
+
+def central_gap_of(E):
+    # obc_central_gap's edge-pair rule, applied to eigenvalues E
+    mags = np.sort(np.abs(E))[:3]
+    if len(mags) > 2 and mags[2] > 20.0 * max(mags[1], 1e-300):
+        return float(2.0 * mags[2])
+    return float(2.0 * mags[0])
+
+
+def half_size_edge_states(p, energy_window):
+    """edge_states from the half-size solve's full decomposition: its body
+    before the bottom solve, and its fall-back path since."""
+    dec = model_spectrum(p)
+    inside = np.abs(dec.values) < energy_window
+    if not np.any(inside):
+        return []
+    edge = topology._edge_weights(p, dec.right_vectors[:, inside])
+    return [(complex(val), float(wgt))
+            for val, wgt in zip(dec.values[inside], edge) if wgt >= 0.9]
+
+
+FIG3_CENTRAL = -0.5684934338081672
+BOTTOM_RANGES = ([("central", 200, FIG3_CENTRAL + d) for d in np.linspace(-0.01, 0.01, 5)]
+                 + [("edge", 100, -1.0 + d) for d in np.linspace(-0.05, 0.05, 5)])
+
+
+@pytest.mark.parametrize("kind, L, JR", BOTTOM_RANGES,
+                         ids=["%s-L%d-JR%.4f" % c for c in BOTTOM_RANGES])
+def test_benchmark_ranges_read_the_bottom_solve(monkeypatch, lapack_calls,
+                                                kind, L, JR):
+    # FIG3's central gap near the -0.5685 closing at L=200 and its edge
+    # pair (window 0.1) near JR = -1 at L=100, as the benchmark draws them:
+    # no fall-back, no ?geev and no D x D matrix, and the half-size
+    # path's results to 1e-9 relative; where the two differ by more than
+    # 1e-12, an independent reference holds the bottom solve to 1e-9
+    p = preset("FIG3").params.with_updates(L=L, JR=JR)
+    solves = []
+    for name in ("eig", "eigvals"):
+        solve = getattr(scipy.linalg, name)
+
+        def recorded(*args, _name=name, _solve=solve, **kwargs):
+            solves.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, recorded)
+    before = Counter(FALL_BACKS)
+    lapack_calls.clear()
+    got = obc_central_gap(p) if kind == "central" else edge_states(p, 0.1)
+    assert FALL_BACKS == before and solves == []
+    assert lapack_calls["dense"] == 0 and lapack_calls["eig order"] == BOTTOM_BLOCK
+    monkeypatch.undo()
+    if kind == "central":
+        want = half_size_central_gap(p)
+        assert abs(got - want) <= 1e-9 * want
+        if abs(got - want) > 1e-12 * want:
+            # the symmetrized chain carries no skin amplification
+            ref = central_gap_of(symmetrized_chain_eigvals(p))
+            assert abs(got - ref) <= 1e-9 * ref
+        return
+    want = half_size_edge_states(p, 0.1)
+    assert len(got) == len(want) == 2
+    H = model_eigenvalues(p)[0]
+    for (E, weight), (E0, weight0) in zip(got, want):
+        assert abs(E - E0) <= 1e-9 * abs(E0)
+        assert abs(weight - weight0) <= 1e-9 * weight0
+        if abs(E - E0) > 1e-12 * abs(E0):
+            real = H.__class__(*(np.real(b) for b in H))
+            ref = abs(float(recurrence_root(real, E)))
+            assert abs(abs(E) - ref) <= 1e-9 * ref
+
+
+FALL_BACK_POINTS = [("FIG4_SSH", 34, "unconverged"), ("FIG2_SSH", 100, "unconverged"),
+                    ("FIG4_HN", 35, "odd dimension")]
+
+
+@pytest.mark.parametrize("name, L, cause", FALL_BACK_POINTS,
+                         ids=["%s-%d" % c[:2] for c in FALL_BACK_POINTS])
+def test_bottom_fall_backs_keep_the_half_size_results(name, L, cause):
+    # FIG4_SSH's M has its eigenvalues on one vertical line, FIG2_SSH's
+    # Ritz pairs stall short of the squaring gate, and an odd chain has no
+    # square factors: each bottom solve is counted under its cause, and
+    # the result is the half-size path's, bit for bit
+    p = preset(name).resized(L)
+    calls = [lambda: obc_central_gap(p), lambda: half_size_central_gap(p)]
+    if L % 2:
+        calls += [lambda: edge_states(p, 0.5), lambda: half_size_edge_states(p, 0.5)]
+    for call, half in zip(calls[0::2], calls[1::2]):
+        before = Counter(FALL_BACKS)
+        got = call()
+        assert (FALL_BACKS - before)["bottom " + cause] == 1
+        assert got == half()
 
 
 def test_obc_central_gap_keeps_the_fig3_closing_values():
